@@ -30,13 +30,10 @@ from .features import (
 from .inference import (
     DeltaReport,
     Marginals,
-    UpdateTerm,
-    crf_stochastic_gradient,
     delta_diagnostic,
     forward_backward,
     forward_logz,
     objective_value,
-    sapo_update_term,
     sequence_log_prob,
     topn_distribution,
 )
@@ -58,8 +55,11 @@ from .training import (
     NonFiniteError,
     TrainConfig,
     TrainCurve,
+    UpdateTerm,
     WeightState,
+    crf_stochastic_gradient,
     run_epoch,
+    sapo_update_term,
     train,
     train_crf_sgd,
     train_mira,

@@ -8,7 +8,6 @@ weights).  Each command prints a single human-readable summary line.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .dataio import (
@@ -22,9 +21,9 @@ from .dataio import (
     write_conll,
 )
 from .evaluation import chunk_f1, token_accuracy
-from .features import Sequence, TemplateError
-from .inference import delta_diagnostic, topn_distribution
-from .lattice import astar_nbest, build_lattice, viterbi
+from .features import Sequence, TemplateError, compile_sequence
+from .inference import DeltaReport, delta_csv_lines, delta_diagnostic, topn_distribution
+from .lattice import astar_nbest, build_lattice, viterbi_tags
 from .training import ALGORITHMS, ConfigError, NonFiniteError, TrainConfig, train
 
 
@@ -37,25 +36,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Flags only meaningful for some algorithms; explicit use elsewhere is an error.
+_NBEST = ("sapo", "mira-nbest", "mira-nbest-avg")
+_SGD = ("sapo", "crf-sgd")
+# Train flags only meaningful for some algorithms (explicit use elsewhere is
+# an error), keyed by the TrainConfig field they set: (flag, algorithms).
 _FLAG_ALGOS = {
-    "n": ("sapo", "mira-nbest", "mira-nbest-avg"),
-    "search": ("sapo", "mira-nbest", "mira-nbest-avg"),
-    "beam": ("sapo", "mira-nbest", "mira-nbest-avg"),
-    "lr": ("sapo", "crf-sgd"),
-    "l2": ("sapo", "crf-sgd"),
-    "lr_decay": ("sapo", "crf-sgd"),
-    "mira_c": ("mira", "mira-avg", "mira-nbest", "mira-nbest-avg"),
-}
-
-_TRAIN_DEFAULTS = {
-    "n": 5,
-    "search": "astar",
-    "beam": 50,
-    "lr": 0.05,
-    "l2": 1.0,
-    "lr_decay": None,
-    "mira_c": math.inf,
+    "n": ("--n", _NBEST),
+    "search": ("--search", _NBEST),
+    "beam_width": ("--beam", _NBEST),
+    "learning_rate": ("--lr", _SGD),
+    "l2": ("--l2", _SGD),
+    "lr_decay": ("--lr-decay", _SGD),
+    "mira_clip": ("--mira-c", ("mira", "mira-avg", "mira-nbest", "mira-nbest-avg")),
 }
 
 
@@ -69,18 +61,22 @@ def _build_parser():
     p.add_argument("--train", required=True, metavar="PATH", help="labeled training corpus")
     p.add_argument("--templates", required=True, metavar="PATH", help="feature template file")
     p.add_argument("--heldout", metavar="PATH", default=None, help="labeled held-out corpus")
-    p.add_argument("--n", type=int, default=None, help="top-n candidate count (default: 5)")
-    p.add_argument("--lr", type=float, default=None, help="learning rate (default: 0.05)")
-    p.add_argument("--l2", type=float, default=None, help="L2 strength (default: 1.0)")
+    p.add_argument("--n", type=int, default=None,
+                   help="top-n candidate count (default: %d)" % TrainConfig.n)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None,
+                   help="learning rate (default: %r)" % TrainConfig.learning_rate)
+    p.add_argument("--l2", type=float, default=None,
+                   help="L2 strength (default: %r)" % TrainConfig.l2)
     p.add_argument("--epochs", type=int, default=20, help="training epochs")
     p.add_argument("--seed", type=int, default=1, help="random seed")
     p.add_argument("--search", choices=("astar", "beam"), default=None,
-                   help="top-n search mode (default: astar)")
-    p.add_argument("--beam", type=int, default=None, help="beam width (default: 50)")
+                   help="top-n search mode (default: %s)" % TrainConfig.search)
+    p.add_argument("--beam", dest="beam_width", type=int, default=None,
+                   help="beam width (default: %d)" % TrainConfig.beam_width)
     p.add_argument("--lr-decay", dest="lr_decay", type=float, default=None,
                    help="per-epoch learning-rate multiplier (default: fixed rate)")
-    p.add_argument("--mira-c", dest="mira_c", type=float, default=None,
-                   help="MIRA step-size clip (default: inf)")
+    p.add_argument("--mira-c", dest="mira_clip", type=float, default=None,
+                   help="MIRA step-size clip (default: %r)" % TrainConfig.mira_clip)
     p.add_argument("--eval-every", dest="eval_every", type=int, default=1,
                    help="epochs between held-out evaluations")
     p.add_argument("--metric", choices=("accuracy", "chunk-f1"), default="accuracy",
@@ -143,27 +139,20 @@ def _build_parser():
 
 
 def cmd_train(args) -> int:
-    for flag, algos in _FLAG_ALGOS.items():
-        if getattr(args, flag) is not None and args.algo not in algos:
-            raise UsageError(
-                "--%s is not applicable to --algo %s" % (flag.replace("_", "-"), args.algo)
-            )
-    values = {k: (_TRAIN_DEFAULTS[k] if getattr(args, k) is None else getattr(args, k))
-              for k in _TRAIN_DEFAULTS}
+    given = {f: getattr(args, f) for f in _FLAG_ALGOS if getattr(args, f) is not None}
+    for f in given:
+        flag, algos = _FLAG_ALGOS[f]
+        if args.algo not in algos:
+            raise UsageError("%s is not applicable to --algo %s" % (flag, args.algo))
+    if "lr_decay" in given:
+        given["lr_schedule"] = "exp"
     cfg = TrainConfig(
         algorithm=args.algo,
-        n=values["n"],
-        learning_rate=values["lr"],
-        l2=values["l2"],
         epochs=args.epochs,
         seed=args.seed,
-        search=values["search"],
-        beam_width=values["beam"],
-        lr_schedule="fixed" if values["lr_decay"] is None else "exp",
-        lr_decay=1.0 if values["lr_decay"] is None else values["lr_decay"],
-        mira_clip=values["mira_c"],
         eval_every=args.eval_every,
         metric=args.metric,
+        **given,
     )
     cfg.validate()
     with open(args.templates, "r", encoding="utf-8") as f:
@@ -228,11 +217,8 @@ def cmd_decode(args) -> int:
             % (len(corpus), args.nbest, args.output)
         )
         return 0
-    predictions = []
-    for seq in corpus.sequences:
-        path, _ = viterbi(build_lattice(model, seq))
-        predictions.append([model.tagset.tag(t) for t in path])
-    write_conll(corpus, args.output, predictions)
+    compiled = [compile_sequence(model, seq) for seq in corpus.sequences]
+    write_conll(corpus, args.output, viterbi_tags(model, compiled, model.weights))
     print("decode ok: %d sequences -> %s" % (len(corpus), args.output))
     return 0
 
@@ -277,25 +263,21 @@ def cmd_diagnose(args) -> int:
     all_reports = [
         delta_diagnostic(model, z, n_list, args.l2, len(corpus.sequences)) for z in probes
     ]
-    lines = ["n,l2_delta,linf_delta,tail_mass"]
-    for reports in all_reports:
-        for r in reports:
-            lines.append("%d,%r,%r,%r" % (r.n, r.l2_delta, r.linf_delta, r.tail_mass))
+    rows = [r for reports in all_reports for r in reports]
     if len(all_reports) > 1:
         # averaged block appended, one row per n
         for i, n in enumerate(sorted(set(n_list))):
-            rows = [reports[i] for reports in all_reports]
-            lines.append(
-                "%d,%r,%r,%r"
-                % (
-                    n,
-                    sum(r.l2_delta for r in rows) / len(rows),
-                    sum(r.linf_delta for r in rows) / len(rows),
-                    sum(r.tail_mass for r in rows) / len(rows),
+            block = [reports[i] for reports in all_reports]
+            rows.append(
+                DeltaReport(
+                    n=n,
+                    l2_delta=sum(r.l2_delta for r in block) / len(block),
+                    linf_delta=sum(r.linf_delta for r in block) / len(block),
+                    tail_mass=sum(r.tail_mass for r in block) / len(block),
                 )
             )
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(delta_csv_lines(rows)) + "\n")
     print(
         "diagnose ok: %d samples, n in {%s} -> %s"
         % (len(probes), ",".join(str(n) for n in n_list), args.out)

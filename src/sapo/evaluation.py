@@ -46,27 +46,29 @@ class EvalReport:
         return lines
 
 
-def _check_shapes(gold_corpus, predictions):
-    if len(predictions) != len(gold_corpus.sequences):
+def _gold_sequences(gold_corpus, predictions):
+    """The gold sequences of a corpus or a sequence list, checked against predictions."""
+    sequences = list(getattr(gold_corpus, "sequences", gold_corpus))
+    if len(predictions) != len(sequences):
         raise ValueError(
             "got predictions for %d sequences, corpus has %d"
-            % (len(predictions), len(gold_corpus.sequences))
+            % (len(predictions), len(sequences))
         )
-    for i, (seq, pred) in enumerate(zip(gold_corpus.sequences, predictions)):
+    for i, (seq, pred) in enumerate(zip(sequences, predictions)):
         if seq.gold is None:
             raise ValueError("sequence %d has no gold tags" % i)
         if len(pred) != len(seq):
             raise ValueError(
                 "sequence %d: %d predictions for %d tokens" % (i, len(pred), len(seq))
             )
+    return sequences
 
 
 def token_accuracy(gold_corpus, predictions) -> EvalReport:
     """Fraction of tokens whose predicted tag equals the gold tag."""
-    _check_shapes(gold_corpus, predictions)
     correct = total = 0
     confusion = Counter()
-    for seq, pred in zip(gold_corpus.sequences, predictions):
+    for seq, pred in zip(_gold_sequences(gold_corpus, predictions), predictions):
         for g, p in zip(seq.gold, pred):
             total += 1
             correct += g == p
@@ -111,10 +113,9 @@ def chunk_f1(gold_corpus, predictions, scheme: str = "BIO") -> EvalReport:
     """Balanced F-score over exactly-matched (start, end, type) chunks."""
     if scheme != "BIO":
         raise ValueError("unsupported chunk scheme %r" % scheme)
-    _check_shapes(gold_corpus, predictions)
     matched = n_pred = n_gold = 0
     per_tag = Counter()
-    for seq, pred in zip(gold_corpus.sequences, predictions):
+    for seq, pred in zip(_gold_sequences(gold_corpus, predictions), predictions):
         gold_chunks = extract_chunks(seq.gold)
         pred_chunks = extract_chunks(pred)
         both = gold_chunks & pred_chunks

@@ -16,8 +16,10 @@ emission table and a (K, K) transition table.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,6 +219,10 @@ def position_features(tokens, t, templates, n_columns):
                     raise TemplateError(
                         "template %s: non-numeric cell %r for %%v atom" % (tpl.name, cell)
                     ) from None
+                if not math.isfinite(value):
+                    raise TemplateError(
+                        "template %s: non-finite cell %r for %%v atom" % (tpl.name, cell)
+                    )
             else:
                 parts.append(_cell(tokens, pos, atom.col, n_columns))
         if skip or value == 0.0:
@@ -269,14 +275,6 @@ class FeatureIndex:
     def lookup_raw(self, raw: str):
         return self.raw_ids.get(raw)
 
-    def emission_id(self, raw_id: int, tag_id: int) -> int:
-        return raw_id * self.num_tags + tag_id
-
-    def transition_id(self, prev_tag: int, cur_tag: int) -> int:
-        if not self.transitions:
-            raise ValueError("transition features are not enabled")
-        return self.transition_base + prev_tag * self.num_tags + cur_tag
-
     def freeze(self):
         self.frozen = True
         return self
@@ -290,6 +288,62 @@ def build_feature_index(sequences, templates, tagset, n_columns) -> FeatureIndex
             for raw, _value in position_features(seq.tokens, t, templates, n_columns):
                 index.add_raw(raw)
     return index.freeze()
+
+
+class CompiledSequence(NamedTuple):
+    """One sequence resolved against a frozen feature index."""
+
+    pos_feats: list  # per position: (raw_id, value) pairs; unseen raw strings dropped
+    gold: list | None  # gold tag ids, or None
+    trans_base: int | None  # id of the first transition feature, None without transitions
+
+
+def indexed_position_features(tokens, t, templates, index, n_columns):
+    """Position features resolved against a frozen index; unseen are dropped."""
+    out = []
+    for raw, value in position_features(tokens, t, templates, n_columns):
+        rid = index.lookup_raw(raw)
+        if rid is not None:
+            out.append((rid, value))
+    return out
+
+
+def _index_sequence(tokens, templates, index, gold):
+    n_columns = len(tokens[0])
+    pos_feats = [
+        indexed_position_features(tokens, t, templates, index, n_columns)
+        for t in range(len(tokens))
+    ]
+    return CompiledSequence(pos_feats, gold, index.transition_base if index.transitions else None)
+
+
+def compile_sequence(m: Model, seq: Sequence, labeled: bool = False) -> CompiledSequence:
+    """Index a sequence's position features under the model.
+
+    With ``labeled`` the gold tagging is required and returned as tag ids;
+    otherwise ``gold`` is None.
+    """
+    gold = None
+    if labeled:
+        if seq.gold is None:
+            raise ExtractionError("sample has no gold tagging")
+        gold = m.tagset.ids(seq.gold)
+    return _index_sequence(seq.tokens, m.templates, m.index, gold)
+
+
+def path_items(pos_feats, path, K, trans_base):
+    """Global feature vector F(x, y) of one tagging, as an unsorted id -> value dict."""
+    acc: dict[int, float] = {}
+    for t, feats in enumerate(pos_feats):
+        yt = path[t]
+        for rid, value in feats:
+            fid = rid * K + yt
+            acc[fid] = acc.get(fid, 0.0) + value
+    if trans_base is not None:
+        for t in range(1, len(pos_feats)):
+            fid = trans_base + path[t - 1] * K + path[t]
+            acc[fid] = acc.get(fid, 0.0) + 1.0
+    return acc
 
 
 def extract_features(x: Sequence, y, templates, index: FeatureIndex):
@@ -307,21 +361,21 @@ def extract_features(x: Sequence, y, templates, index: FeatureIndex):
     for tag_id in y:
         if not (0 <= tag_id < K):
             raise ExtractionError("tag id %r outside tagset of size %d" % (tag_id, K))
-    n_columns = len(x.tokens[0])
-    acc: dict[int, float] = {}
-    for t in range(len(x)):
-        for raw, value in position_features(x.tokens, t, templates, n_columns):
-            rid = index.lookup_raw(raw)
-            if rid is None:
-                continue
-            fid = rid * K + y[t]
-            acc[fid] = acc.get(fid, 0.0) + value
-    if index.transitions:
-        base = index.transition_base
-        for t in range(1, len(x)):
-            fid = base + y[t - 1] * K + y[t]
-            acc[fid] = acc.get(fid, 0.0) + 1.0
+    cs = _index_sequence(x.tokens, templates, index, None)
+    acc = path_items(cs.pos_feats, y, K, cs.trans_base)
     return sorted((fid, v) for fid, v in acc.items() if v != 0.0)
+
+
+def weight_views(weights: np.ndarray, index: FeatureIndex):
+    """(n_raw, K) emission and (K, K) transition views of a weight vector.
+
+    The transition table is a zero array when transitions are off.
+    """
+    K = index.num_tags
+    emit = weights[: index.n_raw * K].reshape(index.n_raw, K)
+    if not index.transitions:
+        return emit, np.zeros((K, K))
+    return emit, weights[index.transition_base :].reshape(K, K)
 
 
 def dot_sparse(weights: np.ndarray, items) -> float:
@@ -354,18 +408,6 @@ class Model:
     @property
     def num_tags(self):
         return len(self.tagset)
-
-    def emission_weights(self) -> np.ndarray:
-        """(n_raw, K) view of the emission block of the weight vector."""
-        K = self.num_tags
-        return self.weights[: self.index.n_raw * K].reshape(self.index.n_raw, K)
-
-    def transition_weights(self) -> np.ndarray:
-        """(K, K) transition score table (zeros when transitions are off)."""
-        K = self.num_tags
-        if not self.index.transitions:
-            return np.zeros((K, K))
-        return self.weights[self.index.transition_base :].reshape(K, K)
 
 
 def build_model(sequences, template_text: str, n_columns: int) -> Model:

@@ -2,9 +2,10 @@
 
 Covers exact log-space forward-backward (partition function and node/edge
 marginals), the log-linear distribution over an n-best candidate set, the
-regularized-likelihood stochastic gradient, the search-based update term
-that approximates it, the training objective, and the deviation
-diagnostic between the exact gradient and its top-n approximation.
+two feature mixtures that the per-sample update terms are built from
+(probability-weighted top-n candidates, and exact expected counts), the
+training objective, and the deviation diagnostic between the exact
+gradient and its top-n approximation.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Model, Sequence
+from .features import Model, Sequence, compile_sequence, path_items, weight_views
 from .lattice import (
     Lattice,
     NBestList,
     astar_nbest,
-    beam_nbest,
     build_lattice,
-    indexed_position_features,
+    compiled_lattice,
     path_score,
 )
 
@@ -33,21 +33,6 @@ class Marginals:
     logZ: float
     node: np.ndarray  # (T, K), P(y_t = k | x, w)
     edge: np.ndarray  # (T-1, K, K), P(y_{t-1} = a, y_t = b | x, w)
-
-
-@dataclass
-class UpdateTerm:
-    """Per-sample weight-change direction.
-
-    ``items`` is the sparse part (expected features minus oracle features,
-    sorted by id, exact zeros dropped); ``decay`` is the L2 coefficient
-    lambda/|S| whose dense contribution ``decay * w`` is applied by the
-    trainer as a multiplicative shrink.
-    """
-
-    items: list[tuple[int, float]]
-    decay: float
-    kind: str
 
 
 @dataclass
@@ -125,21 +110,6 @@ def topn_distribution(nb: NBestList) -> NBestList:
 # algorithms hold at float precision.
 
 
-def path_items(pos_feats, path, K, trans_base):
-    """Sparse feature dict of one tagging from indexed position features."""
-    acc: dict[int, float] = {}
-    for t, feats in enumerate(pos_feats):
-        yt = path[t]
-        for rid, value in feats:
-            fid = rid * K + yt
-            acc[fid] = acc.get(fid, 0.0) + value
-    if trans_base is not None:
-        for t in range(1, len(pos_feats)):
-            fid = trans_base + path[t - 1] * K + path[t]
-            acc[fid] = acc.get(fid, 0.0) + 1.0
-    return acc
-
-
 def candidate_mixture(pos_feats, paths, probs, K, trans_base):
     """Probability-weighted feature mixture sum_k P_k F(x, y_k).
 
@@ -207,61 +177,11 @@ def subtract_oracle(mixture: dict, oracle: dict):
     return sorted((fid, v) for fid, v in d.items() if v != 0.0)
 
 
-def _compiled(m: Model, z: Sequence):
-    if z.gold is None:
-        raise ValueError("sample has no gold tagging")
-    n_columns = len(z.tokens[0])
-    pos_feats = [
-        indexed_position_features(z.tokens, t, m.templates, m.index, n_columns)
-        for t in range(len(z))
-    ]
-    gold = m.tagset.ids(z.gold)
-    trans_base = m.index.transition_base if m.index.transitions else None
-    return pos_feats, gold, trans_base
-
-
-def crf_stochastic_gradient(m: Model, z: Sequence, l2: float, dataset_size: int) -> UpdateTerm:
-    """Exact per-sample gradient of the regularized negative log-likelihood.
-
-    Sparse part is E_P[F] - F(x, y*), assembled from node/edge marginals;
-    the dense part is (l2 / dataset_size) * w, reported via ``decay``.
-    """
-    pos_feats, gold, trans_base = _compiled(m, z)
-    K = m.num_tags
-    l = build_lattice(m, z)
-    marg = forward_backward(l)
-    mixture = expected_items(pos_feats, marg, K, trans_base)
-    items = subtract_oracle(mixture, path_items(pos_feats, gold, K, trans_base))
-    return UpdateTerm(items=items, decay=l2 / dataset_size, kind="crf_gradient")
-
-
-def sapo_update_term(
-    m: Model,
-    z: Sequence,
-    n: int,
-    l2: float,
-    dataset_size: int,
-    search: str = "astar",
-    beam: int = 50,
-) -> UpdateTerm:
-    """Top-n approximation of the stochastic gradient.
-
-    The candidate set is exactly the n-best search output; the gold
-    tagging is neither forced in nor excluded.
-    """
-    pos_feats, gold, trans_base = _compiled(m, z)
-    K = m.num_tags
-    l = build_lattice(m, z)
-    if search == "astar":
-        nb = astar_nbest(l, n)
-    elif search == "beam":
-        nb = beam_nbest(l, n, beam)
-    else:
-        raise ValueError("search must be 'astar' or 'beam'")
-    nb = topn_distribution(nb)
-    mixture = candidate_mixture(pos_feats, nb.paths, nb.probs, K, trans_base)
-    items = subtract_oracle(mixture, path_items(pos_feats, gold, K, trans_base))
-    return UpdateTerm(items=items, decay=l2 / dataset_size, kind="sapo_term")
+def labeled_sample(m: Model, z: Sequence):
+    """(lattice, compiled sequence, oracle features F(x, y*)) of a labeled sample."""
+    cs = compile_sequence(m, z, labeled=True)
+    lat = compiled_lattice(cs.pos_feats, weight_views(m.weights, m.index))
+    return lat, cs, path_items(cs.pos_feats, cs.gold, m.num_tags, cs.trans_base)
 
 
 def regularizer_value(weights: np.ndarray) -> float:
@@ -271,12 +191,17 @@ def regularizer_value(weights: np.ndarray) -> float:
 
 def objective_value(m: Model, data, l2: float) -> float:
     """Negative regularized log-likelihood over a labeled dataset."""
-    total = l2 * regularizer_value(m.weights)
-    for z in data:
-        if z.gold is None:
-            raise ValueError("sample has no gold tagging")
-        l = build_lattice(m, z)
-        total += forward_logz(l) - path_score(l, m.tagset.ids(z.gold))
+    compiled = [compile_sequence(m, z, labeled=True) for z in data]
+    return compiled_objective(compiled, m.weights, m.index, l2)
+
+
+def compiled_objective(compiled, weights, index, l2: float) -> float:
+    """:func:`objective_value` over compiled labeled sequences under ``weights``."""
+    views = weight_views(weights, index)
+    total = l2 * regularizer_value(weights)
+    for cs in compiled:
+        l = compiled_lattice(cs.pos_feats, views)
+        total += forward_logz(l) - path_score(l, cs.gold)
     return total
 
 
@@ -289,11 +214,9 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2: float, dataset_size: int
     nested prefixes of one n-best search, and the tail mass is accumulated
     with sequential log-add so it is non-increasing in n by construction.
     """
-    pos_feats, gold, trans_base = _compiled(m, z)
+    l, (pos_feats, _, trans_base), oracle = labeled_sample(m, z)
     K = m.num_tags
-    l = build_lattice(m, z)
     marg = forward_backward(l)
-    oracle = path_items(pos_feats, gold, K, trans_base)
     exact = subtract_oracle(expected_items(pos_feats, marg, K, trans_base), oracle)
     exact_d = dict(exact)
 

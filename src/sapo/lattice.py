@@ -15,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Model, Sequence, position_features
+from .features import Model, Sequence, compile_sequence, weight_views
+
+# Re-exported: the benchmark tracer's tests (bench/test_layertrace.py) check
+# that rebinding ``position_features`` reaches this namespace too.
+from .features import position_features  # noqa: F401, E402
 
 ENUMERATION_LIMIT = 10**6
 
@@ -61,23 +65,19 @@ class NBestList:
 
 def build_lattice(m: Model, x: Sequence) -> Lattice:
     """Emission/transition score tables for one sequence under the model."""
-    n_columns = len(x.tokens[0])
-    pos_feats = [
-        indexed_position_features(x.tokens, t, m.templates, m.index, n_columns)
-        for t in range(len(x))
-    ]
-    emit = emission_scores(pos_feats, m.emission_weights(), len(m.tagset))
-    return Lattice(emit=emit, trans=m.transition_weights().copy())
+    return compiled_lattice(compile_sequence(m, x).pos_feats, weight_views(m.weights, m.index))
 
 
-def indexed_position_features(tokens, t, templates, index, n_columns):
-    """Position features resolved against a frozen index; unseen are dropped."""
-    out = []
-    for raw, value in position_features(tokens, t, templates, n_columns):
-        rid = index.lookup_raw(raw)
-        if rid is not None:
-            out.append((rid, value))
-    return out
+def compiled_lattice(pos_feats, views, scale=1.0) -> Lattice:
+    """Lattice of compiled position features under (emission, transition)
+    weight views, with every score multiplied by ``scale``."""
+    emit_w, trans_w = views
+    emit = emission_scores(pos_feats, emit_w, emit_w.shape[1])
+    if scale != 1.0:
+        emit *= scale
+        return Lattice(emit=emit, trans=trans_w * scale)
+    return Lattice(emit=emit, trans=trans_w.copy())
+
 
 def emission_scores(pos_feats, emission_weights, K) -> np.ndarray:
     emit = np.zeros((len(pos_feats), K))
@@ -127,6 +127,13 @@ def viterbi(l: Lattice):
         prev = path[-1]
         path.append(int(np.argmax(l.trans[prev] + l.emit[t] + h[t])))
     return path, path_score(l, path)
+
+
+def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
+    """Best tagging of each compiled sequence under ``weights``, as tag strings."""
+    views = weight_views(weights, m.index)
+    tag = m.tagset.tag
+    return [[tag(t) for t in viterbi(compiled_lattice(cs.pos_feats, views))[0]] for cs in compiled]
 
 
 def _count_at_most(K, T, cap):

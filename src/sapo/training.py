@@ -23,26 +23,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import chunk_f1, token_accuracy
-from .features import Model, build_model
+from .features import (
+    Model,
+    Sequence,
+    build_model,
+    compile_sequence,
+    dot_sparse,
+    path_items,
+    weight_views,
+)
 from .inference import (
     candidate_mixture,
+    compiled_objective,
     expected_items,
     forward_backward,
-    forward_logz,
-    path_items,
-    regularizer_value,
+    labeled_sample,
     subtract_oracle,
     topn_distribution,
 )
-from .lattice import (
-    Lattice,
-    astar_nbest,
-    beam_nbest,
-    emission_scores,
-    indexed_position_features,
-    path_score,
-    viterbi,
-)
+from .lattice import astar_nbest, beam_nbest, compiled_lattice, viterbi, viterbi_tags
 
 ALGORITHMS = (
     "sapo",
@@ -58,6 +57,9 @@ ALGORITHMS = (
 SEARCH_MODES = ("astar", "beam")
 METRICS = ("accuracy", "chunk-f1")
 FINITE_CHECK_INTERVAL = 1000
+# A positive weight scale below this is folded into the weights (see
+# WeightState.decay), long before it could underflow to 0.
+SCALE_FLOOR = 1e-100
 HILDRETH_MAX_PASSES = 100
 HILDRETH_TOL = 1e-8
 
@@ -67,15 +69,20 @@ class ConfigError(ValueError):
 
 
 class NonFiniteError(RuntimeError):
-    """Weights became non-finite during training."""
+    """Weights became non-finite during training.
 
-    def __init__(self, sample_index, epoch):
-        super().__init__(
-            "non-finite weights detected after sample %d in epoch %d"
-            % (sample_index, epoch)
-        )
+    ``sample_index`` is the last sample visited before the failed check, and
+    ``window`` the number of samples visited since the last passing check.
+    """
+
+    def __init__(self, sample_index, epoch, window=1):
+        msg = "non-finite weights detected after sample %d in epoch %d" % (sample_index, epoch)
+        if window > 1:
+            msg += " (within the %d samples visited since the last finite check)" % window
+        super().__init__(msg)
         self.sample_index = sample_index
         self.epoch = epoch
+        self.window = window
 
 
 @dataclass
@@ -213,17 +220,25 @@ class WeightState:
     def decay(self, factor: float):
         if factor != 1.0:
             self.scale *= factor
+            if 0.0 < self.scale < SCALE_FLOOR:
+                self._fold()
+
+    def _fold(self):
+        """Move ``scale`` into ``v`` and reset it to 1; the weights and their
+        running average are unchanged."""
+        if self.averaging:
+            self.acc += self.v * (self.cum_scale - self.last_cum)
+            self.last_cum[:] = 0.0
+            self.cum_scale = 0.0
+        self.v *= self.scale
+        self.scale = 1.0
 
     def end_sample(self):
         self.samples += 1
         self.cum_scale += self.scale
 
     def dot_items(self, items) -> float:
-        total = 0.0
-        v = self.v
-        for fid, value in items:
-            total += v[fid] * value
-        return self.scale * total
+        return self.scale * dot_sparse(self.v, items)
 
     def finite(self) -> bool:
         return math.isfinite(self.scale) and bool(np.isfinite(self.v).all())
@@ -240,37 +255,8 @@ class WeightState:
         return (self.acc + pending) / self.samples
 
 
-@dataclass
-class _CompiledSeq:
-    pos_feats: list  # per position: list of (raw_id, value)
-    gold_ids: list | None
-    gold_items: dict | None
-    gold_tags: list | None
-
-
 def _as_sequences(data):
     return list(getattr(data, "sequences", data))
-
-
-def _compile(sequences, model, require_gold):
-    K = model.num_tags
-    trans_base = model.index.transition_base if model.index.transitions else None
-    compiled = []
-    for i, seq in enumerate(sequences):
-        n_columns = len(seq.tokens[0])
-        pos_feats = [
-            indexed_position_features(seq.tokens, t, model.templates, model.index, n_columns)
-            for t in range(len(seq))
-        ]
-        if seq.gold is None:
-            if require_gold:
-                raise ConfigError("sequence %d has no gold tagging" % i)
-            compiled.append(_CompiledSeq(pos_feats, None, None, None))
-        else:
-            gold_ids = model.tagset.ids(seq.gold)
-            gold_items = path_items(pos_feats, gold_ids, K, trans_base)
-            compiled.append(_CompiledSeq(pos_feats, gold_ids, gold_items, list(seq.gold)))
-    return compiled
 
 
 def run_epoch(step_fn, data, rng):
@@ -286,47 +272,35 @@ def run_epoch(step_fn, data, rng):
     return order, time.perf_counter() - t0
 
 
+def _metric(metric, sequences, predictions):
+    return (chunk_f1 if metric == "chunk-f1" else token_accuracy)(sequences, predictions).value
+
+
 def _train_engine(data, heldout, cfg, template_text, step_factory, averaged, on_epoch_end):
     cfg.validate()
     sequences = _as_sequences(data)
     if not sequences:
         raise ConfigError("training set is empty")
-    for i, seq in enumerate(sequences):
-        if seq.gold is None:
-            raise ConfigError("training sequence %d has no gold tagging" % i)
+    held_sequences = _as_sequences(heldout) if heldout is not None else []
+    for name, seqs in (("training", sequences), ("held-out", held_sequences)):
+        for i, seq in enumerate(seqs):
+            if seq.gold is None:
+                raise ConfigError("%s sequence %d has no gold tagging" % (name, i))
     n_columns = len(sequences[0].tokens[0])
     model = build_model(sequences, template_text, n_columns)
-    compiled = _compile(sequences, model, require_gold=True)
-    held_sequences = _as_sequences(heldout) if heldout is not None else []
-    held_compiled = _compile(held_sequences, model, require_gold=True) if held_sequences else []
+    compiled = [compile_sequence(model, seq, labeled=True) for seq in sequences]
+    held_compiled = [compile_sequence(model, seq, labeled=True) for seq in held_sequences]
 
     K = model.num_tags
-    trans_base = model.index.transition_base if model.index.transitions else None
+    # (compiled sequence, oracle features F(x, y*)) per training sample
+    samples = [(cs, path_items(cs.pos_feats, cs.gold, K, cs.trans_base)) for cs in compiled]
     state = WeightState(model.index.n_features, averaging=averaged)
-    emit_view = state.v[: model.index.n_raw * K].reshape(model.index.n_raw, K)
-    trans_view = (
-        state.v[model.index.transition_base :].reshape(K, K)
-        if model.index.transitions
-        else np.zeros((K, K))
-    )
+    views = weight_views(state.v, model.index)
 
     def lattice_for(cs):
-        emit = emission_scores(cs.pos_feats, emit_view, K)
-        if state.scale != 1.0:
-            emit *= state.scale
-            trans = trans_view * state.scale
-        else:
-            trans = trans_view.copy()
-        return Lattice(emit=emit, trans=trans)
+        return compiled_lattice(cs.pos_feats, views, state.scale)
 
-    step = step_factory(
-        model=model,
-        compiled=compiled,
-        state=state,
-        cfg=cfg,
-        lattice_for=lattice_for,
-        trans_base=trans_base,
-    )
+    step = step_factory(model=model, samples=samples, state=state, cfg=cfg, lattice_for=lattice_for)
 
     rng = np.random.default_rng(cfg.seed)
     curve = TrainCurve()
@@ -340,24 +314,26 @@ def _train_engine(data, heldout, cfg, template_text, step_factory, averaged, on_
             raise NonFiniteError(i, epoch)
         since_check[0] += 1
         if since_check[0] >= FINITE_CHECK_INTERVAL:
-            since_check[0] = 0
             if not state.finite():
-                raise NonFiniteError(i, epoch)
+                raise NonFiniteError(i, epoch, since_check[0])
+            since_check[0] = 0
 
     for epoch in range(1, cfg.epochs + 1):
         if cfg.lr_schedule == "exp":
             gamma = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
         else:
             gamma = cfg.learning_rate
-        _, seconds = run_epoch(lambda i: checked_step(i, gamma, epoch), compiled, rng)
+        order, seconds = run_epoch(lambda i: checked_step(i, gamma, epoch), samples, rng)
         if not state.finite():
-            raise NonFiniteError(-1, epoch)
+            raise NonFiniteError(int(order[-1]), epoch, since_check[0])
+        since_check[0] = 0
         weights = state.averaged_weights() if averaged else state.current_weights()
-        objective = _objective_from_compiled(compiled, weights, model, cfg.l2)
+        objective = compiled_objective(compiled, weights, model.index, cfg.l2)
         wc = float(np.abs(weights).mean())
         held_metric = None
         if held_compiled and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            held_metric = _heldout_metric(held_compiled, weights, model, cfg.metric)
+            preds = viterbi_tags(model, held_compiled, weights)
+            held_metric = _metric(cfg.metric, held_sequences, preds)
         curve.points.append(
             CurvePoint(
                 epoch=epoch,
@@ -372,9 +348,7 @@ def _train_engine(data, heldout, cfg, template_text, step_factory, averaged, on_
         final_weights = weights
 
     model.weights = final_weights
-    train_preds = _decode_compiled(compiled, final_weights, model)
-    train_gold = [cs.gold_tags for cs in compiled]
-    train_acc = _metric_value(train_gold, train_preds, "accuracy")
+    train_acc = _metric("accuracy", sequences, viterbi_tags(model, compiled, final_weights))
     model.meta = {
         "config": cfg.snapshot(),
         "train_accuracy": train_acc,
@@ -384,116 +358,120 @@ def _train_engine(data, heldout, cfg, template_text, step_factory, averaged, on_
     return model, curve
 
 
-def _weights_views(weights, model):
-    K = model.num_tags
-    emit_w = weights[: model.index.n_raw * K].reshape(model.index.n_raw, K)
-    if model.index.transitions:
-        trans_w = weights[model.index.transition_base :].reshape(K, K)
-    else:
-        trans_w = np.zeros((K, K))
-    return emit_w, trans_w
+# ---------------------------------------------------------------------------
+# Per-sample update terms, shared by the trainers and the public per-sample API
 
 
-def _objective_from_compiled(compiled, weights, model, l2):
-    emit_w, trans_w = _weights_views(weights, model)
-    K = model.num_tags
-    total = l2 * regularizer_value(weights)
-    for cs in compiled:
-        lat = Lattice(emit=emission_scores(cs.pos_feats, emit_w, K), trans=trans_w)
-        total += forward_logz(lat) - path_score(lat, cs.gold_ids)
-    return total
+@dataclass
+class UpdateTerm:
+    """Per-sample weight-change direction.
+
+    ``items`` is the sparse part (expected features minus oracle features,
+    sorted by id, exact zeros dropped); ``decay`` is the L2 coefficient
+    lambda/|S| whose dense contribution ``decay * w`` is applied by the
+    trainer as a multiplicative shrink.
+    """
+
+    items: list[tuple[int, float]]
+    decay: float
+    kind: str
 
 
-def _decode_compiled(compiled, weights, model):
-    emit_w, trans_w = _weights_views(weights, model)
-    K = model.num_tags
-    preds = []
-    for cs in compiled:
-        lat = Lattice(emit=emission_scores(cs.pos_feats, emit_w, K), trans=trans_w)
-        path, _ = viterbi(lat)
-        preds.append([model.tagset.tag(t) for t in path])
-    return preds
+def _nbest(lat, n, search, beam):
+    """Top-n candidates by exact A* or by width-limited beam search."""
+    if search == "astar":
+        return astar_nbest(lat, n)
+    if search == "beam":
+        return beam_nbest(lat, n, beam)
+    raise ValueError("search must be 'astar' or 'beam'")
 
 
-class _GoldView:
-    """Adapter giving the evaluation functions a corpus-shaped object."""
-
-    def __init__(self, gold_tag_lists):
-        self.sequences = [_GoldSeq(tags) for tags in gold_tag_lists]
-
-
-class _GoldSeq:
-    def __init__(self, tags):
-        self.gold = tags
-
-    def __len__(self):
-        return len(self.gold)
+def _sapo_items(lat, cs, oracle, n, search, beam):
+    """Top-n probability-weighted candidate features minus the oracle's."""
+    nb = topn_distribution(_nbest(lat, n, search, beam))
+    mixture = candidate_mixture(cs.pos_feats, nb.paths, nb.probs, lat.K, cs.trans_base)
+    return subtract_oracle(mixture, oracle)
 
 
-def _metric_value(gold_tag_lists, predictions, metric):
-    view = _GoldView(gold_tag_lists)
-    if metric == "chunk-f1":
-        return chunk_f1(view, predictions).value
-    return token_accuracy(view, predictions).value
+def _crf_items(lat, cs, oracle):
+    """Exact expected features minus the oracle's."""
+    mixture = expected_items(cs.pos_feats, forward_backward(lat), lat.K, cs.trans_base)
+    return subtract_oracle(mixture, oracle)
 
 
-def _heldout_metric(held_compiled, weights, model, metric):
-    preds = _decode_compiled(held_compiled, weights, model)
-    gold = [cs.gold_tags for cs in held_compiled]
-    return _metric_value(gold, preds, metric)
+def crf_stochastic_gradient(m: Model, z: Sequence, l2: float, dataset_size: int) -> UpdateTerm:
+    """Exact per-sample gradient of the regularized negative log-likelihood.
+
+    Sparse part is E_P[F] - F(x, y*), assembled from node/edge marginals;
+    the dense part is (l2 / dataset_size) * w, reported via ``decay``.
+    """
+    return UpdateTerm(_crf_items(*labeled_sample(m, z)), l2 / dataset_size, "crf_gradient")
+
+
+def sapo_update_term(
+    m: Model,
+    z: Sequence,
+    n: int,
+    l2: float,
+    dataset_size: int,
+    search: str = "astar",
+    beam: int = 50,
+) -> UpdateTerm:
+    """Top-n approximation of the stochastic gradient.
+
+    The candidate set is exactly the n-best search output; the gold
+    tagging is neither forced in nor excluded.
+    """
+    items = _sapo_items(*labeled_sample(m, z), n, search, beam)
+    return UpdateTerm(items, l2 / dataset_size, "sapo_term")
 
 
 # ---------------------------------------------------------------------------
 # Per-algorithm sample steps
 
 
-def _sapo_factory(model, compiled, state, cfg, lattice_for, trans_base):
-    K = model.num_tags
-    decay_l2 = cfg.l2 / len(compiled)
-    use_beam = cfg.search == "beam"
+def _decay_rate(cfg, dataset_size):
+    """l2/|S|, after checking that the shrink factor 1 - lr*l2/|S| is positive.
+
+    An overflowing product is left to the non-finite check.
+    """
+    rate = cfg.l2 / dataset_size
+    shrink = cfg.learning_rate * rate
+    if math.isfinite(shrink) and shrink >= 1.0:
+        raise ConfigError(
+            "shrink factor 1 - lr*l2/|S| = 1 - %r*%r/%d = %r must be positive; lower lr or l2"
+            % (cfg.learning_rate, cfg.l2, dataset_size, 1.0 - shrink)
+        )
+    return rate
+
+
+def _sgd_factory(model, samples, state, cfg, lattice_for):
+    """SAPO and CRF-SGD: w -= gamma * term, then w *= 1 - gamma * l2/|S|."""
+    decay_l2 = _decay_rate(cfg, len(samples))
+    sapo = cfg.algorithm == "sapo"
 
     def step(i, gamma):
-        cs = compiled[i]
+        cs, oracle = samples[i]
         lat = lattice_for(cs)
-        if use_beam:
-            nb = beam_nbest(lat, cfg.n, cfg.beam_width)
+        if sapo:
+            items = _sapo_items(lat, cs, oracle, cfg.n, cfg.search, cfg.beam_width)
         else:
-            nb = astar_nbest(lat, cfg.n)
-        nb = topn_distribution(nb)
-        mixture = candidate_mixture(cs.pos_feats, nb.paths, nb.probs, K, trans_base)
-        items = subtract_oracle(mixture, cs.gold_items)
+            items = _crf_items(lat, cs, oracle)
         state.sparse_add(items, -gamma)
         state.decay(1.0 - gamma * decay_l2)
 
     return step
 
 
-def _crf_sgd_factory(model, compiled, state, cfg, lattice_for, trans_base):
-    K = model.num_tags
-    decay_l2 = cfg.l2 / len(compiled)
-
-    def step(i, gamma):
-        cs = compiled[i]
-        lat = lattice_for(cs)
-        marg = forward_backward(lat)
-        mixture = expected_items(cs.pos_feats, marg, K, trans_base)
-        items = subtract_oracle(mixture, cs.gold_items)
-        state.sparse_add(items, -gamma)
-        state.decay(1.0 - gamma * decay_l2)
-
-    return step
-
-
-def _perceptron_factory(model, compiled, state, cfg, lattice_for, trans_base):
+def _perceptron_factory(model, samples, state, cfg, lattice_for):
     K = model.num_tags
 
     def step(i, gamma):
-        cs = compiled[i]
+        cs, oracle = samples[i]
         pred, _ = viterbi(lattice_for(cs))
-        if pred == cs.gold_ids:
+        if pred == cs.gold:
             return
-        mixture = candidate_mixture(cs.pos_feats, [tuple(pred)], [1.0], K, trans_base)
-        items = subtract_oracle(mixture, cs.gold_items)
+        items = subtract_oracle(path_items(cs.pos_feats, pred, K, cs.trans_base), oracle)
         state.sparse_add(items, -1.0)
 
     return step
@@ -514,24 +492,24 @@ def _pa_step_size(loss, margin, normsq, clip):
     return alpha
 
 
-def _mira_factory(model, compiled, state, cfg, lattice_for, trans_base):
+def _mira_factory(model, samples, state, cfg, lattice_for):
     K = model.num_tags
     clip = cfg.mira_clip
 
     def step(i, gamma):
-        cs = compiled[i]
+        cs, oracle = samples[i]
         pred, _ = viterbi(lattice_for(cs))
-        if pred == cs.gold_ids:
+        if pred == cs.gold:
             return
-        mixture = candidate_mixture(cs.pos_feats, [tuple(pred)], [1.0], K, trans_base)
-        items = subtract_oracle(mixture, cs.gold_items)  # F(pred) - F(gold) = -dF
+        # F(pred) - F(gold) = -dF
+        items = subtract_oracle(path_items(cs.pos_feats, pred, K, cs.trans_base), oracle)
         if not items:
             return  # feature-identical outputs: no usable direction
         normsq = 0.0
         for _, value in items:
             normsq += value * value
         margin = -state.dot_items(items)  # w . dF
-        alpha = _pa_step_size(_hamming(pred, cs.gold_ids), margin, normsq, clip)
+        alpha = _pa_step_size(_hamming(pred, cs.gold), margin, normsq, clip)
         if alpha > 0.0:
             state.sparse_add(items, -alpha)
 
@@ -547,25 +525,19 @@ def _sparse_dot(a_items, b_dict):
     return total
 
 
-def _mira_nbest_factory(model, compiled, state, cfg, lattice_for, trans_base):
+def _mira_nbest_factory(model, samples, state, cfg, lattice_for):
     K = model.num_tags
     clip = cfg.mira_clip
-    use_beam = cfg.search == "beam"
 
     def step(i, gamma):
-        cs = compiled[i]
-        lat = lattice_for(cs)
-        if use_beam:
-            nb = beam_nbest(lat, cfg.n, cfg.beam_width)
-        else:
-            nb = astar_nbest(lat, cfg.n)
+        cs, oracle = samples[i]
+        nb = _nbest(lattice_for(cs), cfg.n, cfg.search, cfg.beam_width)
         cands = []  # (items, item_dict, loss, margin)
         for path in nb.paths:
-            loss = _hamming(path, cs.gold_ids)
+            loss = _hamming(path, cs.gold)
             if loss == 0:
                 continue
-            mixture = candidate_mixture(cs.pos_feats, [path], [1.0], K, trans_base)
-            items = subtract_oracle(mixture, cs.gold_items)
+            items = subtract_oracle(path_items(cs.pos_feats, path, K, cs.trans_base), oracle)
             if not items:
                 continue
             cands.append((items, dict(items), loss, -state.dot_items(items)))
@@ -612,54 +584,56 @@ def _mira_nbest_factory(model, compiled, state, cfg, lattice_for, trans_base):
 # ---------------------------------------------------------------------------
 # Public trainer entry points
 
+# algorithm -> (step factory, averaged)
+_TRAINERS = {
+    "sapo": (_sgd_factory, False),
+    "crf-sgd": (_sgd_factory, False),
+    "perc": (_perceptron_factory, False),
+    "perc-avg": (_perceptron_factory, True),
+    "mira": (_mira_factory, False),
+    "mira-avg": (_mira_factory, True),
+    "mira-nbest": (_mira_nbest_factory, False),
+    "mira-nbest-avg": (_mira_nbest_factory, True),
+}
+
+
+def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
+    """Train with the algorithm selected by ``cfg.algorithm``."""
+    factory, averaged = _TRAINERS[cfg.validate().algorithm]
+    return _train_engine(data, heldout, cfg, template_text, factory, averaged, on_epoch_end)
+
+
+def _train_family(algos, data, heldout, cfg, template_text, averaged, on_epoch_end):
+    """Run one algorithm family; ``averaged`` overrides the table's flag."""
+    if cfg.algorithm not in algos:
+        raise ConfigError(
+            "this trainer requires cfg.algorithm in %s, got %r" % (algos, cfg.algorithm)
+        )
+    factory = _TRAINERS[cfg.algorithm][0]
+    return _train_engine(data, heldout, cfg, template_text, factory, averaged, on_epoch_end)
+
 
 def train_sapo(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
-    if cfg.algorithm != "sapo":
-        raise ConfigError("train_sapo requires cfg.algorithm == 'sapo'")
-    return _train_engine(data, heldout, cfg, template_text, _sapo_factory, False, on_epoch_end)
+    return _train_family(("sapo",), data, heldout, cfg, template_text, False, on_epoch_end)
 
 
 def train_crf_sgd(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
-    if cfg.algorithm != "crf-sgd":
-        raise ConfigError("train_crf_sgd requires cfg.algorithm == 'crf-sgd'")
-    return _train_engine(data, heldout, cfg, template_text, _crf_sgd_factory, False, on_epoch_end)
+    return _train_family(("crf-sgd",), data, heldout, cfg, template_text, False, on_epoch_end)
 
 
 def train_perceptron(data, heldout, cfg: TrainConfig, template_text, averaged=False, on_epoch_end=None):
-    if cfg.algorithm not in ("perc", "perc-avg"):
-        raise ConfigError("train_perceptron requires a 'perc' or 'perc-avg' config")
-    return _train_engine(
-        data, heldout, cfg, template_text, _perceptron_factory, averaged, on_epoch_end
+    return _train_family(
+        ("perc", "perc-avg"), data, heldout, cfg, template_text, averaged, on_epoch_end
     )
 
 
 def train_mira(data, heldout, cfg: TrainConfig, template_text, averaged=False, on_epoch_end=None):
-    if cfg.algorithm not in ("mira", "mira-avg"):
-        raise ConfigError("train_mira requires a 'mira' or 'mira-avg' config")
-    return _train_engine(data, heldout, cfg, template_text, _mira_factory, averaged, on_epoch_end)
-
-
-def train_mira_nbest(data, heldout, cfg: TrainConfig, template_text, averaged=False, on_epoch_end=None):
-    if cfg.algorithm not in ("mira-nbest", "mira-nbest-avg"):
-        raise ConfigError("train_mira_nbest requires a 'mira-nbest' or 'mira-nbest-avg' config")
-    return _train_engine(
-        data, heldout, cfg, template_text, _mira_nbest_factory, averaged, on_epoch_end
+    return _train_family(
+        ("mira", "mira-avg"), data, heldout, cfg, template_text, averaged, on_epoch_end
     )
 
 
-def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
-    """Dispatch to the trainer selected by ``cfg.algorithm``."""
-    a = cfg.algorithm
-    if a == "sapo":
-        return train_sapo(data, heldout, cfg, template_text, on_epoch_end)
-    if a == "crf-sgd":
-        return train_crf_sgd(data, heldout, cfg, template_text, on_epoch_end)
-    if a in ("perc", "perc-avg"):
-        return train_perceptron(data, heldout, cfg, template_text, a == "perc-avg", on_epoch_end)
-    if a in ("mira", "mira-avg"):
-        return train_mira(data, heldout, cfg, template_text, a == "mira-avg", on_epoch_end)
-    if a in ("mira-nbest", "mira-nbest-avg"):
-        return train_mira_nbest(
-            data, heldout, cfg, template_text, a == "mira-nbest-avg", on_epoch_end
-        )
-    raise ConfigError("unknown algorithm %r" % a)
+def train_mira_nbest(data, heldout, cfg: TrainConfig, template_text, averaged=False, on_epoch_end=None):
+    return _train_family(
+        ("mira-nbest", "mira-nbest-avg"), data, heldout, cfg, template_text, averaged, on_epoch_end
+    )

@@ -64,6 +64,30 @@ class TestTrain:
         assert code == 1
         assert "--n is not applicable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["crf-sgd", "sapo"])
+    @pytest.mark.parametrize("l2", ["20", "40"])
+    def test_non_positive_shrink_factor_rejected(self, tmp_path, capsys, algo, l2):
+        # 20 sequences: lr*l2/|S| = 1 or 2, i.e. a shrink factor of 0 or -1
+        data = tmp_path / "train.conll"
+        assert main(["generate", "--out", str(data), "--count", "20", "--seed", "3"]) == 0
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text(TEMPLATES)
+        code = main(["train", "--algo", algo, "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "1", "--lr", "1", "--l2", l2])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "shrink factor 1 - lr*l2/|S| = 1 - 1.0*%s.0/20" % l2 in err
+
+    def test_non_finite_value_cell_rejected(self, tmp_path, capsys):
+        data = tmp_path / "train.conll"
+        data.write_text("a\t0.5\tX\nb\tnan\tY\n\nb\t2\tY\n")
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%x[0,0]/%v[0,1]\n")
+        code = main(["train", "--algo", "perc", "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "1"])
+        assert code == 1
+        assert "template U00: non-finite cell 'nan'" in capsys.readouterr().err
+
     def test_more_flag_combos(self, workdir):
         assert _train(workdir, "--mira-c", "2.0", algo="sapo")[0] == 1
         assert _train(workdir, "--lr", "0.1", algo="mira")[0] == 1

@@ -134,6 +134,12 @@ class TestExtractFeatures:
         with pytest.raises(TemplateError, match="non-numeric"):
             build_model(seqs, "V00:%v[0,1]\n", 2)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_cell_errors(self, cell):
+        seqs = [Sequence(tokens=[("sig", "1.5"), ("sig", cell)], gold=["A", "B"])]
+        with pytest.raises(TemplateError, match="template V00: non-finite cell %r" % cell):
+            build_model(seqs, "U00:%x[0,0]\nV00:%x[0,0]/%v[0,1]\n", 2)
+
     def test_length_mismatch_and_bad_tag(self):
         model, seqs = _single_template_model([("a b", "A B")])
         with pytest.raises(ExtractionError):

@@ -23,6 +23,7 @@ from sapo import (
     train_sapo,
     viterbi,
 )
+from sapo import training
 from sapo.training import _pa_step_size
 
 from conftest import word_corpus
@@ -392,3 +393,80 @@ class TestDispatcher:
         corpus = small_corpus(count=5)
         with pytest.raises(ConfigError):
             train_sapo(corpus, None, TrainConfig("perc"), TEMPLATES)
+
+
+class TestScaleFold:
+    def test_long_strong_decay_run_finishes(self):
+        # lr*l2/|S| = 0.9 shrinks the scale by 10x per sample: it would
+        # underflow to 0 in epoch 16 without folding
+        corpus = generate_synthetic_hmm(K=3, V=10, T_mean=5, count=20, seed=1, separability=0.5)
+        cfg = TrainConfig("crf-sgd", learning_rate=0.9, l2=20.0, epochs=30, seed=1)
+        model, curve = train(corpus, None, cfg, "U00:%x[0,0]\nB\n")
+        assert len(curve) == 30
+        assert all(math.isfinite(p.objective) for p in curve.points)
+        assert np.isfinite(model.weights).all()
+
+    def test_fold_keeps_current_and_averaged_weights(self, rng, monkeypatch):
+        monkeypatch.setattr(training, "SCALE_FLOOR", 0.5)
+        state = WeightState(8, averaging=True)
+        mirror = np.zeros(8)
+        snaps = []
+        folds = 0
+        for _ in range(60):
+            items = [(int(rng.integers(8)), float(rng.normal()))]
+            coeff = float(rng.normal())
+            state.sparse_add(items, coeff)
+            for fid, v in items:
+                mirror[fid] += coeff * v
+            avg_before = state.averaged_weights() if snaps else None
+            scale_before = state.scale
+            state.decay(0.7)
+            mirror *= 0.7
+            if state.scale > scale_before:  # folded into v
+                folds += 1
+                assert state.scale == 1.0
+                assert np.abs(state.averaged_weights() - avg_before).max() <= (
+                    1e-12 * np.abs(avg_before).max())
+            assert np.abs(state.current_weights() - mirror).max() <= 1e-12 * np.abs(mirror).max()
+            state.end_sample()
+            snaps.append(mirror.copy())
+        assert folds >= 10
+        mean = np.mean(snaps, axis=0)
+        assert np.abs(state.averaged_weights() - mean).max() <= 1e-12 * np.abs(mean).max()
+
+
+class TestShrinkFactor:
+    @pytest.mark.parametrize("algo", ["sapo", "crf-sgd"])
+    @pytest.mark.parametrize("l2", [20.0, 40.0])
+    def test_non_positive_shrink_rejected(self, algo, l2):
+        # 20 sequences: lr*l2/|S| = 1 (factor 0) or 2 (factor -1)
+        corpus = small_corpus(count=20)
+        cfg = TrainConfig(algo, learning_rate=1.0, l2=l2, epochs=1, seed=1)
+        with pytest.raises(ConfigError, match=r"1 - 1\.0\*%r/20 = %r" % (l2, 1.0 - l2 / 20)):
+            train(corpus, None, cfg, TEMPLATES)
+
+    def test_factor_just_below_one_accepted(self):
+        corpus = small_corpus(count=20)
+        cfg = TrainConfig("crf-sgd", learning_rate=0.95, l2=20.0, epochs=1, seed=1)
+        _, curve = train(corpus, None, cfg, TEMPLATES)
+        assert math.isfinite(curve[0].objective)
+
+
+class TestNonFiniteLocation:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_epoch_end_check_names_last_sample(self):
+        # values near the float limit overflow the weights within a few
+        # updates; with fewer samples than the check interval only the
+        # end-of-epoch check sees it
+        data = [
+            Sequence(tokens=[("a", "1e308"), ("b", "-1e308")], gold=["X", "Y"]),
+            Sequence(tokens=[("b", "1e308"), ("a", "1e308")], gold=["Y", "X"]),
+        ] * 5
+        cfg = TrainConfig("perc", epochs=1, seed=4)
+        with pytest.raises(NonFiniteError, match="epoch 1") as info:
+            train(data, None, cfg, "U00:%x[0,0]/%v[0,1]\nB\n")
+        last = int(np.random.default_rng(4).permutation(len(data))[-1])
+        assert info.value.sample_index == last
+        assert info.value.window == len(data)
+        assert "after sample %d " % last in str(info.value)
+        assert "10 samples" in str(info.value)
