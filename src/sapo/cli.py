@@ -1,4 +1,4 @@
-"""Command-line interface: train / decode / eval / nbest / diagnose / generate.
+"""Command-line interface: train / decode / eval / diagnose / generate.
 
 Every flag is validated before any file I/O.  Exit codes: 0 success,
 1 validation failure, 2 I/O failure, 3 numeric failure (non-finite
@@ -19,6 +19,7 @@ from .dataio import (
     read_conll,
     save_model,
     write_conll,
+    write_text,
 )
 from .evaluation import chunk_f1, token_accuracy
 from .features import Sequence, TemplateError, compile_sequence
@@ -94,13 +95,6 @@ def _build_parser():
                    help="emit this many candidates per sequence with probabilities")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("nbest", help="emit n-best candidate lists", formatter_class=fmt)
-    p.add_argument("--model", required=True, metavar="PATH", help="model file")
-    p.add_argument("--input", required=True, metavar="PATH", help="input corpus")
-    p.add_argument("--output", required=True, metavar="PATH", help="candidate output")
-    p.add_argument("--n", type=int, default=5, help="candidates per sequence")
-    p.set_defaults(func=cmd_nbest)
-
     p = sub.add_parser("eval", help="score predictions against gold tags", formatter_class=fmt)
     p.add_argument("--gold", required=True, metavar="PATH", help="gold corpus")
     p.add_argument("--pred", required=True, metavar="PATH",
@@ -144,8 +138,6 @@ def cmd_train(args) -> int:
         flag, algos = _FLAG_ALGOS[f]
         if args.algo not in algos:
             raise UsageError("%s is not applicable to --algo %s" % (flag, args.algo))
-    if "lr_decay" in given:
-        given["lr_schedule"] = "exp"
     cfg = TrainConfig(
         algorithm=args.algo,
         epochs=args.epochs,
@@ -223,16 +215,6 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def cmd_nbest(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    model = load_model(args.model)
-    corpus = _read_for_model(args.input, model)
-    _write_nbest(corpus, model, args.n, args.output)
-    print("nbest ok: %d sequences, n=%d -> %s" % (len(corpus), args.n, args.output))
-    return 0
-
-
 def cmd_eval(args) -> int:
     gold = read_conll(args.gold, labeled=True)
     pred = read_conll(args.pred, labeled=True)
@@ -242,8 +224,7 @@ def cmd_eval(args) -> int:
     else:
         report = token_accuracy(gold, predictions)
     if args.per_tag:
-        with open(args.per_tag, "w", encoding="utf-8", newline="\n") as f:
-            f.write("\n".join(report.per_tag_csv_lines()) + "\n")
+        write_text(args.per_tag, "\n".join(report.per_tag_csv_lines()) + "\n")
     print(report.summary())
     return 0
 
@@ -276,8 +257,7 @@ def cmd_diagnose(args) -> int:
                     tail_mass=sum(r.tail_mass for r in block) / len(block),
                 )
             )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(delta_csv_lines(rows)) + "\n")
+    write_text(args.out, "\n".join(delta_csv_lines(rows)) + "\n")
     print(
         "diagnose ok: %d samples, n in {%s} -> %s"
         % (len(probes), ",".join(str(n) for n in n_list), args.out)

@@ -49,6 +49,15 @@ def _open_lines(source):
     return open(source, "r", encoding="utf-8"), True
 
 
+def write_text(path, text: str):
+    """Write ``text`` to a file object, or to a path as UTF-8 with LF line endings."""
+    if hasattr(path, "write"):
+        path.write(text)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+
+
 def read_conll(source, labeled: bool = True) -> Corpus:
     """Parse CoNLL-format text into a corpus.
 
@@ -131,12 +140,7 @@ def write_conll(corpus: Corpus, path, predictions=None):
                 cols.append(pred[t])
             lines.append("\t".join(cols))
         blocks.append("\n".join(lines))
-    text = "\n\n".join(blocks) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+    write_text(path, "\n\n".join(blocks) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +260,7 @@ def save_model(m: Model, path):
                 w = weights[base + a * K + b]
                 if w != 0.0:
                     out.write("T\t%s\t%s\t%r\n" % (m.tagset.tag(a), m.tagset.tag(b), float(w)))
-    data = out.getvalue()
-    if hasattr(path, "write"):
-        path.write(data)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(data)
+    write_text(path, out.getvalue())
 
 
 def load_model(path) -> Model:

@@ -55,20 +55,23 @@ def logsumexp(a, axis=None):
     return np.squeeze(np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m, axis=axis)
 
 
+def _forward(l: Lattice) -> np.ndarray:
+    """Log-space forward scores: alpha[t, k] sums the prefixes ending in tag k."""
+    alpha = np.empty((l.T, l.K))
+    alpha[0] = l.emit[0]
+    for t in range(1, l.T):
+        alpha[t] = l.emit[t] + logsumexp(alpha[t - 1][:, None] + l.trans, axis=0)
+    return alpha
+
+
 def forward_logz(l: Lattice) -> float:
     """Log of the sum of exponentiated path scores over all taggings."""
-    alpha = l.emit[0]
-    for t in range(1, l.T):
-        alpha = l.emit[t] + logsumexp(alpha[:, None] + l.trans, axis=0)
-    return float(logsumexp(alpha))
+    return float(logsumexp(_forward(l)[-1]))
 
 
 def forward_backward(l: Lattice) -> Marginals:
     T, K = l.T, l.K
-    alpha = np.empty((T, K))
-    alpha[0] = l.emit[0]
-    for t in range(1, T):
-        alpha[t] = l.emit[t] + logsumexp(alpha[t - 1][:, None] + l.trans, axis=0)
+    alpha = _forward(l)
     beta = np.zeros((T, K))
     for t in range(T - 2, -1, -1):
         beta[t] = logsumexp(l.trans + (l.emit[t + 1] + beta[t + 1])[None, :], axis=1)

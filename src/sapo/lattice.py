@@ -1,11 +1,12 @@
 """Score lattices and n-best decoding for linear chains.
 
-All searches share one global tie-break so their outputs are exactly
-comparable: candidates are ordered by (score descending, tag-id sequence
+All searches order candidates by (score descending, tag-id sequence
 lexicographically ascending).  Scores are accumulated left to right as
-``(g + transition) + emission`` in every code path, so equal-score ties
-are exact float ties everywhere and the A*/beam/enumeration outputs can
-be compared bit-for-bit.
+``(g + transition) + emission`` in every code path, so a tagging gets the
+same float score in every search, and A*, full-width beam and enumeration
+agree on the scores rank by rank.  The order among equal or nearly equal
+scores is not guaranteed: A* ranks prefixes by ``g + h``, which rounds
+differently per prefix, and beam orders tied taggings by their prefixes.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def _count_at_most(K, T, cap):
 def astar_nbest(l: Lattice, n: int) -> NBestList:
     """Exact top-n taggings via forward A* with the backward-Viterbi heuristic.
 
-    Partial hypotheses are keyed by (prefix score + h, then the global
-    tie-break), so complete paths pop in exactly the order the tie-break
-    defines.  Probabilities are left unfilled.
+    Partial hypotheses are keyed by (prefix score + h, then the tag ids),
+    so complete paths pop in score order; paths with equal or nearly equal
+    scores may pop out of tag-id order.  Probabilities are left unfilled.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -185,10 +186,10 @@ def astar_nbest(l: Lattice, n: int) -> NBestList:
 def beam_nbest(l: Lattice, n: int, beam: int) -> NBestList:
     """Approximate top-n via width-limited breadth-first search.
 
-    Hypotheses at every step are kept in the global tie-break order (a
-    stable sort on descending score preserves the lexicographic order of
-    extensions), so with a beam wide enough to disable pruning the output
-    is identical to :func:`astar_nbest`.
+    Hypotheses at every step are kept by a stable sort on descending
+    score, so with a beam wide enough to disable pruning the scores equal
+    those of :func:`astar_nbest` rank by rank; taggings with equal scores
+    may come in another order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -6,7 +6,8 @@ normalized log-linear probability, downdate by the probability-weighted
 candidate features, update by the oracle features, then shrink all
 weights by (1 - lr * l2 / |S|).  Exact-inference SGD on the regularized
 likelihood, the structured perceptron, and 1-best/n-best MIRA (naive and
-averaged) share the same epoch orchestration.
+averaged) share the same epoch orchestration; 1-best MIRA is n-best MIRA
+with the Viterbi path as its only candidate.
 
 The candidate downdates and the oracle update are applied as one merged
 sparse delta, and the per-sample decay is a deferred global scale factor,
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import write_text
 from .evaluation import chunk_f1, token_accuracy
 from .features import (
     Model,
@@ -95,8 +97,7 @@ class TrainConfig:
     seed: int = 1
     search: str = "astar"
     beam_width: int = 50
-    lr_schedule: str = "fixed"  # "fixed" or "exp"
-    lr_decay: float = 1.0  # per-epoch multiplier when lr_schedule == "exp"
+    lr_decay: float = 1.0  # per-epoch learning-rate multiplier; 1.0 is a fixed rate
     mira_clip: float = math.inf
     eval_every: int = 1
     metric: str = "accuracy"
@@ -116,9 +117,7 @@ class TrainConfig:
             raise ConfigError("beam width must be >= 1")
         if self.search not in SEARCH_MODES:
             raise ConfigError("search must be one of %s" % (SEARCH_MODES,))
-        if self.lr_schedule not in ("fixed", "exp"):
-            raise ConfigError("lr schedule must be 'fixed' or 'exp'")
-        if self.lr_schedule == "exp" and not 0 < self.lr_decay <= 1:
+        if not 0 < self.lr_decay <= 1:
             raise ConfigError("lr decay rate must be in (0, 1]")
         if not self.mira_clip > 0:
             raise ConfigError("MIRA clip must be > 0 (may be inf)")
@@ -138,7 +137,6 @@ class TrainConfig:
             "seed": int(self.seed),
             "search": self.search,
             "beam_width": int(self.beam_width),
-            "lr_schedule": self.lr_schedule,
             "lr_decay": self.lr_decay,
             "mira_clip": self.mira_clip,
             "eval_every": int(self.eval_every),
@@ -175,12 +173,7 @@ class TrainCurve:
         return lines
 
     def write_csv(self, path):
-        text = "\n".join(self.csv_lines()) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text)
+        write_text(path, "\n".join(self.csv_lines()) + "\n")
 
 
 class WeightState:
@@ -276,8 +269,9 @@ def _metric(metric, sequences, predictions):
     return (chunk_f1 if metric == "chunk-f1" else token_accuracy)(sequences, predictions).value
 
 
-def _train_engine(data, heldout, cfg, template_text, step_factory, averaged, on_epoch_end):
-    cfg.validate()
+def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
+    """Train with the algorithm selected by ``cfg.algorithm``."""
+    factory, averaged = _TRAINERS[cfg.validate().algorithm]
     sequences = _as_sequences(data)
     if not sequences:
         raise ConfigError("training set is empty")
@@ -300,7 +294,7 @@ def _train_engine(data, heldout, cfg, template_text, step_factory, averaged, on_
     def lattice_for(cs):
         return compiled_lattice(cs.pos_feats, views, state.scale)
 
-    step = step_factory(model=model, samples=samples, state=state, cfg=cfg, lattice_for=lattice_for)
+    step = factory(model=model, samples=samples, state=state, cfg=cfg, lattice_for=lattice_for)
 
     rng = np.random.default_rng(cfg.seed)
     curve = TrainCurve()
@@ -319,10 +313,7 @@ def _train_engine(data, heldout, cfg, template_text, step_factory, averaged, on_
             since_check[0] = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        if cfg.lr_schedule == "exp":
-            gamma = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
-        else:
-            gamma = cfg.learning_rate
+        gamma = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
         order, seconds = run_epoch(lambda i: checked_step(i, gamma, epoch), samples, rng)
         if not state.finite():
             raise NonFiniteError(int(order[-1]), epoch, since_check[0])
@@ -374,7 +365,6 @@ class UpdateTerm:
 
     items: list[tuple[int, float]]
     decay: float
-    kind: str
 
 
 def _nbest(lat, n, search, beam):
@@ -405,7 +395,7 @@ def crf_stochastic_gradient(m: Model, z: Sequence, l2: float, dataset_size: int)
     Sparse part is E_P[F] - F(x, y*), assembled from node/edge marginals;
     the dense part is (l2 / dataset_size) * w, reported via ``decay``.
     """
-    return UpdateTerm(_crf_items(*labeled_sample(m, z)), l2 / dataset_size, "crf_gradient")
+    return UpdateTerm(_crf_items(*labeled_sample(m, z)), l2 / dataset_size)
 
 
 def sapo_update_term(
@@ -423,7 +413,7 @@ def sapo_update_term(
     tagging is neither forced in nor excluded.
     """
     items = _sapo_items(*labeled_sample(m, z), n, search, beam)
-    return UpdateTerm(items, l2 / dataset_size, "sapo_term")
+    return UpdateTerm(items, l2 / dataset_size)
 
 
 # ---------------------------------------------------------------------------
@@ -481,41 +471,6 @@ def _hamming(a, b):
     return sum(x != y for x, y in zip(a, b))
 
 
-def _pa_step_size(loss, margin, normsq, clip):
-    """Passive-aggressive step: min(clip, (loss - margin) / ||dF||^2), >= 0."""
-    viol = loss - margin
-    if viol <= 0.0:
-        return 0.0
-    alpha = viol / normsq
-    if alpha > clip:
-        return clip
-    return alpha
-
-
-def _mira_factory(model, samples, state, cfg, lattice_for):
-    K = model.num_tags
-    clip = cfg.mira_clip
-
-    def step(i, gamma):
-        cs, oracle = samples[i]
-        pred, _ = viterbi(lattice_for(cs))
-        if pred == cs.gold:
-            return
-        # F(pred) - F(gold) = -dF
-        items = subtract_oracle(path_items(cs.pos_feats, pred, K, cs.trans_base), oracle)
-        if not items:
-            return  # feature-identical outputs: no usable direction
-        normsq = 0.0
-        for _, value in items:
-            normsq += value * value
-        margin = -state.dot_items(items)  # w . dF
-        alpha = _pa_step_size(_hamming(pred, cs.gold), margin, normsq, clip)
-        if alpha > 0.0:
-            state.sparse_add(items, -alpha)
-
-    return step
-
-
 def _sparse_dot(a_items, b_dict):
     total = 0.0
     for fid, value in a_items:
@@ -525,15 +480,24 @@ def _sparse_dot(a_items, b_dict):
     return total
 
 
-def _mira_nbest_factory(model, samples, state, cfg, lattice_for):
+def _mira_factory(model, samples, state, cfg, lattice_for):
+    """1-best and n-best MIRA: Hildreth's dual coordinate ascent over one
+    margin constraint per candidate, each dual clipped to [0, C].  With one
+    constraint, its first step is the passive-aggressive closed form
+    min(C, (loss - w.dF) / ||dF||^2)."""
     K = model.num_tags
     clip = cfg.mira_clip
+    if cfg.algorithm in ("mira", "mira-avg"):
+        def candidates(lat):
+            return [viterbi(lat)[0]]
+    else:
+        def candidates(lat):
+            return _nbest(lat, cfg.n, cfg.search, cfg.beam_width).paths
 
     def step(i, gamma):
         cs, oracle = samples[i]
-        nb = _nbest(lattice_for(cs), cfg.n, cfg.search, cfg.beam_width)
         cands = []  # (items, item_dict, loss, margin)
-        for path in nb.paths:
+        for path in candidates(lattice_for(cs)):
             loss = _hamming(path, cs.gold)
             if loss == 0:
                 continue
@@ -592,48 +556,46 @@ _TRAINERS = {
     "perc-avg": (_perceptron_factory, True),
     "mira": (_mira_factory, False),
     "mira-avg": (_mira_factory, True),
-    "mira-nbest": (_mira_nbest_factory, False),
-    "mira-nbest-avg": (_mira_nbest_factory, True),
+    "mira-nbest": (_mira_factory, False),
+    "mira-nbest-avg": (_mira_factory, True),
 }
 
 
-def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
-    """Train with the algorithm selected by ``cfg.algorithm``."""
-    factory, averaged = _TRAINERS[cfg.validate().algorithm]
-    return _train_engine(data, heldout, cfg, template_text, factory, averaged, on_epoch_end)
-
-
-def _train_family(algos, data, heldout, cfg, template_text, averaged, on_epoch_end):
-    """Run one algorithm family; ``averaged`` overrides the table's flag."""
+def _train_family(algos, data, heldout, cfg, template_text, on_epoch_end, averaged=None):
+    """``train``, after checking that ``cfg.algorithm`` is one of ``algos`` and,
+    when ``averaged`` is given, that it agrees with the algorithm."""
     if cfg.algorithm not in algos:
         raise ConfigError(
             "this trainer requires cfg.algorithm in %s, got %r" % (algos, cfg.algorithm)
         )
-    factory = _TRAINERS[cfg.algorithm][0]
-    return _train_engine(data, heldout, cfg, template_text, factory, averaged, on_epoch_end)
+    if averaged is not None and averaged != _TRAINERS[cfg.algorithm][1]:
+        raise ConfigError(
+            "averaged=%r contradicts cfg.algorithm %r" % (averaged, cfg.algorithm)
+        )
+    return train(data, heldout, cfg, template_text, on_epoch_end)
 
 
 def train_sapo(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
-    return _train_family(("sapo",), data, heldout, cfg, template_text, False, on_epoch_end)
+    return _train_family(("sapo",), data, heldout, cfg, template_text, on_epoch_end)
 
 
 def train_crf_sgd(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
-    return _train_family(("crf-sgd",), data, heldout, cfg, template_text, False, on_epoch_end)
+    return _train_family(("crf-sgd",), data, heldout, cfg, template_text, on_epoch_end)
 
 
-def train_perceptron(data, heldout, cfg: TrainConfig, template_text, averaged=False, on_epoch_end=None):
+def train_perceptron(data, heldout, cfg: TrainConfig, template_text, averaged=None, on_epoch_end=None):
     return _train_family(
-        ("perc", "perc-avg"), data, heldout, cfg, template_text, averaged, on_epoch_end
+        ("perc", "perc-avg"), data, heldout, cfg, template_text, on_epoch_end, averaged
     )
 
 
-def train_mira(data, heldout, cfg: TrainConfig, template_text, averaged=False, on_epoch_end=None):
+def train_mira(data, heldout, cfg: TrainConfig, template_text, averaged=None, on_epoch_end=None):
     return _train_family(
-        ("mira", "mira-avg"), data, heldout, cfg, template_text, averaged, on_epoch_end
+        ("mira", "mira-avg"), data, heldout, cfg, template_text, on_epoch_end, averaged
     )
 
 
-def train_mira_nbest(data, heldout, cfg: TrainConfig, template_text, averaged=False, on_epoch_end=None):
+def train_mira_nbest(data, heldout, cfg: TrainConfig, template_text, averaged=None, on_epoch_end=None):
     return _train_family(
-        ("mira-nbest", "mira-nbest-avg"), data, heldout, cfg, template_text, averaged, on_epoch_end
+        ("mira-nbest", "mira-nbest-avg"), data, heldout, cfg, template_text, on_epoch_end, averaged
     )

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from sapo.cli import main
+from sapo.training import ALGORITHMS
 
 TEMPLATES = "U00:%x[0,0]\nU01:%x[-1,0]\nB\n"
 
@@ -53,10 +54,11 @@ class TestTrain:
         assert capsys.readouterr().out.startswith("train ok:")
 
     def test_all_algorithms_smoke(self, workdir):
-        for algo in ("crf-sgd", "perc", "perc-avg", "mira", "mira-avg"):
-            code, _, _ = _train(workdir, algo=algo, epochs="1")
+        for algo in ALGORITHMS:
+            extra = ("--n", "3") if algo in ("sapo", "mira-nbest", "mira-nbest-avg") else ()
+            code, _, _ = _train(workdir, *extra, algo=algo, epochs="1")
             assert code == 0, algo
-        code, _, _ = _train(workdir, "--n", "3", algo="mira-nbest", epochs="1")
+        code, _, _ = _train(workdir, "--search", "beam", "--beam", "4", epochs="1")
         assert code == 0
 
     def test_inapplicable_flag_combo(self, workdir, capsys):
@@ -189,15 +191,6 @@ class TestDecode:
             "--output", str(tmp_path / "x"),
         ]) == 1
 
-    def test_nbest_subcommand(self, workdir):
-        code, model, _ = _train(workdir)
-        out = workdir / "nb2.conll"
-        assert main([
-            "nbest", "--model", str(model), "--input", str(workdir / "train.conll"),
-            "--output", str(out), "--n", "2",
-        ]) == 0
-        assert out.read_text().startswith("# seq=0 rank=1 ")
-
 
 class TestEval:
     def test_identical_files(self, workdir, capsys):
@@ -260,7 +253,6 @@ class TestHelp:
             ("diagnose", ["--model", "--data", "--n-list", "--out"]),
             ("generate", ["--out", "--count", "--tags", "--vocab", "--mean-length",
                           "--seed", "--separability"]),
-            ("nbest", ["--model", "--input", "--output", "--n"]),
         ],
     )
     def test_help_lists_flags(self, command, expected_flags, capsys):

@@ -2,21 +2,33 @@
 
 Random small corpora (a word column and a numeric ``%v`` column), random
 template sets and bounded weights (|w| <= 10), with K^T <= 500 so that
-every tagging can be enumerated.
+every tagging can be enumerated.  Also: A* and full-width beam n-best
+against enumeration on tie-heavy lattices, and CoNLL and model-file round
+trips with arbitrary non-whitespace token and tag strings.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapo import (
+    Corpus,
+    Lattice,
     Sequence,
+    astar_nbest,
+    beam_nbest,
     build_lattice,
     build_model,
     crf_stochastic_gradient,
     enumerate_all,
+    load_model,
+    read_conll,
+    save_model,
+    write_conll,
     forward_logz,
     path_score,
     sapo_update_term,
@@ -89,3 +101,100 @@ def test_exhaustive_sapo_term_equals_crf_gradient(inst):
     crf_d, sapo_d = dict(crf.items), dict(sapo.items)
     for fid in set(crf_d) | set(sapo_d):
         assert abs(crf_d.get(fid, 0.0) - sapo_d.get(fid, 0.0)) <= 1e-9
+
+
+# Few distinct values, so that many paths tie exactly or nearly.
+TIE_VALUES = (-0.1, 0.0, 0.1, 0.2, 0.3, 0.7, 1.1)
+
+
+@st.composite
+def lattices(draw):
+    K = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        cell = st.sampled_from(TIE_VALUES)
+    else:
+        cell = st.floats(-2.0, 2.0, allow_nan=False)
+    emit = draw(st.lists(cell, min_size=T * K, max_size=T * K))
+    trans = draw(st.lists(cell, min_size=K * K, max_size=K * K))
+    lat = Lattice(emit=np.array(emit).reshape(T, K), trans=np.array(trans).reshape(K, K))
+    return lat, draw(st.integers(1, K**T))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices())
+def test_astar_and_full_beam_scores_match_enumeration(case):
+    # Scores agree rank by rank; the order of equal or nearly equal scores
+    # is not guaranteed, so the paths themselves are not compared.
+    lat, n = case
+    want = enumerate_all(lat).scores[:n]
+    for nb in (astar_nbest(lat, n), beam_nbest(lat, n, lat.K**lat.T)):
+        assert len(nb.paths) == n == len(set(nb.paths))
+        for got, ref in zip(nb.scores, want):
+            assert _close(got, ref)
+
+
+# CoNLL columns are split on whitespace, so only non-whitespace strings round-trip.
+WORDS = st.text(
+    st.characters(blacklist_categories=("Cs",)).filter(lambda c: not c.isspace()),
+    min_size=1,
+    max_size=6,
+)
+ROUND_TRIP_TEMPLATES = "U00:%x[0,0]\nU01:%x[-1,0]/%x[0,1]\nB\n"
+
+
+@st.composite
+def labeled_corpora(draw):
+    n_columns = draw(st.integers(2, 3))
+    tags = draw(st.lists(WORDS, min_size=1, max_size=4, unique=True))
+    seqs = []
+    for _ in range(draw(st.integers(1, 4))):
+        T = draw(st.integers(1, 5))
+        tokens = [tuple(draw(st.lists(WORDS, min_size=n_columns, max_size=n_columns)))
+                  for _ in range(T)]
+        gold = draw(st.lists(st.sampled_from(tags), min_size=T, max_size=T))
+        seqs.append(Sequence(tokens=tokens, gold=gold))
+    return Corpus(sequences=seqs, n_columns=n_columns)
+
+
+def _weight_map(model):
+    """(kind, raw string or tag, tag) -> weight, for every nonzero weight."""
+    K = model.num_tags
+    tag = model.tagset.tag
+    out = {}
+    for rid, raw in enumerate(model.index.raw_strings):
+        for k in range(K):
+            if model.weights[rid * K + k] != 0.0:
+                out[("E", raw, tag(k))] = model.weights[rid * K + k]
+    if model.index.transitions:
+        base = model.index.transition_base
+        for a in range(K):
+            for b in range(K):
+                if model.weights[base + a * K + b] != 0.0:
+                    out[("T", tag(a), tag(b))] = model.weights[base + a * K + b]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_corpora(), st.data())
+def test_conll_and_model_files_round_trip(corpus, data):
+    model = build_model(corpus.sequences, ROUND_TRIP_TEMPLATES, corpus.n_columns)
+    n = model.index.n_features
+    sparse = data.draw(st.dictionaries(
+        st.integers(0, n - 1), st.floats(allow_nan=False, allow_infinity=False), max_size=n
+    ))
+    for fid, w in sparse.items():
+        model.weights[fid] = w
+    model.meta = {"config": {"mira_clip": math.inf, "algorithm": data.draw(WORDS)}}
+    with tempfile.TemporaryDirectory() as tmp:
+        conll, model_file = os.path.join(tmp, "c.conll"), os.path.join(tmp, "m.txt")
+        write_conll(corpus, conll)
+        back = read_conll(conll, labeled=True)
+        save_model(model, model_file)
+        loaded = load_model(model_file)
+    assert back.sequences == corpus.sequences
+    assert back.n_columns == corpus.n_columns
+    assert loaded.tagset.tags == model.tagset.tags
+    assert loaded.template_text == model.template_text
+    assert loaded.meta == model.meta
+    assert _weight_map(loaded) == _weight_map(model)

@@ -24,7 +24,6 @@ from sapo import (
     viterbi,
 )
 from sapo import training
-from sapo.training import _pa_step_size
 
 from conftest import word_corpus
 
@@ -63,8 +62,7 @@ class TestTrainConfig:
             {"algorithm": "sapo", "l2": -1.0},
             {"algorithm": "sapo", "beam_width": 0},
             {"algorithm": "sapo", "search": "dfs"},
-            {"algorithm": "sapo", "lr_schedule": "poly"},
-            {"algorithm": "sapo", "lr_schedule": "exp", "lr_decay": 0.0},
+            {"algorithm": "sapo", "lr_decay": 0.0},
             {"algorithm": "mira", "mira_clip": 0.0},
             {"algorithm": "sapo", "eval_every": 0},
             {"algorithm": "sapo", "metric": "bleu"},
@@ -104,7 +102,7 @@ class TestDeterminism:
     def test_lr_schedule_changes_trajectory(self):
         corpus = small_corpus()
         fixed = TrainConfig("sapo", epochs=3, seed=5)
-        decayed = TrainConfig("sapo", epochs=3, seed=5, lr_schedule="exp", lr_decay=0.5)
+        decayed = TrainConfig("sapo", epochs=3, seed=5, lr_decay=0.5)
         m1, _ = train_sapo(corpus, None, fixed, TEMPLATES)
         m2, _ = train_sapo(corpus, None, decayed, TEMPLATES)
         assert not np.array_equal(m1.weights, m2.weights)
@@ -221,16 +219,24 @@ class TestPerceptron:
         )
         assert not np.array_equal(avg.weights, naive.weights)
 
+    def test_wrapper_follows_averaged_algorithm(self):
+        corpus = small_corpus(count=25)
+        cfg = TrainConfig("perc-avg", epochs=3, seed=1)
+        wrapped, _ = train_perceptron(corpus, None, cfg, TEMPLATES)
+        direct, _ = train(corpus, None, cfg, TEMPLATES)
+        assert np.array_equal(wrapped.weights, direct.weights)
+
+    @pytest.mark.parametrize(
+        "trainer,algorithm,averaged",
+        [(train_perceptron, "perc", True), (train_mira, "mira-avg", False)],
+    )
+    def test_averaged_contradicting_algorithm_rejected(self, trainer, algorithm, averaged):
+        data = word_corpus([("x x", "X X"), ("y y", "Y Y")])
+        with pytest.raises(ConfigError, match="contradicts"):
+            trainer(data, None, TrainConfig(algorithm, epochs=1), TEMPLATES, averaged=averaged)
+
 
 class TestMira:
-    def test_pa_step_arithmetic(self):
-        # single-feature instance: dF = (2), w.dF = 0, hamming = 1, C = inf
-        assert _pa_step_size(1.0, 0.0, 4.0, math.inf) == 0.25
-        # satisfied margin: no-op
-        assert _pa_step_size(1.0, 2.0, 4.0, math.inf) == 0.0
-        # clipped
-        assert _pa_step_size(10.0, 0.0, 1.0, 2.0) == 2.0
-
     def test_hand_update_values(self):
         # zero weights predict the lex-first tag everywhere, so the second
         # sequence is mistagged: hamming 2, dF = +-2 on two features,
@@ -242,6 +248,16 @@ class TestMira:
         K = 2
         assert model.weights[rid * K + model.tagset.id("Y")] == 0.5
         assert model.weights[rid * K + model.tagset.id("X")] == -0.5
+
+    def test_clip_caps_step(self):
+        # the same update as above with alpha = 2/8 clipped to C = 0.1
+        data = word_corpus([("x x", "X X"), ("y y", "Y Y")])
+        cfg = TrainConfig("mira", epochs=1, seed=1, mira_clip=0.1)
+        model, _ = train_mira(data, None, cfg, UNIGRAM_ONLY)
+        rid = model.index.lookup_raw("U00=y")
+        K = 2
+        assert model.weights[rid * K + model.tagset.id("Y")] == 0.2
+        assert model.weights[rid * K + model.tagset.id("X")] == -0.2
 
     def test_stable_after_satisfying_margin(self):
         data = word_corpus([("x x", "X X"), ("y y", "Y Y")])
