@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .dataio import (
     Corpus,
@@ -25,7 +26,15 @@ from .evaluation import chunk_f1, token_accuracy
 from .features import Sequence, TemplateError, compile_sequence
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostic, topn_distribution
 from .lattice import astar_nbest, build_lattice, viterbi_tags
-from .training import ALGORITHMS, ConfigError, NonFiniteError, TrainConfig, train
+from .training import (
+    ALGORITHMS,
+    METRICS,
+    SEARCH_MODES,
+    ConfigError,
+    NonFiniteError,
+    TrainConfig,
+    train,
+)
 
 
 class UsageError(ValueError):
@@ -52,36 +61,43 @@ _FLAG_ALGOS = {
 }
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends a flag's default to its help, unless the flag has none (None)."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _build_parser():
     parser = _Parser(prog="sapo", description="Linear-chain sequence labeling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser("train", help="train a model", formatter_class=fmt)
+
+    def config_flag(flag, field, help, **kwargs):
+        # Unset flags stay None, so that TrainConfig supplies their defaults
+        # and cmd_train can tell which algorithm-specific flags were given.
+        help = "%s (default: %s)" % (help, getattr(TrainConfig, field))
+        p.add_argument(flag, dest=field, default=None, help=help, **kwargs)
+
     p.add_argument("--algo", required=True, choices=ALGORITHMS, help="training algorithm")
     p.add_argument("--train", required=True, metavar="PATH", help="labeled training corpus")
     p.add_argument("--templates", required=True, metavar="PATH", help="feature template file")
     p.add_argument("--heldout", metavar="PATH", default=None, help="labeled held-out corpus")
-    p.add_argument("--n", type=int, default=None,
-                   help="top-n candidate count (default: %d)" % TrainConfig.n)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None,
-                   help="learning rate (default: %r)" % TrainConfig.learning_rate)
-    p.add_argument("--l2", type=float, default=None,
-                   help="L2 strength (default: %r)" % TrainConfig.l2)
-    p.add_argument("--epochs", type=int, default=20, help="training epochs")
-    p.add_argument("--seed", type=int, default=1, help="random seed")
-    p.add_argument("--search", choices=("astar", "beam"), default=None,
-                   help="top-n search mode (default: %s)" % TrainConfig.search)
-    p.add_argument("--beam", dest="beam_width", type=int, default=None,
-                   help="beam width (default: %d)" % TrainConfig.beam_width)
-    p.add_argument("--lr-decay", dest="lr_decay", type=float, default=None,
-                   help="per-epoch learning-rate multiplier (default: fixed rate)")
-    p.add_argument("--mira-c", dest="mira_clip", type=float, default=None,
-                   help="MIRA step-size clip (default: %r)" % TrainConfig.mira_clip)
-    p.add_argument("--eval-every", dest="eval_every", type=int, default=1,
-                   help="epochs between held-out evaluations")
-    p.add_argument("--metric", choices=("accuracy", "chunk-f1"), default="accuracy",
-                   help="held-out metric")
+    config_flag("--n", "n", "top-n candidate count", type=int)
+    config_flag("--lr", "learning_rate", "learning rate", type=float)
+    config_flag("--l2", "l2", "L2 strength", type=float)
+    config_flag("--epochs", "epochs", "training epochs", type=int)
+    config_flag("--seed", "seed", "random seed", type=int)
+    config_flag("--search", "search", "top-n search mode", choices=SEARCH_MODES)
+    config_flag("--beam", "beam_width", "beam width", type=int)
+    config_flag("--lr-decay", "lr_decay", "per-epoch learning-rate multiplier", type=float)
+    config_flag("--mira-c", "mira_clip", "MIRA step-size clip", type=float)
+    config_flag("--eval-every", "eval_every", "epochs between held-out evaluations", type=int)
+    config_flag("--metric", "metric", "held-out metric", choices=METRICS)
     p.add_argument("--curves", metavar="PATH", default=None, help="per-epoch curve CSV output")
     p.add_argument("--model-out", dest="model_out", metavar="PATH", default=None,
                    help="model file output")
@@ -99,8 +115,7 @@ def _build_parser():
     p.add_argument("--gold", required=True, metavar="PATH", help="gold corpus")
     p.add_argument("--pred", required=True, metavar="PATH",
                    help="predictions (last column) corpus")
-    p.add_argument("--metric", choices=("accuracy", "chunk-f1"), default="accuracy",
-                   help="evaluation metric")
+    p.add_argument("--metric", choices=METRICS, default="accuracy", help="evaluation metric")
     p.add_argument("--per-tag", dest="per_tag", metavar="PATH", default=None,
                    help="optional per-tag CSV output")
     p.set_defaults(func=cmd_eval)
@@ -133,19 +148,12 @@ def _build_parser():
 
 
 def cmd_train(args) -> int:
-    given = {f: getattr(args, f) for f in _FLAG_ALGOS if getattr(args, f) is not None}
-    for f in given:
-        flag, algos = _FLAG_ALGOS[f]
-        if args.algo not in algos:
+    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name != "algorithm"}
+    given = {f: v for f, v in given.items() if v is not None}
+    for f, (flag, algos) in _FLAG_ALGOS.items():
+        if f in given and args.algo not in algos:
             raise UsageError("%s is not applicable to --algo %s" % (flag, args.algo))
-    cfg = TrainConfig(
-        algorithm=args.algo,
-        epochs=args.epochs,
-        seed=args.seed,
-        eval_every=args.eval_every,
-        metric=args.metric,
-        **given,
-    )
+    cfg = TrainConfig(algorithm=args.algo, **given)
     cfg.validate()
     with open(args.templates, "r", encoding="utf-8") as f:
         template_text = f.read()

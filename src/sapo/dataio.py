@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureIndex, Model, Sequence, Tagset, compile_templates
+from .features import (
+    FeatureIndex,
+    Model,
+    Sequence,
+    Tagset,
+    compile_templates,
+    has_transitions,
+    weight_views,
+)
 
 MODEL_FORMAT_VERSION = "1"
 
@@ -234,7 +242,6 @@ def generate_synthetic_hmm(
 
 def save_model(m: Model, path):
     """Write a model as line-oriented text; zero weights are omitted."""
-    K = len(m.tagset)
     out = io.StringIO()
     out.write("version\t%s\n" % MODEL_FORMAT_VERSION)
     out.write("columns\t%d\n" % m.n_columns)
@@ -246,20 +253,13 @@ def save_model(m: Model, path):
         text += "\n"
     out.write(text)
     out.write("templates-end\n")
-    weights = m.weights
-    for rid, raw in enumerate(m.index.raw_strings):
-        base = rid * K
-        for k in range(K):
-            w = weights[base + k]
-            if w != 0.0:
-                out.write("E\t%s\t%s\t%r\n" % (raw, m.tagset.tag(k), float(w)))
-    if m.index.transitions:
-        base = m.index.transition_base
-        for a in range(K):
-            for b in range(K):
-                w = weights[base + a * K + b]
+    tags = m.tagset.tags
+    tables = zip("ET", weight_views(m.weights, m.index), (m.index.raw_strings, tags))
+    for kind, table, row_names in tables:
+        for name, row in zip(row_names, table):
+            for tag, w in zip(tags, row.tolist()):
                 if w != 0.0:
-                    out.write("T\t%s\t%s\t%r\n" % (m.tagset.tag(a), m.tagset.tag(b), float(w)))
+                    out.write("%s\t%s\t%s\t%r\n" % (kind, name, tag, w))
     write_text(path, out.getvalue())
 
 
@@ -308,11 +308,10 @@ def load_model(path) -> Model:
     template_text = "\n".join(lines[5:end]) + ("\n" if end > 5 else "")
     templates = compile_templates(template_text)
     tagset = Tagset(tags)
-    K = len(tagset)
-    transitions = any(t.transition for t in templates)
+    transitions = has_transitions(templates)
 
-    index = FeatureIndex(num_tags=K, transitions=transitions)
-    entries = []
+    index = FeatureIndex(num_tags=len(tagset), transitions=transitions)
+    cells = ([], [])  # (row, col, weight) of the emission and the transition table
     seen = set()
     for lineno, line in enumerate(lines[end + 1 :], start=end + 2):
         if not line:
@@ -332,8 +331,7 @@ def load_model(path) -> Model:
         if kind == "E":
             if b not in tagset.index:
                 raise ModelFileError("line %d: unknown tag %r" % (lineno, b))
-            rid = index.add_raw(a)
-            entries.append((rid * K + tagset.index[b], w))
+            cells[0].append((index.add_raw(a), tagset.index[b], w))
         else:
             if not transitions:
                 raise ModelFileError(
@@ -341,16 +339,12 @@ def load_model(path) -> Model:
                 )
             if a not in tagset.index or b not in tagset.index:
                 raise ModelFileError("line %d: unknown tag pair %r/%r" % (lineno, a, b))
-            entries.append(("T", tagset.index[a], tagset.index[b], w))
+            cells[1].append((tagset.index[a], tagset.index[b], w))
     index.freeze()
     weights = np.zeros(index.n_features)
-    for entry in entries:
-        if entry[0] == "T":
-            _, ta, tb, w = entry
-            weights[index.transition_base + ta * K + tb] = w
-        else:
-            fid, w = entry
-            weights[fid] = w
+    for table, table_cells in zip(weight_views(weights, index), cells):
+        for row, col, w in table_cells:
+            table[row, col] = w
     return Model(
         tagset=tagset,
         index=index,

@@ -11,7 +11,8 @@ tag pair.  Feature ids are laid out in blocks:
     transition (prev, cur)    ->  n_raw * K + prev * K + cur
 
 which keeps the dense weight vector reshapeable into an (n_raw, K)
-emission table and a (K, K) transition table.
+emission table and a (K, K) transition table.  Only this module applies the
+layout: ``expected_features`` builds feature vectors, ``weight_views`` the tables.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -207,12 +209,7 @@ def position_features(tokens, t, templates, n_columns):
                 if pos < 0 or pos >= len(tokens):
                     skip = True  # no numeric cell to read beyond the boundary
                     break
-                cell = tokens[pos][atom.col] if atom.col < n_columns else None
-                if cell is None:
-                    raise TemplateError(
-                        "unknown column reference %d (data has %d columns)"
-                        % (atom.col, n_columns)
-                    )
+                cell = _cell(tokens, pos, atom.col, n_columns)
                 try:
                     value = float(cell)
                 except ValueError:
@@ -331,19 +328,31 @@ def compile_sequence(m: Model, seq: Sequence, labeled: bool = False) -> Compiled
     return _index_sequence(seq.tokens, m.templates, m.index, gold)
 
 
-def path_items(pos_feats, path, K, trans_base):
-    """Global feature vector F(x, y) of one tagging, as an unsorted id -> value dict."""
+def expected_features(pos_feats, tag_mass, pair_mass, K, trans_base):
+    """E[F(x, y)] under a tag mass, as an unsorted id -> value dict.
+
+    ``tag_mass[t]`` holds (tag, mass) pairs: each feature (raw_id, value)
+    fired at t adds value * mass to feature (raw_id, tag).  The (prev, cur,
+    mass) triples of ``pair_mass`` are summed into the transition features,
+    and not read without transitions.  Each id sums its terms in order from 0.0.
+    """
     acc: dict[int, float] = {}
-    for t, feats in enumerate(pos_feats):
-        yt = path[t]
-        for rid, value in feats:
-            fid = rid * K + yt
-            acc[fid] = acc.get(fid, 0.0) + value
+    for feats, masses in zip(pos_feats, tag_mass):
+        for tag, mass in masses:
+            for rid, value in feats:
+                fid = rid * K + tag
+                acc[fid] = acc.get(fid, 0.0) + mass * value
     if trans_base is not None:
-        for t in range(1, len(pos_feats)):
-            fid = trans_base + path[t - 1] * K + path[t]
-            acc[fid] = acc.get(fid, 0.0) + 1.0
+        for prev, cur, mass in pair_mass:
+            fid = trans_base + prev * K + cur
+            acc[fid] = acc.get(fid, 0.0) + mass
     return acc
+
+
+def path_items(pos_feats, path, K, trans_base):
+    """Global feature vector F(x, y) of one tagging: E[F] under a point mass."""
+    pairs = zip(path, path[1:], repeat(1.0))
+    return expected_features(pos_feats, [((y, 1.0),) for y in path], pairs, K, trans_base)
 
 
 def extract_features(x: Sequence, y, templates, index: FeatureIndex):

@@ -2,10 +2,15 @@
 
 Covers exact log-space forward-backward (partition function and node/edge
 marginals), the log-linear distribution over an n-best candidate set, the
-two feature mixtures that the per-sample update terms are built from
-(probability-weighted top-n candidates, and exact expected counts), the
 training objective, and the deviation diagnostic between the exact
 gradient and its top-n approximation.
+
+Every learner's update term is an expected feature vector E[F] under a
+distribution over taggings, minus the oracle features F(x, y*).  One kernel,
+``features.expected_features``, computes E[F] from a tag mass per position
+and a tag-pair mass; ``path_items`` fills them with a point mass (perceptron,
+MIRA), ``candidate_mixture`` with the top-n distribution (SAPO) and
+``expected_items`` with the exact chain marginals (CRF).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Model, Sequence, compile_sequence, path_items, weight_views
+from .features import Model, Sequence, compile_sequence, expected_features, path_items, weight_views
 from .lattice import (
     Lattice,
     NBestList,
@@ -108,68 +113,37 @@ def topn_distribution(nb: NBestList) -> NBestList:
 
 
 # ---------------------------------------------------------------------------
-# Sparse update-term assembly over indexed position features.  These helpers
-# are shared with the trainers so that equivalence relations between
-# algorithms hold at float precision.
+# The tag masses of the update terms.  All of them go through the one kernel
+# ``expected_features``, so that equivalences between algorithms hold at float
+# precision.
 
 
 def candidate_mixture(pos_feats, paths, probs, K, trans_base):
-    """Probability-weighted feature mixture sum_k P_k F(x, y_k).
+    """E[F] under the top-n distribution: sum_k P_k F(x, y_k).
 
-    Candidates mostly agree position-by-position, so the per-position tag
-    probabilities are tallied first and each fired feature is visited once
-    per distinct tag rather than once per candidate.
+    The tag mass is the candidates' probability tallied per position and
+    distinct tag, so each fired feature is visited once per distinct tag
+    rather than once per candidate; the pair mass is one (prev, cur, P_k)
+    triple per candidate and position.
     """
-    T = len(pos_feats)
-    tag_mass = [dict() for _ in range(T)]
+    tag_mass = [dict() for _ in pos_feats]
     for path, p in zip(paths, probs):
-        for t in range(T):
-            yt = path[t]
-            d = tag_mass[t]
+        for d, yt in zip(tag_mass, path):
             d[yt] = d.get(yt, 0.0) + p
-    acc: dict[int, float] = {}
-    for t, feats in enumerate(pos_feats):
-        for yt, mass in tag_mass[t].items():
-            for rid, value in feats:
-                fid = rid * K + yt
-                acc[fid] = acc.get(fid, 0.0) + mass * value
-    if trans_base is not None:
-        pair_mass: dict[int, float] = {}
-        for path, p in zip(paths, probs):
-            for t in range(1, T):
-                fid = trans_base + path[t - 1] * K + path[t]
-                pair_mass[fid] = pair_mass.get(fid, 0.0) + p
-        for fid, mass in pair_mass.items():
-            acc[fid] = acc.get(fid, 0.0) + mass
-    return acc
+    pair_mass = (
+        (prev, cur, p) for path, p in zip(paths, probs) for prev, cur in zip(path, path[1:])
+    )
+    return expected_features(pos_feats, [d.items() for d in tag_mass], pair_mass, K, trans_base)
 
 
 def expected_items(pos_feats, marg: Marginals, K, trans_base):
-    """Expected feature counts under the exact distribution, from marginals."""
-    by_raw: dict[int, np.ndarray] = {}
-    for t, feats in enumerate(pos_feats):
-        row = marg.node[t]
-        for rid, value in feats:
-            vec = by_raw.get(rid)
-            if vec is None:
-                by_raw[rid] = value * row if value != 1.0 else row.copy()
-            else:
-                vec += value * row if value != 1.0 else row
-    acc: dict[int, float] = {}
-    for rid, vec in by_raw.items():
-        base = rid * K
-        for k in range(K):
-            v = float(vec[k])
-            if v != 0.0:
-                acc[base + k] = v
-    if trans_base is not None and len(pos_feats) > 1:
-        etot = marg.edge.sum(axis=0)
-        for a in range(K):
-            for b in range(K):
-                v = float(etot[a, b])
-                if v != 0.0:
-                    acc[trans_base + a * K + b] = v
-    return acc
+    """E[F] under the exact chain: the tag mass is the nonzero node marginals,
+    the pair mass the nonzero edge marginals summed over positions."""
+    tag_mass = [[(k, p) for k, p in enumerate(row) if p != 0.0] for row in marg.node.tolist()]
+    etot = marg.edge.sum(axis=0)
+    prev, cur = np.nonzero(etot)
+    pair_mass = zip(prev.tolist(), cur.tolist(), etot[prev, cur].tolist())
+    return expected_features(pos_feats, tag_mass, pair_mass, K, trans_base)
 
 
 def subtract_oracle(mixture: dict, oracle: dict):

@@ -18,8 +18,9 @@ deterministic given (data, config, seed).
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -103,17 +104,30 @@ class TrainConfig:
     metric: str = "accuracy"
 
     def validate(self):
+        """Check every field, raising ConfigError; integer fields are stored as int."""
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("unknown algorithm %r" % self.algorithm)
-        if int(self.epochs) < 1:
+        for name in ("n", "epochs", "seed", "beam_width", "eval_every"):
+            value = getattr(self, name)
+            try:
+                setattr(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError("%s must be an integer, got %r" % (name, value)) from None
+        for name in ("learning_rate", "l2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError("%s must be finite, got %r" % (name, value))
+        if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if int(self.n) < 1:
+        if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.learning_rate > 0:
             raise ConfigError("learning rate must be > 0")
         if self.l2 < 0:
             raise ConfigError("l2 strength must be >= 0")
-        if int(self.beam_width) < 1:
+        if self.beam_width < 1:
             raise ConfigError("beam width must be >= 1")
         if self.search not in SEARCH_MODES:
             raise ConfigError("search must be one of %s" % (SEARCH_MODES,))
@@ -121,27 +135,14 @@ class TrainConfig:
             raise ConfigError("lr decay rate must be in (0, 1]")
         if not self.mira_clip > 0:
             raise ConfigError("MIRA clip must be > 0 (may be inf)")
-        if int(self.eval_every) < 1:
+        if self.eval_every < 1:
             raise ConfigError("eval-every must be >= 1")
         if self.metric not in METRICS:
             raise ConfigError("metric must be one of %s" % (METRICS,))
         return self
 
     def snapshot(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "n": int(self.n),
-            "learning_rate": self.learning_rate,
-            "l2": self.l2,
-            "epochs": int(self.epochs),
-            "seed": int(self.seed),
-            "search": self.search,
-            "beam_width": int(self.beam_width),
-            "lr_decay": self.lr_decay,
-            "mira_clip": self.mira_clip,
-            "eval_every": int(self.eval_every),
-            "metric": self.metric,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from sapo.cli import main
-from sapo.training import ALGORITHMS
+from sapo.training import ALGORITHMS, TrainConfig
 
 TEMPLATES = "U00:%x[0,0]\nU01:%x[-1,0]\nB\n"
 
@@ -89,6 +90,11 @@ class TestTrain:
                      "--epochs", "1"])
         assert code == 1
         assert "template U00: non-finite cell 'nan'" in capsys.readouterr().err
+
+    def test_non_finite_l2_rejected(self, workdir, capsys):
+        code, _, _ = _train(workdir, "--l2", "nan")
+        assert code == 1
+        assert "l2" in capsys.readouterr().err
 
     def test_more_flag_combos(self, workdir):
         assert _train(workdir, "--mira-c", "2.0", algo="sapo")[0] == 1
@@ -260,3 +266,13 @@ class TestHelp:
         text = capsys.readouterr().out
         for flag in expected_flags:
             assert flag in text
+
+    def test_each_default_shown_once(self, capsys):
+        assert main(["train", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert text.count("(default:") == len(fields(TrainConfig)) - 1  # all but --algo
+        for shown in ("candidate count (default: 5)", "training epochs (default: 20)",
+                      "step-size clip (default: inf)", "held-out metric (default: accuracy)"):
+            assert shown in text
+        assert main(["decode", "--help"]) == 0
+        assert "(default:" not in capsys.readouterr().out

@@ -190,6 +190,41 @@ class TestModelPersistence:
             worst = max(worst, abs(a - b))
         assert worst == 0.0
 
+    def test_exact_file_bytes(self):
+        seqs = [Sequence(tokens=[("b",), ("a",)], gold=["Y", "X"])]
+        model = build_model(seqs, "U00:%x[0,0]\nB\n", n_columns=1)
+        # rows: raw "U00=b", "U00=a"; tags Y, X (first occurrence); then Y/X bigrams
+        model.weights = np.array([0.1 + 0.2, 0.0, -0.0, -2.5, 1.0, 0.0, -0.125, 1e-300])
+        model.meta = {"b": 1, "a": [1.5]}
+        out = io.StringIO()
+        save_model(model, out)
+        assert out.getvalue() == (
+            "version\t1\ncolumns\t1\ntags\tY\tX\n"
+            'config\t{"a": [1.5], "b": 1}\n'
+            "templates-begin\nU00:%x[0,0]\nB\ntemplates-end\n"
+            "E\tU00=b\tY\t0.30000000000000004\n"
+            "E\tU00=a\tX\t-2.5\n"
+            "T\tY\tY\t1.0\n"
+            "T\tX\tY\t-0.125\n"
+            "T\tX\tX\t1e-300\n"
+        )
+        loaded = load_model(io.StringIO(out.getvalue()))
+        assert loaded.index.raw_strings == ["U00=b", "U00=a"]
+        assert loaded.weights.tolist() == model.weights.tolist()
+
+        plain = build_model(seqs, "U00:%x[0,0]", n_columns=1)
+        plain.weights = np.array([0.0, 0.75, -3.0, 0.0])
+        out = io.StringIO()
+        save_model(plain, out)
+        assert out.getvalue() == (
+            "version\t1\ncolumns\t1\ntags\tY\tX\nconfig\t{}\n"
+            "templates-begin\nU00:%x[0,0]\ntemplates-end\n"
+            "E\tU00=b\tX\t0.75\n"
+            "E\tU00=a\tY\t-3.0\n"
+        )
+        loaded = load_model(io.StringIO(out.getvalue()))
+        assert loaded.weights.tolist() == plain.weights.tolist()
+
     def test_zero_weights_not_stored(self, rng, tmp_path):
         model, _ = _toy_model(rng)
         path = tmp_path / "m.model"

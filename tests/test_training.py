@@ -66,6 +66,15 @@ class TestTrainConfig:
             {"algorithm": "mira", "mira_clip": 0.0},
             {"algorithm": "sapo", "eval_every": 0},
             {"algorithm": "sapo", "metric": "bleu"},
+            {"algorithm": "sapo", "epochs": 2.5},
+            {"algorithm": "sapo", "beam_width": 2.5},
+            {"algorithm": "sapo", "seed": 1.5},
+            {"algorithm": "sapo", "seed": -1},
+            {"algorithm": "sapo", "n": 2.5},
+            {"algorithm": "sapo", "eval_every": 1.5},
+            {"algorithm": "sapo", "learning_rate": math.inf},
+            {"algorithm": "sapo", "l2": math.nan},
+            {"algorithm": "sapo", "l2": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
