@@ -126,7 +126,6 @@ def _build_parser():
     p.add_argument("--data", required=True, metavar="PATH", help="labeled corpus")
     p.add_argument("--n-list", dest="n_list", default="1,2,5,10,50",
                    help="comma-separated candidate counts")
-    p.add_argument("--l2", type=float, default=1.0, help="L2 strength")
     p.add_argument("--samples", type=int, default=1, help="number of samples to probe")
     p.add_argument("--out", required=True, metavar="PATH", help="CSV output")
     p.set_defaults(func=cmd_diagnose)
@@ -249,9 +248,7 @@ def cmd_diagnose(args) -> int:
     model = load_model(args.model)
     corpus = read_conll(args.data, labeled=True)
     probes = corpus.sequences[: args.samples]
-    all_reports = [
-        delta_diagnostic(model, z, n_list, args.l2, len(corpus.sequences)) for z in probes
-    ]
+    all_reports = [delta_diagnostic(model, z, n_list) for z in probes]
     rows = [r for reports in all_reports for r in reports]
     if len(all_reports) > 1:
         # averaged block appended, one row per n

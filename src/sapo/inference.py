@@ -182,7 +182,7 @@ def compiled_objective(compiled, weights, index, l2: float) -> float:
     return total
 
 
-def delta_diagnostic(m: Model, z: Sequence, n_list, l2: float, dataset_size: int):
+def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
     """Deviation between the exact gradient and its top-n approximations.
 
     For each requested n, reports the norms of the sparse-coordinate
@@ -190,6 +190,7 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2: float, dataset_size: int
     probability mass outside the candidate set.  The candidate sets are
     nested prefixes of one n-best search, and the tail mass is accumulated
     with sequential log-add so it is non-increasing in n by construction.
+    ``l2`` and ``dataset_size`` are unused: the decay terms they set cancel.
     """
     l, (pos_feats, _, trans_base), oracle = labeled_sample(m, z)
     K = m.num_tags

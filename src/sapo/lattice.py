@@ -1,17 +1,16 @@
-"""Score lattices and n-best decoding for linear chains.
+"""Score lattices and top-n search for linear chains.
 
-All searches order candidates by (score descending, tag-id sequence
-lexicographically ascending).  Scores are accumulated left to right as
-``(g + transition) + emission`` in every code path, so a tagging gets the
-same float score in every search, and A*, full-width beam and enumeration
-agree on the scores rank by rank.  The order among equal or nearly equal
-scores is not guaranteed: A* ranks prefixes by ``g + h``, which rounds
-differently per prefix, and beam orders tied taggings by their prefixes.
+One list-Viterbi kernel (Seshadri & Sundberg 1994) serves every decoder:
+:func:`viterbi` is its top 1, :func:`astar_nbest` its exact top n and
+:func:`beam_nbest` its beam variant.  Taggings rank by (score descending, tag
+ids lexicographically ascending).  Scores accumulate as ``(g + transition) +
+emission`` everywhere, so the exact scores equal :func:`enumerate_all`'s rank
+by rank.  Unpruned (n or beam width >= K^T), the path lists are identical
+too; otherwise paths differ only where the float accumulation makes a tie.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,8 @@ from .features import Model, Sequence, compile_sequence, weight_views
 from .features import position_features  # noqa: F401, E402
 
 ENUMERATION_LIMIT = 10**6
+# Cells per step (n*K^2) above which the g + h cut beats sorting every tag's n*K.
+_DENSE_CELLS = 1024
 
 
 @dataclass
@@ -45,8 +46,7 @@ class Lattice:
 class NBestList:
     """Ranked candidate taggings with scores and (optional) probabilities.
 
-    ``exhausted`` is true when the list contains every possible tagging,
-    i.e. K^T did not exceed the number requested.
+    ``exhausted`` is true when the list contains all K^T taggings.
     """
 
     paths: list[tuple[int, ...]]
@@ -104,8 +104,8 @@ def path_score(l: Lattice, path) -> float:
 def backward_viterbi(l: Lattice) -> np.ndarray:
     """Best-suffix-completion scores h, excluding the current emission.
 
-    h[T-1][k] = 0 and h[t][k] = max_j (trans[k][j] + emit[t+1][j] + h[t+1][j]);
-    an exact (hence admissible and consistent) heuristic for forward search.
+    h[T-1][k] = 0 and h[t][k] = max_j (trans[k][j] + emit[t+1][j] + h[t+1][j]):
+    the exact bound of the search's ``g + h`` cut, up to rounding.
     """
     T, K = l.T, l.K
     h = np.zeros((T, K))
@@ -114,20 +114,84 @@ def backward_viterbi(l: Lattice) -> np.ndarray:
     return h
 
 
-def viterbi(l: Lattice):
-    """Highest-scoring tagging; ties go to the lexicographically smallest.
+def _search(l: Lattice, n: int, width=None) -> NBestList:
+    """The one search: exact top n or, with ``width``, beam.
 
-    Walks forward greedily under the exact suffix scores, picking the
-    smallest optimal tag at each position, which yields the lex-smallest
-    maximizing path.
+    Survivors are prefixes in lexicographic order of their tag ids, so the
+    index ``rank*K + tag`` of an extension in the flattened (survivors, K)
+    score table is its lex key, and kept keys stay sorted.  Exact search
+    keeps each tag's n best extensions by (score before the emission they
+    share, descending; rank ascending); float addition is monotone, so every
+    prefix of a top-n tagging survives.  Beam keeps the ``width`` best, ties by key.
     """
-    h = backward_viterbi(l)
-    first = int(np.argmax(l.emit[0] + h[0]))
-    path = [first]
-    for t in range(1, l.T):
-        prev = path[-1]
-        path.append(int(np.argmax(l.trans[prev] + l.emit[t] + h[t])))
-    return path, path_score(l, path)
+    T, K, emit, trans = l.T, l.K, l.emit, l.trans
+    every_tag = np.arange(K)
+    cut = width is None and n > 1 and n * K * K > _DENSE_CELLS
+    if cut:
+        eh = backward_viterbi(l)
+        eh[1:] += emit[1:]  # from step 1 on, cand lacks the emission
+        # g + h and the float score of the completion it bounds each lie within
+        # T*eps*span of the exact sum; the cut needs 4*T*eps*span, taken 4x over.
+        span = np.abs(emit).max(axis=1).sum() + (T - 1) * np.abs(trans).max()
+        margin = 16 * (T + 1) * np.finfo(float).eps * span
+    cand = emit[:1]
+    history = []
+    for t in range(T):
+        if t:
+            # g + trans.  Exact search adds the emission after selecting.
+            cand = trans.take(tags, 0)
+            cand += g[:, None]
+            if width is not None:
+                cand += emit[t]
+        keys = None  # None keeps every extension
+        if cut:
+            if cand.size > n:
+                # An extension whose best completion g + h is below the n-th largest
+                # such bound by more than the margin cannot reach the top n.
+                bound = cand + eh[t]
+                kth = bound.size - n
+                keep = bound >= np.partition(bound, kth, axis=None)[kth] - margin
+                if np.count_nonzero(keep) > n and keep.sum(0).max() > n:
+                    # Near-ties: keep each tag's n best, lowest ranks first.
+                    kept = np.where(keep, cand, -np.inf)
+                    nth = np.partition(kept, len(kept) - n, axis=0)[len(kept) - n]
+                    tied = (kept == nth) & keep
+                    keep = kept > nth
+                    keep |= tied & (tied.cumsum(0) <= n - keep.sum(0))
+                keys = np.flatnonzero(keep)
+        elif width is None:
+            if len(cand) > n:
+                rows = cand.argmax(0) if n == 1 else (-cand).argsort(0, kind="stable")[:n]
+                keys = np.sort(rows * K + every_tag, axis=None)
+        elif cand.size > width:
+            kth = cand.size - width
+            thr = np.partition(cand, kth, axis=None)[kth]
+            keep = cand > thr
+            keep.flat[np.flatnonzero(cand == thr)[: width - np.count_nonzero(keep)]] = True
+            keys = np.flatnonzero(keep)
+        if keys is None:
+            keys = np.arange(cand.size)
+        g = cand.take(keys)
+        tags = keys % K
+        if t and width is None:
+            g += emit[t].take(tags)
+        history.append(keys)
+    top = [int(g.argmax())] if n == 1 else (-g).argsort(kind="stable")[:n].tolist()
+    paths = []
+    for i in top:
+        path = [0] * T
+        for t in range(T - 1, -1, -1):
+            i, path[t] = divmod(int(history[t][i]), K)
+        paths.append(tuple(path))
+    exhausted = _count_at_most(K, T, len(paths)) == len(paths)
+    return NBestList(paths, g.take(top).tolist(), None, n, exhausted)
+
+
+def viterbi(l: Lattice):
+    """Highest-scoring tagging and its exact score, the search's top 1; ties
+    go to the lexicographically smallest (see the module note on rounding)."""
+    nb = _search(l, 1)
+    return list(nb.paths[0]), nb.scores[0]
 
 
 def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
@@ -148,87 +212,23 @@ def _count_at_most(K, T, cap):
 
 
 def astar_nbest(l: Lattice, n: int) -> NBestList:
-    """Exact top-n taggings via forward A* with the backward-Viterbi heuristic.
-
-    Partial hypotheses are keyed by (prefix score + h, then the tag ids),
-    so complete paths pop in score order; paths with equal or nearly equal
-    scores may pop out of tag-id order.  Probabilities are left unfilled.
-    """
+    """Exact top-n taggings (the ``--search astar`` mode), probabilities left
+    unfilled.  Scores equal :func:`enumerate_all`'s first n; at n >= K^T so
+    do the paths."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    T, K = l.T, l.K
-    emit = l.emit.tolist()
-    trans = l.trans.tolist()
-    h = backward_viterbi(l).tolist()
-    heap = []
-    e0, h0 = emit[0], h[0]
-    for k in range(K):
-        heap.append((-(e0[k] + h0[k]), (k,), e0[k]))
-    heapq.heapify(heap)
-    paths, scores = [], []
-    while heap and len(paths) < n:
-        _negf, path, g = heapq.heappop(heap)
-        t = len(path)
-        if t == T:
-            paths.append(path)
-            scores.append(g)
-            continue
-        trow = trans[path[-1]]
-        erow = emit[t]
-        hrow = h[t]
-        for j in range(K):
-            g2 = (g + trow[j]) + erow[j]
-            heapq.heappush(heap, (-(g2 + hrow[j]), path + (j,), g2))
-    exhausted = _count_at_most(K, T, n) <= n
-    return NBestList(paths=paths, scores=scores, probs=None, n_requested=n, exhausted=exhausted)
+    return _search(l, n)
 
 
 def beam_nbest(l: Lattice, n: int, beam: int) -> NBestList:
-    """Approximate top-n via width-limited breadth-first search.
-
-    Hypotheses at every step are kept by a stable sort on descending
-    score, so with a beam wide enough to disable pruning the scores equal
-    those of :func:`astar_nbest` rank by rank; taggings with equal scores
-    may come in another order.
-    """
+    """Approximate top-n: the search keeping the ``beam`` best prefixes per
+    step.  With ``beam`` >= K^T it prunes nothing and its list equals the
+    first n of :func:`enumerate_all`, paths and scores."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    T, K = l.T, l.K
-    scores = l.emit[0].copy()
-    tags = np.arange(K, dtype=np.int64)
-    order = np.argsort(-scores, kind="stable")[:beam]
-    scores, tags = scores[order], tags[order]
-    # per-step backpointers; paths are reconstructed only for the survivors
-    back = [np.zeros(len(tags), dtype=np.int64)]
-    history = [tags]
-    for t in range(1, T):
-        cand = scores[:, None] + l.trans[tags, :]
-        cand += l.emit[t][None, :]
-        flat = cand.ravel()
-        order = np.argsort(-flat, kind="stable")[:beam]
-        scores = flat[order]
-        tags = order % K
-        back.append(order // K)
-        history.append(tags)
-    keep = min(n, len(scores))
-    paths = []
-    for i in range(keep):
-        rev = []
-        idx = i
-        for t in range(T - 1, -1, -1):
-            rev.append(int(history[t][idx]))
-            idx = int(back[t][idx])
-        paths.append(tuple(reversed(rev)))
-    exhausted = _count_at_most(K, T, n) <= n
-    return NBestList(
-        paths=paths,
-        scores=[float(s) for s in scores[:keep]],
-        probs=None,
-        n_requested=n,
-        exhausted=exhausted,
-    )
+    return _search(l, n, beam)
 
 
 def enumerate_all(l: Lattice) -> NBestList:

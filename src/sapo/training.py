@@ -369,7 +369,7 @@ class UpdateTerm:
 
 
 def _nbest(lat, n, search, beam):
-    """Top-n candidates by exact A* or by width-limited beam search."""
+    """Top-n candidates by the exact search or by its width-limited beam."""
     if search == "astar":
         return astar_nbest(lat, n)
     if search == "beam":
@@ -490,7 +490,7 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
     clip = cfg.mira_clip
     if cfg.algorithm in ("mira", "mira-avg"):
         def candidates(lat):
-            return [viterbi(lat)[0]]
+            return astar_nbest(lat, 1).paths
     else:
         def candidates(lat):
             return _nbest(lat, cfg.n, cfg.search, cfg.beam_width).paths

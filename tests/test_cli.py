@@ -246,6 +246,13 @@ class TestDiagnose:
             "--out", str(tmp_path / "o"),
         ]) == 1
 
+    def test_l2_flag_removed(self, tmp_path):
+        # The report does not depend on L2, so the flag is rejected.
+        assert main([
+            "diagnose", "--model", "x", "--data", "y", "--l2", "1",
+            "--out", str(tmp_path / "o"),
+        ]) == 1
+
 
 class TestHelp:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,30 @@ class TestAstarNBest:
         with pytest.raises(ValueError):
             astar_nbest(random_lattice(rng), 0)
 
+    def test_near_ties_stay_small(self):
+        # Many paths share the top score 3.5 (every transition 0.7), and
+        # rounding spreads their g + h bounds apart: a near-tie regression.
+        trans = np.random.default_rng(0).choice([0.1, 0.2, 0.3, 0.6, 0.7], (45, 45))
+        lat = Lattice(emit=np.zeros((6, 45)), trans=trans)
+        tracemalloc.start()
+        try:
+            nb = astar_nbest(lat, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
+        def lex_tied(prefix):
+            if len(prefix) == 6:
+                yield tuple(prefix)
+                return
+            nxt = range(45) if not prefix else np.flatnonzero(trans[prefix[-1]] == 0.7)
+            for j in nxt:
+                yield from lex_tied(prefix + [int(j)])
+
+        assert nb.scores == [3.5] * 5
+        assert nb.paths == list(itertools.islice(lex_tied([]), 5))
+
 
 class TestBeamNBest:
     def test_wide_beam_equals_astar(self, rng):
@@ -173,6 +198,12 @@ class TestBeamNBest:
             # kept hypothesis is a real path with its exact score
             assert b.scores[0] == pytest.approx(path_score(lat, b.paths[0]), abs=1e-9)
             assert b.scores[0] <= viterbi(lat)[1] + 1e-12
+
+    def test_exhausted_counts_returned_paths(self):
+        lat = Lattice(emit=np.zeros((3, 2)), trans=np.zeros((2, 2)))
+        nb = beam_nbest(lat, 10, beam=2)
+        assert len(nb) == 2 and not nb.exhausted
+        assert beam_nbest(lat, 10, beam=8).exhausted
 
     def test_scores_dominated_by_astar(self, rng):
         for _ in range(20):

@@ -2,9 +2,9 @@
 
 Random small corpora (a word column and a numeric ``%v`` column), random
 template sets and bounded weights (|w| <= 10), with K^T <= 500 so that
-every tagging can be enumerated.  Also: A* and full-width beam n-best
-against enumeration on tie-heavy lattices, and CoNLL and model-file round
-trips with arbitrary non-whitespace token and tag strings.
+every tagging can be enumerated.  Also: the exact and beam n-best searches
+and Viterbi against enumeration on tie-heavy lattices, and CoNLL and
+model-file round trips with arbitrary non-whitespace token and tag strings.
 """
 
 import math
@@ -33,6 +33,7 @@ from sapo import (
     path_score,
     sapo_update_term,
     score_sequence,
+    viterbi,
 )
 
 TAGS = ("X", "Y", "Z")
@@ -124,14 +125,36 @@ def lattices(draw):
 @settings(max_examples=300, deadline=None)
 @given(lattices())
 def test_astar_and_full_beam_scores_match_enumeration(case):
-    # Scores agree rank by rank; the order of equal or nearly equal scores
-    # is not guaranteed, so the paths themselves are not compared.
+    # Scores agree rank by rank.  Exact search at n < K^T prunes, and two
+    # scores that differ by rounding can tie once more terms are added, so
+    # its paths are compared only when nothing is pruned.
     lat, n = case
     want = enumerate_all(lat).scores[:n]
     for nb in (astar_nbest(lat, n), beam_nbest(lat, n, lat.K**lat.T)):
         assert len(nb.paths) == n == len(set(nb.paths))
         for got, ref in zip(nb.scores, want):
             assert _close(got, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices())
+def test_unpruned_search_lists_equal_enumeration(case):
+    lat, n = case
+    full = enumerate_all(lat)
+    total = len(full.paths)
+    for nb in (astar_nbest(lat, total), beam_nbest(lat, total, total)):
+        assert nb.paths == full.paths and nb.scores == full.scores and nb.exhausted
+    nb = beam_nbest(lat, n, total)
+    assert nb.paths == full.paths[:n] and nb.scores == full.scores[:n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices())
+def test_viterbi_is_the_exact_top_1(case):
+    lat, _ = case
+    path, score = viterbi(lat)
+    assert tuple(path) == astar_nbest(lat, 1).paths[0]
+    assert score == max(enumerate_all(lat).scores)
 
 
 # CoNLL columns are split on whitespace, so only non-whitespace strings round-trip.
