@@ -190,18 +190,19 @@ def _read_for_model(path, model):
 
 
 def _write_nbest(corpus, model, n, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        for si, seq in enumerate(corpus.sequences):
-            nb = topn_distribution(astar_nbest(build_lattice(model, seq), n))
-            for rank, (cand, score, prob) in enumerate(nb.entries, start=1):
-                out.write("# seq=%d rank=%d score=%r prob=%r\n" % (si, rank, score, prob))
-                for t, token in enumerate(seq.tokens):
-                    cols = list(token)
-                    if seq.gold is not None:
-                        cols.append(seq.gold[t])
-                    cols.append(model.tagset.tag(cand[t]))
-                    out.write("\t".join(cols) + "\n")
-                out.write("\n")
+    out = []
+    for si, seq in enumerate(corpus.sequences):
+        nb = topn_distribution(astar_nbest(build_lattice(model, seq), n))
+        for rank, (cand, score, prob) in enumerate(nb.entries, start=1):
+            out.append("# seq=%d rank=%d score=%r prob=%r\n" % (si, rank, score, prob))
+            for t, token in enumerate(seq.tokens):
+                cols = list(token)
+                if seq.gold is not None:
+                    cols.append(seq.gold[t])
+                cols.append(model.tagset.tag(cand[t]))
+                out.append("\t".join(cols) + "\n")
+            out.append("\n")
+    write_text(path, "".join(out))
 
 
 def cmd_decode(args) -> int:

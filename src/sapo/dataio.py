@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,6 +325,8 @@ def load_model(path) -> Model:
             w = float(wtext)
         except ValueError:
             raise ModelFileError("line %d: bad weight %r" % (lineno, wtext)) from None
+        if not math.isfinite(w):
+            raise ModelFileError("line %d: non-finite weight %r" % (lineno, wtext))
         key = (kind, a, b)
         if key in seen:
             raise ModelFileError("line %d: duplicate feature %r" % (lineno, "\t".join(key)))

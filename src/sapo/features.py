@@ -13,6 +13,11 @@ tag pair.  Feature ids are laid out in blocks:
 which keeps the dense weight vector reshapeable into an (n_raw, K)
 emission table and a (K, K) transition table.  Only this module applies the
 layout: ``expected_features`` builds feature vectors, ``weight_views`` the tables.
+
+A compiled sequence holds its position features as (raw_id, value) lists,
+which ``expected_features`` reads, and as arrays (raw ids, values and the
+feature count of each position), from which ``lattice.emission_scores``
+builds emission rows.
 """
 
 from __future__ import annotations
@@ -277,14 +282,16 @@ class FeatureIndex:
         return self
 
 
-def build_feature_index(sequences, templates, tagset, n_columns) -> FeatureIndex:
-    """Scan a training corpus once and return the frozen feature index."""
+def build_feature_index(sequences, templates, tagset, n_columns, compiled=None) -> FeatureIndex:
+    """Scan a labeled training corpus once and return the frozen feature index.
+    Given a list as ``compiled``, the scan appends each sequence's compiled form."""
     index = FeatureIndex(num_tags=len(tagset), transitions=has_transitions(templates))
-    for seq in sequences:
-        for t in range(len(seq)):
-            for raw, _value in position_features(seq.tokens, t, templates, n_columns):
-                index.add_raw(raw)
-    return index.freeze()
+    scanned = [_pos_feats(seq.tokens, templates, n_columns, index.add_raw) for seq in sequences]
+    index.freeze()
+    if compiled is not None:
+        for seq, pos_feats in zip(sequences, scanned):
+            compiled.append(_compiled(pos_feats, tagset.ids(seq.gold), index))
+    return index
 
 
 class CompiledSequence(NamedTuple):
@@ -293,25 +300,32 @@ class CompiledSequence(NamedTuple):
     pos_feats: list  # per position: (raw_id, value) pairs; unseen raw strings dropped
     gold: list | None  # gold tag ids, or None
     trans_base: int | None  # id of the first transition feature, None without transitions
+    rids: np.ndarray  # the raw ids of pos_feats, position by position
+    vals: np.ndarray  # their values
+    counts: np.ndarray  # (T,): each position's number of features
 
 
-def indexed_position_features(tokens, t, templates, index, n_columns):
-    """Position features resolved against a frozen index; unseen are dropped."""
+def _compiled(pos_feats, gold, index) -> CompiledSequence:
+    flat = [f for feats in pos_feats for f in feats]
+    counts = np.array([len(feats) for feats in pos_feats], dtype=np.intp)
+    rids = np.array([rid for rid, _ in flat], dtype=np.intp)
+    vals = np.array([value for _, value in flat], dtype=float)
+    trans_base = index.transition_base if index.transitions else None
+    return CompiledSequence(pos_feats, gold, trans_base, rids, vals, counts)
+
+
+def _pos_feats(tokens, templates, n_columns, rid_of):
+    """Per position, the (raw_id, value) features whose ``rid_of`` id is not None."""
     out = []
-    for raw, value in position_features(tokens, t, templates, n_columns):
-        rid = index.lookup_raw(raw)
-        if rid is not None:
-            out.append((rid, value))
+    for t in range(len(tokens)):
+        feats = position_features(tokens, t, templates, n_columns)
+        out.append([(rid, value) for raw, value in feats if (rid := rid_of(raw)) is not None])
     return out
 
 
 def _index_sequence(tokens, templates, index, gold):
-    n_columns = len(tokens[0])
-    pos_feats = [
-        indexed_position_features(tokens, t, templates, index, n_columns)
-        for t in range(len(tokens))
-    ]
-    return CompiledSequence(pos_feats, gold, index.transition_base if index.transitions else None)
+    """Position features resolved against a frozen index; unseen are dropped."""
+    return _compiled(_pos_feats(tokens, templates, len(tokens[0]), index.raw_ids.get), gold, index)
 
 
 def compile_sequence(m: Model, seq: Sequence, labeled: bool = False) -> CompiledSequence:
@@ -419,13 +433,14 @@ class Model:
         return len(self.tagset)
 
 
-def build_model(sequences, template_text: str, n_columns: int) -> Model:
-    """Compile templates, scan the corpus, and return a zero-weight model."""
+def build_model(sequences, template_text: str, n_columns: int, compiled=None) -> Model:
+    """Compile templates, scan the corpus (see :func:`build_feature_index` for
+    ``compiled``), and return a zero-weight model."""
     templates = compile_templates(template_text)
     if not any(not t.transition for t in templates):
         raise TemplateError("template set contains no observation templates")
     tagset = Tagset.from_corpus(sequences)
-    index = build_feature_index(sequences, templates, tagset, n_columns)
+    index = build_feature_index(sequences, templates, tagset, n_columns, compiled)
     weights = np.zeros(index.n_features)
     return Model(
         tagset=tagset,

@@ -11,6 +11,9 @@ distribution over taggings, minus the oracle features F(x, y*).  One kernel,
 and a tag-pair mass; ``path_items`` fills them with a point mass (perceptron,
 MIRA), ``candidate_mixture`` with the top-n distribution (SAPO) and
 ``expected_items`` with the exact chain marginals (CRF).
+
+The forward recursion and :func:`forward_logz` also take a stack of lattices
+(``emit`` (B, T, K)): the objective pass runs one forward per length bucket.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .lattice import (
     astar_nbest,
     build_lattice,
     compiled_lattice,
+    length_buckets,
     path_score,
 )
 
@@ -50,37 +54,38 @@ class DeltaReport:
     tail_mass: float
 
 
-def logsumexp(a, axis=None):
+def logsumexp(a, axis):
     """Max-shifted log-sum-exp; no intermediate overflow for finite scores."""
-    a = np.asarray(a)
-    if axis is None:
-        m = float(a.max())
-        return m + math.log(float(np.exp(a - m).sum()))
     m = a.max(axis=axis, keepdims=True)
     return np.squeeze(np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m, axis=axis)
 
 
-def _forward(l: Lattice) -> np.ndarray:
-    """Log-space forward scores: alpha[t, k] sums the prefixes ending in tag k."""
-    alpha = np.empty((l.T, l.K))
-    alpha[0] = l.emit[0]
+def _forward(l: Lattice):
+    """Log-space forward scores alpha[..., t, k] (the prefixes ending in tag k)
+    of a lattice or a stack, and each lattice's log Z, finished as m + log(s)."""
+    alpha = np.empty(l.emit.shape)
+    alpha[..., 0, :] = l.emit[..., 0, :]
     for t in range(1, l.T):
-        alpha[t] = l.emit[t] + logsumexp(alpha[t - 1][:, None] + l.trans, axis=0)
-    return alpha
+        alpha[..., t, :] = l.emit[..., t, :] + logsumexp(alpha[..., t - 1, :, None] + l.trans, -2)
+    last = alpha[..., -1, :].reshape(-1, l.K)
+    m = last.max(axis=1)
+    s = np.exp(last - m[:, None]).sum(axis=1)
+    return alpha, [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
 
 
-def forward_logz(l: Lattice) -> float:
-    """Log of the sum of exponentiated path scores over all taggings."""
-    return float(logsumexp(_forward(l)[-1]))
+def forward_logz(l: Lattice):
+    """Log of the sum of exponentiated path scores over all taggings; for a
+    stack of lattices, the list of their values."""
+    logz = _forward(l)[1]
+    return logz[0] if l.emit.ndim == 2 else logz
 
 
 def forward_backward(l: Lattice) -> Marginals:
     T, K = l.T, l.K
-    alpha = _forward(l)
+    alpha, (logZ,) = _forward(l)
     beta = np.zeros((T, K))
     for t in range(T - 2, -1, -1):
         beta[t] = logsumexp(l.trans + (l.emit[t + 1] + beta[t + 1])[None, :], axis=1)
-    logZ = float(logsumexp(alpha[T - 1]))
     node = np.exp(alpha + beta - logZ)
     edge = np.empty((max(T - 1, 0), K, K))
     for t in range(T - 1):
@@ -157,7 +162,7 @@ def subtract_oracle(mixture: dict, oracle: dict):
 def labeled_sample(m: Model, z: Sequence):
     """(lattice, compiled sequence, oracle features F(x, y*)) of a labeled sample."""
     cs = compile_sequence(m, z, labeled=True)
-    lat = compiled_lattice(cs.pos_feats, weight_views(m.weights, m.index))
+    lat = compiled_lattice(cs, weight_views(m.weights, m.index))
     return lat, cs, path_items(cs.pos_feats, cs.gold, m.num_tags, cs.trans_base)
 
 
@@ -173,12 +178,16 @@ def objective_value(m: Model, data, l2: float) -> float:
 
 
 def compiled_objective(compiled, weights, index, l2: float) -> float:
-    """:func:`objective_value` over compiled labeled sequences under ``weights``."""
-    views = weight_views(weights, index)
+    """:func:`objective_value` over compiled labeled sequences under ``weights``:
+    one forward per length bucket, the terms summed in corpus order."""
+    terms = [0.0] * len(compiled)
+    for idx, l in length_buckets(compiled, weight_views(weights, index)):
+        gold = path_score(l, [compiled[i].gold for i in idx])
+        for i, logz, score in zip(idx, forward_logz(l), gold):
+            terms[i] = logz - score
     total = l2 * regularizer_value(weights)
-    for cs in compiled:
-        l = compiled_lattice(cs.pos_feats, views)
-        total += forward_logz(l) - path_score(l, cs.gold)
+    for term in terms:
+        total += term
     return total
 
 
@@ -192,7 +201,7 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
     with sequential log-add so it is non-increasing in n by construction.
     ``l2`` and ``dataset_size`` are unused: the decay terms they set cancel.
     """
-    l, (pos_feats, _, trans_base), oracle = labeled_sample(m, z)
+    l, (pos_feats, _, trans_base, *_), oracle = labeled_sample(m, z)
     K = m.num_tags
     marg = forward_backward(l)
     exact = subtract_oracle(expected_items(pos_feats, marg, K, trans_base), oracle)

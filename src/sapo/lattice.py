@@ -7,6 +7,10 @@ ids lexicographically ascending).  Scores accumulate as ``(g + transition) +
 emission`` everywhere, so the exact scores equal :func:`enumerate_all`'s rank
 by rank.  Unpruned (n or beam width >= K^T), the path lists are identical
 too; otherwise paths differ only where the float accumulation makes a tie.
+
+An ``emit`` of shape (B, T, K) is a stack of B equal-length lattices sharing
+``trans``, built by :func:`length_buckets`; :func:`viterbi` and :func:`path_score`
+take stacks, and the search's n = 1 step treats one lattice as a stack of one.
 """
 
 from __future__ import annotations
@@ -24,22 +28,24 @@ from .features import position_features  # noqa: F401, E402
 ENUMERATION_LIMIT = 10**6
 # Cells per step (n*K^2) above which the g + h cut beats sorting every tag's n*K.
 _DENSE_CELLS = 1024
+# Bound on B*K*max(K, T) for a stack: the cells of its tables and per-step temporaries.
+_STACK_CELLS = 2**18
 
 
 @dataclass
 class Lattice:
     """Per-position emission scores and tag-transition scores."""
 
-    emit: np.ndarray  # (T, K)
+    emit: np.ndarray  # (T, K), or (B, T, K) for a stack of lattices
     trans: np.ndarray  # (K, K)
 
     @property
     def T(self):
-        return self.emit.shape[0]
+        return self.emit.shape[-2]
 
     @property
     def K(self):
-        return self.emit.shape[1]
+        return self.emit.shape[-1]
 
 
 @dataclass
@@ -66,39 +72,67 @@ class NBestList:
 
 def build_lattice(m: Model, x: Sequence) -> Lattice:
     """Emission/transition score tables for one sequence under the model."""
-    return compiled_lattice(compile_sequence(m, x).pos_feats, weight_views(m.weights, m.index))
+    return compiled_lattice(compile_sequence(m, x), weight_views(m.weights, m.index))
 
 
-def compiled_lattice(pos_feats, views, scale=1.0) -> Lattice:
-    """Lattice of compiled position features under (emission, transition)
-    weight views, with every score multiplied by ``scale``."""
+def compiled_lattice(cs, views, scale=1.0) -> Lattice:
+    """Lattice of a compiled sequence under (emission, transition) weight
+    views, with every score multiplied by ``scale``."""
     emit_w, trans_w = views
-    emit = emission_scores(pos_feats, emit_w, emit_w.shape[1])
+    emit = emission_scores([cs], emit_w)
     if scale != 1.0:
         emit *= scale
         return Lattice(emit=emit, trans=trans_w * scale)
     return Lattice(emit=emit, trans=trans_w.copy())
 
 
-def emission_scores(pos_feats, emission_weights, K) -> np.ndarray:
-    emit = np.zeros((len(pos_feats), K))
-    for t, feats in enumerate(pos_feats):
-        row = emit[t]
-        for rid, value in feats:
-            if value == 1.0:
-                row += emission_weights[rid]
-            else:
-                row += value * emission_weights[rid]
+def length_buckets(compiled, views):
+    """(indices, stacked lattice) of each group of equal-length compiled
+    sequences, split to keep within ``_STACK_CELLS``."""
+    emit_w, trans_w = views
+    K = emit_w.shape[1]
+    by_length = {}
+    for i, cs in enumerate(compiled):
+        by_length.setdefault(len(cs.pos_feats), []).append(i)
+    for T, members in by_length.items():
+        size = max(1, _STACK_CELLS // (K * max(K, T)))
+        for idx in (members[lo : lo + size] for lo in range(0, len(members), size)):
+            emit = emission_scores([compiled[i] for i in idx], emit_w)
+            yield idx, Lattice(emit=emit.reshape(len(idx), T, K), trans=trans_w)
+
+
+def emission_scores(compiled, emission_weights) -> np.ndarray:
+    """Emission rows of every position of the compiled sequences, in order.
+
+    Rows add value * weight row one feature slot at a time, from 0.0: bit for
+    bit a sequential sum, which ``np.add.reduceat`` is not.  A row is never
+    -0.0, so the 0.0 a position short of a slot adds changes nothing.
+    """
+    rids = np.concatenate([cs.rids for cs in compiled])
+    vals = np.concatenate([cs.vals for cs in compiled])
+    counts = np.concatenate([cs.counts for cs in compiled])
+    terms = np.zeros((len(rids) + 1, emission_weights.shape[1]))  # the last row pads
+    np.multiply(emission_weights[rids], vals[:, None], out=terms[:-1])
+    slot = np.arange(counts.max(initial=0))
+    # at[p, j]: the row in terms of position p's j-th feature, or the padding row
+    at = np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, -1)
+    emit = np.zeros((len(counts), emission_weights.shape[1]))
+    for term in terms[at.T]:
+        emit += term
     return emit
 
 
-def path_score(l: Lattice, path) -> float:
-    """Score of one tagging, accumulated in the canonical order."""
-    s = float(l.emit[0, path[0]])
+def path_score(l: Lattice, path):
+    """Score of one tagging, accumulated in the canonical order.  For a stack
+    of lattices, ``path`` holds B taggings and the result is a list of B scores."""
+    emit = l.emit.reshape(-1, l.T, l.K)
+    paths = np.reshape(path, (len(emit), l.T))
+    rows = np.arange(len(emit))
+    s = emit[rows, 0, paths[:, 0]]
     for t in range(1, l.T):
-        s = s + float(l.trans[path[t - 1], path[t]])
-        s = s + float(l.emit[t, path[t]])
-    return s
+        s = s + l.trans[paths[:, t - 1], paths[:, t]]
+        s = s + emit[rows, t, paths[:, t]]
+    return float(s[0]) if l.emit.ndim == 2 else s.tolist()
 
 
 def backward_viterbi(l: Lattice) -> np.ndarray:
@@ -114,7 +148,7 @@ def backward_viterbi(l: Lattice) -> np.ndarray:
     return h
 
 
-def _search(l: Lattice, n: int, width=None) -> NBestList:
+def _search(l: Lattice, n: int, width=None):
     """The one search: exact top n or, with ``width``, beam.
 
     Survivors are prefixes in lexicographic order of their tag ids, so the
@@ -123,9 +157,18 @@ def _search(l: Lattice, n: int, width=None) -> NBestList:
     keeps each tag's n best extensions by (score before the emission they
     share, descending; rank ascending); float addition is monotone, so every
     prefix of a top-n tagging survives.  Beam keeps the ``width`` best, ties by key.
+    At n = 1 exact, ``l`` may be a stack of B lattices: a step's survivors are
+    the lattices' K each in turn, and the result is a list of B (path, score).
     """
-    T, K, emit, trans = l.T, l.K, l.emit, l.trans
-    every_tag = np.arange(K)
+    T, K, trans = l.T, l.K, l.trans
+    if l.emit.ndim == 3 and (n > 1 or width is not None):
+        raise ValueError("only the exact n = 1 search takes a stack of lattices")
+    B = l.emit.size // (T * K)
+    emit = l.emit.reshape(B, T, K).transpose(1, 0, 2).reshape(T, B * K)
+    offset = np.arange(K)  # key of (row 0, tag), plus each lattice's first key in a stack
+    if B > 1:
+        start = np.repeat(np.arange(0, B * K, K), K)  # first survivor of a survivor's lattice
+        offset = offset + start[::K, None] * K
     cut = width is None and n > 1 and n * K * K > _DENSE_CELLS
     if cut:
         eh = backward_viterbi(l)
@@ -160,9 +203,12 @@ def _search(l: Lattice, n: int, width=None) -> NBestList:
                     keep |= tied & (tied.cumsum(0) <= n - keep.sum(0))
                 keys = np.flatnonzero(keep)
         elif width is None:
-            if len(cand) > n:
-                rows = cand.argmax(0) if n == 1 else (-cand).argsort(0, kind="stable")[:n]
-                keys = np.sort(rows * K + every_tag, axis=None)
+            if n == 1 and len(cand) > 1:  # each tag's best row, per lattice
+                rows = cand.reshape(B, K, K).argmax(1)
+                keys = np.sort(rows * K + offset, axis=1).ravel()
+            elif len(cand) > n:
+                rows = (-cand).argsort(0, kind="stable")[:n]
+                keys = np.sort(rows * K + offset, axis=None)
         elif cand.size > width:
             kth = cand.size - width
             thr = np.partition(cand, kth, axis=None)[kth]
@@ -174,31 +220,40 @@ def _search(l: Lattice, n: int, width=None) -> NBestList:
         g = cand.take(keys)
         tags = keys % K
         if t and width is None:
-            g += emit[t].take(tags)
+            g += emit[t].take(tags + start if B > 1 else tags)
         history.append(keys)
-    top = [int(g.argmax())] if n == 1 else (-g).argsort(kind="stable")[:n].tolist()
+    if n == 1:  # argmax per lattice of a stack
+        top = (g.reshape(B, -1).argmax(1) + np.arange(B) * (g.size // B)).tolist()
+    else:
+        top = (-g).argsort(kind="stable")[:n].tolist()
+    history = [keys.tolist() for keys in history]
     paths = []
     for i in top:
         path = [0] * T
         for t in range(T - 1, -1, -1):
-            i, path[t] = divmod(int(history[t][i]), K)
+            i, path[t] = divmod(history[t][i], K)
         paths.append(tuple(path))
+    if l.emit.ndim == 3:
+        return list(zip(paths, g.take(top).tolist()))
     exhausted = _count_at_most(K, T, len(paths)) == len(paths)
     return NBestList(paths, g.take(top).tolist(), None, n, exhausted)
 
 
 def viterbi(l: Lattice):
     """Highest-scoring tagging and its exact score, the search's top 1; ties
-    go to the lexicographically smallest (see the module note on rounding)."""
-    nb = _search(l, 1)
-    return list(nb.paths[0]), nb.scores[0]
+    go to the lexicographically smallest (see the module note on rounding).
+    For a stack of lattices, the list of their (path, score) pairs."""
+    found = _search(l, 1)
+    return found if l.emit.ndim == 3 else (list(found.paths[0]), found.scores[0])
 
 
 def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
     """Best tagging of each compiled sequence under ``weights``, as tag strings."""
-    views = weight_views(weights, m.index)
-    tag = m.tagset.tag
-    return [[tag(t) for t in viterbi(compiled_lattice(cs.pos_feats, views))[0]] for cs in compiled]
+    tags, out = m.tagset.tags, [None] * len(compiled)
+    for idx, lat in length_buckets(compiled, weight_views(weights, m.index)):
+        for i, (path, _) in zip(idx, viterbi(lat)):
+            out[i] = [tags[t] for t in path]
+    return out
 
 
 def _count_at_most(K, T, cap):

@@ -282,8 +282,8 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
             if seq.gold is None:
                 raise ConfigError("%s sequence %d has no gold tagging" % (name, i))
     n_columns = len(sequences[0].tokens[0])
-    model = build_model(sequences, template_text, n_columns)
-    compiled = [compile_sequence(model, seq, labeled=True) for seq in sequences]
+    compiled = []
+    model = build_model(sequences, template_text, n_columns, compiled)
     held_compiled = [compile_sequence(model, seq, labeled=True) for seq in held_sequences]
 
     K = model.num_tags
@@ -293,7 +293,7 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     views = weight_views(state.v, model.index)
 
     def lattice_for(cs):
-        return compiled_lattice(cs.pos_feats, views, state.scale)
+        return compiled_lattice(cs, views, state.scale)
 
     step = factory(model=model, samples=samples, state=state, cfg=cfg, lattice_for=lattice_for)
 

@@ -182,6 +182,21 @@ class TestDecode:
         for total in sums.values():
             assert abs(total - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, workdir, capsys, weight):
+        code, model, _ = _train(workdir)
+        lines = model.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("E\t"))
+        lines[i] = "\t".join(lines[i].split("\t")[:3] + [weight])
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for extra in ((), ("--nbest", "2")):
+            assert main([
+                "decode", "--model", str(model), "--input", str(workdir / "train.conll"),
+                "--output", str(workdir / "out.conll"), *extra,
+            ]) == 2
+            assert "line %d: non-finite weight %r" % (i + 1, weight) in capsys.readouterr().err
+
     def test_missing_model(self, workdir):
         assert main([
             "decode", "--model", str(workdir / "none.model"),

@@ -156,6 +156,15 @@ class TestAstarNBest:
         with pytest.raises(ValueError):
             astar_nbest(random_lattice(rng), 0)
 
+    def test_stack_only_at_n_1(self, rng):
+        lat = random_lattice(rng)
+        stack = Lattice(np.stack([lat.emit, lat.emit]), lat.trans)
+        assert [path for path, _ in viterbi(stack)] == [tuple(viterbi(lat)[0])] * 2
+        with pytest.raises(ValueError, match="stack"):
+            astar_nbest(stack, 2)
+        with pytest.raises(ValueError, match="stack"):
+            beam_nbest(stack, 1, 5)
+
     def test_near_ties_stay_small(self):
         # Many paths share the top score 3.5 (every transition 0.7), and
         # rounding spreads their g + h bounds apart: a near-tie regression.

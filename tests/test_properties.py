@@ -3,8 +3,9 @@
 Random small corpora (a word column and a numeric ``%v`` column), random
 template sets and bounded weights (|w| <= 10), with K^T <= 500 so that
 every tagging can be enumerated.  Also: the exact and beam n-best searches
-and Viterbi against enumeration on tie-heavy lattices, and CoNLL and
-model-file round trips with arbitrary non-whitespace token and tag strings.
+and Viterbi against enumeration on tie-heavy lattices, stacks of lattices
+against the same lattices one at a time, and CoNLL and model-file round
+trips with arbitrary non-whitespace token and tag strings.
 """
 
 import math
@@ -35,6 +36,8 @@ from sapo import (
     score_sequence,
     viterbi,
 )
+from sapo.features import compile_sequence, weight_views
+from sapo.inference import compiled_objective, regularizer_value
 
 TAGS = ("X", "Y", "Z")
 TEMPLATE_SETS = (
@@ -155,6 +158,97 @@ def test_viterbi_is_the_exact_top_1(case):
     path, score = viterbi(lat)
     assert tuple(path) == astar_nbest(lat, 1).paths[0]
     assert score == max(enumerate_all(lat).scores)
+
+
+def _ties(draw, shape):
+    cells = draw(st.lists(st.sampled_from(TIE_VALUES), min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    return np.array(cells).reshape(shape)
+
+
+@st.composite
+def lattice_batches(draw):
+    """Tie-heavy lattices with one K (1-5) and mixed T (1-6), and their transitions."""
+    K = draw(st.integers(1, 5))
+    emits = [_ties(draw, (draw(st.integers(1, 6)), K)) for _ in range(draw(st.integers(1, 8)))]
+    return emits, _ties(draw, (K, K))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_batches())
+def test_stacked_lattices_equal_single_lattices(batch):
+    # Each length's lattices are searched, scored and summed as one stack.
+    emits, trans = batch
+    for T in {len(e) for e in emits}:
+        group = [e for e in emits if len(e) == T]
+        stack, singles = Lattice(np.stack(group), trans), [Lattice(e, trans) for e in group]
+        found = viterbi(stack)
+        assert [(path, score) for path, score in found] == [
+            (nb.paths[0], nb.scores[0]) for nb in (astar_nbest(l, 1) for l in singles)
+        ]
+        paths = [path for path, _ in found]
+        assert path_score(stack, paths) == [path_score(l, p) for l, p in zip(singles, paths)]
+        assert forward_logz(stack) == [forward_logz(l) for l in singles]
+
+
+FEATURELESS_TEMPLATES = (
+    "U00:%x[0,0]/%v[0,1]\nB\n",
+    "U00:%x[0,0]\nU01:%x[-1,0]/%v[0,1]\nB\n",
+    "U00:%x[0,0]\nU01:%v[0,1]\n",
+)
+
+
+@st.composite
+def compiled_corpora(draw):
+    """(model with tie-heavy weights, labeled sequences compiled against it).
+
+    K is 1-5 and T 1-6.  Unseen words and zero ``%v`` values leave positions
+    without features; the last sequence starts with such a position.
+    """
+    K = draw(st.integers(1, 5))
+    tags = ["t%d" % k for k in range(K)]
+
+    def sequences(words, count):
+        seqs = []
+        for _ in range(count):
+            T = draw(st.integers(1, 6))
+            tokens = zip(draw(st.lists(st.sampled_from(words), min_size=T, max_size=T)),
+                         draw(st.lists(st.sampled_from(("0", "1", "-0.5", "0.25", "-3")),
+                                       min_size=T, max_size=T)))
+            gold = draw(st.lists(st.sampled_from(tags), min_size=T, max_size=T))
+            seqs.append(Sequence(tokens=list(tokens), gold=gold))
+        return seqs
+
+    train = sequences("ab", 3) + [Sequence(tokens=[("a", "1")] * K, gold=tags)]
+    model = build_model(train, draw(st.sampled_from(FEATURELESS_TEMPLATES)), 2)
+    model.weights[:] = _ties(draw, model.weights.shape)
+    data = sequences("abz", draw(st.integers(1, 8)))
+    data.append(Sequence(tokens=[("z", "0")] + data[0].tokens, gold=[tags[0]] + data[0].gold))
+    return model, [compile_sequence(model, z, labeled=True) for z in data], data
+
+
+@settings(max_examples=100, deadline=None)
+@given(compiled_corpora())
+def test_stacked_objective_and_emission_rows(case):
+    model, compiled, data = case
+    lattices = [build_lattice(model, z) for z in data]
+    total = 0.7 * regularizer_value(model.weights)
+    for lat, cs in zip(lattices, compiled):
+        total += forward_logz(lat) - path_score(lat, cs.gold)
+    assert compiled_objective(compiled, model.weights, model.index, 0.7) == total
+    # Every emission row is bit for bit the sequential sum of its features' terms.
+    emit_w = weight_views(model.weights, model.index)[0]
+    for lat, cs in zip(lattices, compiled):
+        for row, feats in zip(lat.emit, cs.pos_feats):
+            want = np.zeros(model.num_tags)
+            for rid, value in feats:
+                want += value * emit_w[rid]
+            assert row.tobytes() == want.tobytes()
+    featureless = [lat.emit[t] for lat, cs in zip(lattices, compiled)
+                   for t, feats in enumerate(cs.pos_feats) if not feats]
+    assert featureless
+    for row in featureless:
+        assert row.tolist() == [0.0] * model.num_tags and not np.signbit(row).any()
 
 
 # CoNLL columns are split on whitespace, so only non-whitespace strings round-trip.
