@@ -14,10 +14,10 @@ which keeps the dense weight vector reshapeable into an (n_raw, K)
 emission table and a (K, K) transition table.  Only this module applies the
 layout: ``expected_features`` builds feature vectors, ``weight_views`` the tables.
 
-A compiled sequence holds its position features as (raw_id, value) lists,
-which ``expected_features`` reads, and as arrays (raw ids, values and the
-feature count of each position), from which ``lattice.emission_scores``
-builds emission rows.
+A compiled sequence holds its position features as arrays (raw ids, values and
+each position's feature count).  A sparse vector, an E[F] or an update, is an
+array of ``SPARSE`` (id, value) records sorted by id and free of duplicates;
+``.tolist()`` gives its (id, value) pairs.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import NamedTuple
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -294,15 +294,28 @@ def build_feature_index(sequences, templates, tagset, n_columns, compiled=None) 
     return index
 
 
-class CompiledSequence(NamedTuple):
-    """One sequence resolved against a frozen feature index."""
+@dataclass
+class CompiledSequence:
+    """One sequence's position features that a frozen feature index holds, in order."""
 
-    pos_feats: list  # per position: (raw_id, value) pairs; unseen raw strings dropped
     gold: list | None  # gold tag ids, or None
     trans_base: int | None  # id of the first transition feature, None without transitions
-    rids: np.ndarray  # the raw ids of pos_feats, position by position
+    K: int  # tagset size
+    rids: np.ndarray  # the features' raw ids
     vals: np.ndarray  # their values
     counts: np.ndarray  # (T,): each position's number of features
+
+    @cached_property
+    def kernel_bins(self):
+        """``expected_features``'s (each feature's position, each row's id for tag 0, each
+        feature's bin for tag 0); a row has K bins, one per distinct raw id in order, then
+        one per tag prev with transitions: trans_base + prev * K + cur continues the layout."""
+        rows = sorted(set(self.rids.tolist()))
+        if self.trans_base is not None:
+            rows.extend(range(self.trans_base // self.K, self.trans_base // self.K + self.K))
+        rows = np.array(rows, dtype=np.intp)
+        pos = np.arange(len(self.counts)).repeat(self.counts)
+        return pos, rows * self.K, rows.searchsorted(self.rids) * self.K
 
 
 def _compiled(pos_feats, gold, index) -> CompiledSequence:
@@ -311,7 +324,7 @@ def _compiled(pos_feats, gold, index) -> CompiledSequence:
     rids = np.array([rid for rid, _ in flat], dtype=np.intp)
     vals = np.array([value for _, value in flat], dtype=float)
     trans_base = index.transition_base if index.transitions else None
-    return CompiledSequence(pos_feats, gold, trans_base, rids, vals, counts)
+    return CompiledSequence(gold, trans_base, index.num_tags, rids, vals, counts)
 
 
 def _pos_feats(tokens, templates, n_columns, rid_of):
@@ -342,31 +355,54 @@ def compile_sequence(m: Model, seq: Sequence, labeled: bool = False) -> Compiled
     return _index_sequence(seq.tokens, m.templates, m.index, gold)
 
 
-def expected_features(pos_feats, tag_mass, pair_mass, K, trans_base):
-    """E[F(x, y)] under a tag mass, as an unsorted id -> value dict.
-
-    ``tag_mass[t]`` holds (tag, mass) pairs: each feature (raw_id, value)
-    fired at t adds value * mass to feature (raw_id, tag).  The (prev, cur,
-    mass) triples of ``pair_mass`` are summed into the transition features,
-    and not read without transitions.  Each id sums its terms in order from 0.0.
-    """
-    acc: dict[int, float] = {}
-    for feats, masses in zip(pos_feats, tag_mass):
-        for tag, mass in masses:
-            for rid, value in feats:
-                fid = rid * K + tag
-                acc[fid] = acc.get(fid, 0.0) + mass * value
-    if trans_base is not None:
-        for prev, cur, mass in pair_mass:
-            fid = trans_base + prev * K + cur
-            acc[fid] = acc.get(fid, 0.0) + mass
-    return acc
+SPARSE = np.dtype([("id", np.intp), ("value", float)])
 
 
-def path_items(pos_feats, path, K, trans_base):
+def sparse_vector(ids, values):
+    """A ``SPARSE`` array of the given sorted, distinct ids and their values."""
+    out = np.empty(len(ids), SPARSE)
+    out["id"], out["value"] = ids, values
+    return out
+
+
+def sparse_sum(terms):
+    """sum_k c_k * v_k over (c_k, sparse vector v_k) pairs, zero sums kept; in order from 0.0."""
+    ids = np.concatenate([v["id"] for _, v in terms])
+    values = np.concatenate([c * v["value"] for c, v in terms])
+    if len(terms) == 1:
+        return sparse_vector(ids, values + 0.0)  # from 0.0: a -0.0 term sums to 0.0
+    order = ids.argsort(kind="stable")  # equal ids adjacent, their terms still in order
+    ids = ids[order]
+    first = np.concatenate(([True], ids[1:] != ids[:-1]))
+    return sparse_vector(ids[first], np.bincount(first.cumsum() - 1, values[order]))
+
+
+def expected_features(cs: CompiledSequence, tag_mass, pairs, pair_mass, K):
+    """E[F(x, y)] under a tag mass, as a sparse vector of its nonzero entries.
+
+    ``tag_mass`` is (T, K), each tag's mass at each position, or a tagging (T,) for the
+    point mass on it: a feature (raw_id, value) at t adds value * mass to (raw_id, tag).
+    With transitions, ``pair_mass[i]`` is added to tag pair ``pairs[i]`` (prev * K + cur).
+    Each id sums its terms in position order, and a pair's in the given order, from 0.0
+    (``np.bincount`` adds in input order)."""
+    pos, bases, bins = cs.kernel_bins
+    if tag_mass.ndim == 1:  # value * 1.0 is the value
+        ids, terms = bins + tag_mass[pos], cs.vals
+    else:
+        ids = (bins[:, None] + np.arange(K)).ravel()
+        terms = (tag_mass[pos] * cs.vals[:, None]).ravel()
+    if cs.trans_base is not None:  # pairs are the bins of the last K rows
+        ids = np.concatenate((ids, pairs + (len(bases) - K) * K))
+        terms = np.concatenate((terms, pair_mass))
+    sums = np.bincount(ids, terms, len(bases) * K)
+    nz = (sums != 0.0).nonzero()[0]
+    return sparse_vector(bases[nz // K] + nz % K, sums[nz])
+
+
+def path_items(cs: CompiledSequence, path, K):
     """Global feature vector F(x, y) of one tagging: E[F] under a point mass."""
-    pairs = zip(path, path[1:], repeat(1.0))
-    return expected_features(pos_feats, [((y, 1.0),) for y in path], pairs, K, trans_base)
+    y = np.array(path, dtype=np.intp)
+    return expected_features(cs, y, y[:-1] * K + y[1:], np.ones(len(y) - 1), K)
 
 
 def extract_features(x: Sequence, y, templates, index: FeatureIndex):
@@ -384,9 +420,7 @@ def extract_features(x: Sequence, y, templates, index: FeatureIndex):
     for tag_id in y:
         if not (0 <= tag_id < K):
             raise ExtractionError("tag id %r outside tagset of size %d" % (tag_id, K))
-    cs = _index_sequence(x.tokens, templates, index, None)
-    acc = path_items(cs.pos_feats, y, K, cs.trans_base)
-    return sorted((fid, v) for fid, v in acc.items() if v != 0.0)
+    return path_items(_index_sequence(x.tokens, templates, index, None), y, K).tolist()
 
 
 def weight_views(weights: np.ndarray, index: FeatureIndex):
@@ -402,11 +436,9 @@ def weight_views(weights: np.ndarray, index: FeatureIndex):
 
 
 def dot_sparse(weights: np.ndarray, items) -> float:
-    """Dot product of a dense weight vector with a sparse (id, value) list."""
-    total = 0.0
-    for fid, value in items:
-        total += weights[fid] * value
-    return total
+    """Dot product of dense weights with a sparse vector or (id, value) list, in id order."""
+    items = np.asarray(items, SPARSE)
+    return reduce(add, (weights[items["id"]] * items["value"]).tolist(), 0.0)
 
 
 @dataclass

@@ -10,7 +10,8 @@ distribution over taggings, minus the oracle features F(x, y*).  One kernel,
 ``features.expected_features``, computes E[F] from a tag mass per position
 and a tag-pair mass; ``path_items`` fills them with a point mass (perceptron,
 MIRA), ``candidate_mixture`` with the top-n distribution (SAPO) and
-``expected_items`` with the exact chain marginals (CRF).
+``expected_items`` with the exact chain marginals (CRF).  ``subtract_oracle``
+merges E[F] and the oracle's, both sparse vectors (``features.SPARSE``).
 
 The forward recursion and :func:`forward_logz` also take a stack of lattices
 (``emit`` (B, T, K)): the objective pass runs one forward per length bucket.
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Model, Sequence, compile_sequence, expected_features, path_items, weight_views
+from .features import (Model, Sequence, compile_sequence, expected_features, path_items,
+                       sparse_sum, weight_views)
 from .lattice import (
     Lattice,
     NBestList,
@@ -123,47 +125,36 @@ def topn_distribution(nb: NBestList) -> NBestList:
 # precision.
 
 
-def candidate_mixture(pos_feats, paths, probs, K, trans_base):
+def candidate_mixture(cs, paths, probs, K):
     """E[F] under the top-n distribution: sum_k P_k F(x, y_k).
 
-    The tag mass is the candidates' probability tallied per position and
-    distinct tag, so each fired feature is visited once per distinct tag
-    rather than once per candidate; the pair mass is one (prev, cur, P_k)
-    triple per candidate and position.
+    The tag mass tallies the candidates' probabilities per position and tag in
+    candidate order, so each feature is visited once per tag; the pair terms are
+    each candidate's P_k at each of its tag pairs.
     """
-    tag_mass = [dict() for _ in pos_feats]
-    for path, p in zip(paths, probs):
-        for d, yt in zip(tag_mass, path):
-            d[yt] = d.get(yt, 0.0) + p
-    pair_mass = (
-        (prev, cur, p) for path, p in zip(paths, probs) for prev, cur in zip(path, path[1:])
-    )
-    return expected_features(pos_feats, [d.items() for d in tag_mass], pair_mass, K, trans_base)
+    T, p = len(cs.counts), np.array(probs)
+    y = np.array(paths, dtype=np.intp).reshape(-1, T)
+    tally = np.bincount((y + np.arange(0, T * K, K)).ravel(), p.repeat(T), T * K).reshape(T, K)
+    return expected_features(cs, tally, (y[:, :-1] * K + y[:, 1:]).ravel(), p.repeat(T - 1), K)
 
 
-def expected_items(pos_feats, marg: Marginals, K, trans_base):
-    """E[F] under the exact chain: the tag mass is the nonzero node marginals,
-    the pair mass the nonzero edge marginals summed over positions."""
-    tag_mass = [[(k, p) for k, p in enumerate(row) if p != 0.0] for row in marg.node.tolist()]
-    etot = marg.edge.sum(axis=0)
-    prev, cur = np.nonzero(etot)
-    pair_mass = zip(prev.tolist(), cur.tolist(), etot[prev, cur].tolist())
-    return expected_features(pos_feats, tag_mass, pair_mass, K, trans_base)
+def expected_items(cs, marg: Marginals, K):
+    """E[F] under the exact chain: the tag mass is the node marginals, the pair
+    mass the edge marginals summed over positions."""
+    return expected_features(cs, marg.node, np.arange(K * K), marg.edge.sum(axis=0).ravel(), K)
 
 
-def subtract_oracle(mixture: dict, oracle: dict):
-    """Sorted sparse items of (mixture - oracle), exact zeros dropped."""
-    d = dict(mixture)
-    for fid, value in oracle.items():
-        d[fid] = d.get(fid, 0.0) - value
-    return sorted((fid, v) for fid, v in d.items() if v != 0.0)
+def subtract_oracle(mixture, oracle):
+    """The sparse vector mixture - oracle, exact zeros dropped."""
+    diff = sparse_sum(((1.0, mixture), (-1.0, oracle)))
+    return diff.compress(diff["value"] != 0.0)
 
 
 def labeled_sample(m: Model, z: Sequence):
     """(lattice, compiled sequence, oracle features F(x, y*)) of a labeled sample."""
     cs = compile_sequence(m, z, labeled=True)
     lat = compiled_lattice(cs, weight_views(m.weights, m.index))
-    return lat, cs, path_items(cs.pos_feats, cs.gold, m.num_tags, cs.trans_base)
+    return lat, cs, path_items(cs, cs.gold, m.num_tags)
 
 
 def regularizer_value(weights: np.ndarray) -> float:
@@ -201,11 +192,10 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
     with sequential log-add so it is non-increasing in n by construction.
     ``l2`` and ``dataset_size`` are unused: the decay terms they set cancel.
     """
-    l, (pos_feats, _, trans_base, *_), oracle = labeled_sample(m, z)
+    l, cs, oracle = labeled_sample(m, z)
     K = m.num_tags
     marg = forward_backward(l)
-    exact = subtract_oracle(expected_items(pos_feats, marg, K, trans_base), oracle)
-    exact_d = dict(exact)
+    exact = subtract_oracle(expected_items(cs, marg, K), oracle)
 
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
@@ -213,11 +203,7 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
     nb = astar_nbest(l, n_list[-1])
 
     # Running log of Z_n over the ranked prefix; logaddexp never decreases.
-    prefix_logz = np.full(len(nb.scores), -np.inf)
-    running = -np.inf
-    for i, s in enumerate(nb.scores):
-        running = np.logaddexp(running, s)
-        prefix_logz[i] = running
+    prefix_logz = np.logaddexp.accumulate(nb.scores)
 
     reports = []
     for n in n_list:
@@ -230,14 +216,10 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
             exhausted=nb.exhausted or k < n,
         )
         sub = topn_distribution(sub)
-        approx = subtract_oracle(
-            candidate_mixture(pos_feats, sub.paths, sub.probs, K, trans_base), oracle
-        )
-        approx_d = dict(approx)
-        coords = set(exact_d) | set(approx_d)
-        diffs = [exact_d.get(fid, 0.0) - approx_d.get(fid, 0.0) for fid in coords]
-        l2_delta = math.sqrt(math.fsum(d * d for d in diffs))
-        linf_delta = max((abs(d) for d in diffs), default=0.0)
+        approx = subtract_oracle(candidate_mixture(cs, sub.paths, sub.probs, K), oracle)
+        diffs = subtract_oracle(exact, approx)["value"]
+        l2_delta = math.sqrt(math.fsum((diffs * diffs).tolist()))
+        linf_delta = float(np.abs(diffs).max(initial=0.0))
         tail = 1.0 - math.exp(float(prefix_logz[k - 1]) - marg.logZ)
         reports.append(
             DeltaReport(n=n, l2_delta=l2_delta, linf_delta=linf_delta, tail_mass=max(tail, 0.0))

@@ -93,7 +93,7 @@ def length_buckets(compiled, views):
     K = emit_w.shape[1]
     by_length = {}
     for i, cs in enumerate(compiled):
-        by_length.setdefault(len(cs.pos_feats), []).append(i)
+        by_length.setdefault(len(cs.counts), []).append(i)
     for T, members in by_length.items():
         size = max(1, _STACK_CELLS // (K * max(K, T)))
         for idx in (members[lo : lo + size] for lo in range(0, len(members), size)):
@@ -210,11 +210,11 @@ def _search(l: Lattice, n: int, width=None):
                 rows = (-cand).argsort(0, kind="stable")[:n]
                 keys = np.sort(rows * K + offset, axis=None)
         elif cand.size > width:
-            kth = cand.size - width
-            thr = np.partition(cand, kth, axis=None)[kth]
-            keep = cand > thr
-            keep.flat[np.flatnonzero(cand == thr)[: width - np.count_nonzero(keep)]] = True
-            keys = np.flatnonzero(keep)
+            flat = cand.ravel()
+            thr = np.partition(flat, flat.size - width)[flat.size - width]
+            keys = (flat >= thr).nonzero()[0]
+            if len(keys) > width:  # ties at the threshold: drop the highest keys' ones
+                keys = np.delete(keys, (flat.take(keys) == thr).nonzero()[0][width - len(keys) :])
         if keys is None:
             keys = np.arange(cand.size)
         g = cand.take(keys)

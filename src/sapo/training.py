@@ -10,9 +10,9 @@ averaged) share the same epoch orchestration; 1-best MIRA is n-best MIRA
 with the Viterbi path as its only candidate.
 
 The candidate downdates and the oracle update are applied as one merged
-sparse delta, and the per-sample decay is a deferred global scale factor,
-so a full pass costs O(touched features) per sample.  All trainers are
-deterministic given (data, config, seed).
+sparse vector (``features.SPARSE``) by fancy indexing, and the per-sample
+decay is a deferred global scale factor, so a full pass costs O(touched
+features) per sample.  All trainers are deterministic given (data, config, seed).
 """
 
 from __future__ import annotations
@@ -21,18 +21,21 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .dataio import write_text
 from .evaluation import chunk_f1, token_accuracy
 from .features import (
+    SPARSE,
     Model,
     Sequence,
     build_model,
     compile_sequence,
     dot_sparse,
     path_items,
+    sparse_sum,
     weight_views,
 )
 from .inference import (
@@ -198,18 +201,13 @@ class WeightState:
             self.last_cum = np.zeros(n_features)
 
     def sparse_add(self, items, coeff: float):
-        """w[fid] += coeff * value for each sparse item."""
-        v = self.v
-        c = self.scale
+        """w[fid] += coeff * value per item of a sparse vector or distinct-id (id, value) list."""
+        items = np.asarray(items, SPARSE)
+        fid = items["id"]
         if self.averaging:
-            acc, last, cum = self.acc, self.last_cum, self.cum_scale
-            for fid, value in items:
-                acc[fid] += v[fid] * (cum - last[fid])
-                last[fid] = cum
-                v[fid] += coeff * value / c
-        else:
-            for fid, value in items:
-                v[fid] += coeff * value / c
+            self.acc[fid] += self.v[fid] * (self.cum_scale - self.last_cum[fid])
+            self.last_cum[fid] = self.cum_scale
+        self.v[fid] += coeff * items["value"] / self.scale
 
     def decay(self, factor: float):
         if factor != 1.0:
@@ -288,7 +286,7 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
 
     K = model.num_tags
     # (compiled sequence, oracle features F(x, y*)) per training sample
-    samples = [(cs, path_items(cs.pos_feats, cs.gold, K, cs.trans_base)) for cs in compiled]
+    samples = [(cs, path_items(cs, cs.gold, K)) for cs in compiled]
     state = WeightState(model.index.n_features, averaging=averaged)
     views = weight_views(state.v, model.index)
 
@@ -359,7 +357,7 @@ class UpdateTerm:
     """Per-sample weight-change direction.
 
     ``items`` is the sparse part (expected features minus oracle features,
-    sorted by id, exact zeros dropped); ``decay`` is the L2 coefficient
+    as (id, value) pairs sorted by id, exact zeros dropped); ``decay`` is the L2 coefficient
     lambda/|S| whose dense contribution ``decay * w`` is applied by the
     trainer as a multiplicative shrink.
     """
@@ -380,14 +378,12 @@ def _nbest(lat, n, search, beam):
 def _sapo_items(lat, cs, oracle, n, search, beam):
     """Top-n probability-weighted candidate features minus the oracle's."""
     nb = topn_distribution(_nbest(lat, n, search, beam))
-    mixture = candidate_mixture(cs.pos_feats, nb.paths, nb.probs, lat.K, cs.trans_base)
-    return subtract_oracle(mixture, oracle)
+    return subtract_oracle(candidate_mixture(cs, nb.paths, nb.probs, lat.K), oracle)
 
 
 def _crf_items(lat, cs, oracle):
     """Exact expected features minus the oracle's."""
-    mixture = expected_items(cs.pos_feats, forward_backward(lat), lat.K, cs.trans_base)
-    return subtract_oracle(mixture, oracle)
+    return subtract_oracle(expected_items(cs, forward_backward(lat), lat.K), oracle)
 
 
 def crf_stochastic_gradient(m: Model, z: Sequence, l2: float, dataset_size: int) -> UpdateTerm:
@@ -396,7 +392,7 @@ def crf_stochastic_gradient(m: Model, z: Sequence, l2: float, dataset_size: int)
     Sparse part is E_P[F] - F(x, y*), assembled from node/edge marginals;
     the dense part is (l2 / dataset_size) * w, reported via ``decay``.
     """
-    return UpdateTerm(_crf_items(*labeled_sample(m, z)), l2 / dataset_size)
+    return UpdateTerm(_crf_items(*labeled_sample(m, z)).tolist(), l2 / dataset_size)
 
 
 def sapo_update_term(
@@ -414,7 +410,7 @@ def sapo_update_term(
     tagging is neither forced in nor excluded.
     """
     items = _sapo_items(*labeled_sample(m, z), n, search, beam)
-    return UpdateTerm(items, l2 / dataset_size)
+    return UpdateTerm(items.tolist(), l2 / dataset_size)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +458,7 @@ def _perceptron_factory(model, samples, state, cfg, lattice_for):
         pred, _ = viterbi(lattice_for(cs))
         if pred == cs.gold:
             return
-        items = subtract_oracle(path_items(cs.pos_feats, pred, K, cs.trans_base), oracle)
-        state.sparse_add(items, -1.0)
+        state.sparse_add(subtract_oracle(path_items(cs, pred, K), oracle), -1.0)
 
     return step
 
@@ -472,13 +467,11 @@ def _hamming(a, b):
     return sum(x != y for x, y in zip(a, b))
 
 
-def _sparse_dot(a_items, b_dict):
-    total = 0.0
-    for fid, value in a_items:
-        other = b_dict.get(fid)
-        if other is not None:
-            total += value * other
-    return total
+def _sparse_dot(a, b):
+    """Dot product of two sparse vectors, summed in id order."""
+    at = b["id"].searchsorted(a["id"])
+    hit = slice(None) if a is b else (b["id"].take(at, mode="clip") == a["id"]).nonzero()[0]
+    return reduce(operator.add, (a["value"][hit] * b["value"][at[hit]]).tolist(), 0.0)
 
 
 def _mira_factory(model, samples, state, cfg, lattice_for):
@@ -497,28 +490,27 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
 
     def step(i, gamma):
         cs, oracle = samples[i]
-        cands = []  # (items, item_dict, loss, margin)
+        cands = []  # (items, loss, margin)
         for path in candidates(lattice_for(cs)):
             loss = _hamming(path, cs.gold)
             if loss == 0:
                 continue
-            items = subtract_oracle(path_items(cs.pos_feats, path, K, cs.trans_base), oracle)
-            if not items:
+            items = subtract_oracle(path_items(cs, path, K), oracle)
+            if not len(items):
                 continue
-            cands.append((items, dict(items), loss, -state.dot_items(items)))
+            cands.append((items, loss, -state.dot_items(items)))
         if not cands:
             return
         nc = len(cands)
         gram = [[0.0] * nc for _ in range(nc)]
         for a in range(nc):
             for b in range(a, nc):
-                g = _sparse_dot(cands[a][0], cands[b][1])
-                gram[a][b] = gram[b][a] = g
+                gram[a][b] = gram[b][a] = _sparse_dot(cands[a][0], cands[b][0])
         alphas = [0.0] * nc
         for _ in range(HILDRETH_MAX_PASSES):
             changed = False
             for k in range(nc):
-                items_k, _, loss_k, margin_k = cands[k]
+                _, loss_k, margin_k = cands[k]
                 adj = margin_k
                 for j in range(nc):
                     if alphas[j] != 0.0:
@@ -533,15 +525,9 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
                     changed = True
             if not changed:
                 break
-        update: dict[int, float] = {}
-        for k in range(nc):
-            a_k = alphas[k]
-            if a_k == 0.0:
-                continue
-            for fid, value in cands[k][0]:
-                update[fid] = update.get(fid, 0.0) + a_k * value
-        if update:
-            state.sparse_add(sorted(update.items()), -1.0)
+        used = [(a_k, items) for a_k, (items, _, _) in zip(alphas, cands) if a_k != 0.0]
+        if used:
+            state.sparse_add(sparse_sum(used), -1.0)
 
     return step
 

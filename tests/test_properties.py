@@ -5,12 +5,15 @@ template sets and bounded weights (|w| <= 10), with K^T <= 500 so that
 every tagging can be enumerated.  Also: the exact and beam n-best searches
 and Viterbi against enumeration on tie-heavy lattices, stacks of lattices
 against the same lattices one at a time, and CoNLL and model-file round
-trips with arbitrary non-whitespace token and tag strings.
+trips with arbitrary non-whitespace token and tag strings.  The feature
+expectation kernel and the sparse weight update against the per-item loops
+they replace, bit for bit.
 """
 
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -36,8 +39,25 @@ from sapo import (
     score_sequence,
     viterbi,
 )
-from sapo.features import compile_sequence, weight_views
-from sapo.inference import compiled_objective, regularizer_value
+from sapo import training
+from sapo.features import (
+    SPARSE,
+    compile_sequence,
+    path_items,
+    position_features,
+    sparse_sum,
+    sparse_vector,
+    weight_views,
+)
+from sapo.inference import (
+    candidate_mixture,
+    compiled_objective,
+    expected_items,
+    forward_backward,
+    regularizer_value,
+    subtract_oracle,
+)
+from sapo.training import WeightState
 
 TAGS = ("X", "Y", "Z")
 TEMPLATE_SETS = (
@@ -236,19 +256,175 @@ def test_stacked_objective_and_emission_rows(case):
     for lat, cs in zip(lattices, compiled):
         total += forward_logz(lat) - path_score(lat, cs.gold)
     assert compiled_objective(compiled, model.weights, model.index, 0.7) == total
-    # Every emission row is bit for bit the sequential sum of its features' terms.
+    # Every emission row is bit for bit the sequential sum of its features' terms,
+    # taken from the templates and the index rather than the compiled arrays.
     emit_w = weight_views(model.weights, model.index)[0]
-    for lat, cs in zip(lattices, compiled):
-        for row, feats in zip(lat.emit, cs.pos_feats):
+    featureless = []
+    for lat, z in zip(lattices, data):
+        for t, row in enumerate(lat.emit):
             want = np.zeros(model.num_tags)
-            for rid, value in feats:
-                want += value * emit_w[rid]
+            feats = position_features(z.tokens, t, model.templates, model.n_columns)
+            for raw, value in feats:
+                rid = model.index.lookup_raw(raw)
+                if rid is not None:
+                    want += value * emit_w[rid]
             assert row.tobytes() == want.tobytes()
-    featureless = [lat.emit[t] for lat, cs in zip(lattices, compiled)
-                   for t, feats in enumerate(cs.pos_feats) if not feats]
+            if all(model.index.lookup_raw(raw) is None for raw, _ in feats):
+                featureless.append(row)
     assert featureless
     for row in featureless:
         assert row.tolist() == [0.0] * model.num_tags and not np.signbit(row).any()
+
+
+# A bare %v template fires the same raw feature at every position, so ids
+# collect many terms; the second set has no transitions.
+KERNEL_TEMPLATES = (
+    "U00:%v[0,1]\nU01:%x[0,0]\nU02:%x[0,0]/%v[-1,1]\nB\n",
+    "U00:%v[0,1]\nU01:%x[-1,0]/%x[0,0]\n",
+)
+KERNEL_VALUES = ("1", "-0.5", "0.3", "2.75", "-3.1", "0.1", "1e-3", "0", "-7.7")
+MASSES = st.floats(1e-3, 1.0, allow_nan=False)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(model with random weights, a labeled probe with unseen words, its compiled form)."""
+    K = draw(st.integers(1, 3))
+    tags = ["t%d" % k for k in range(K)]
+
+    def sequence(words, max_T):
+        T = draw(st.integers(1, max_T))
+        tokens = zip(draw(st.lists(st.sampled_from(words), min_size=T, max_size=T)),
+                     draw(st.lists(st.sampled_from(KERNEL_VALUES), min_size=T, max_size=T)))
+        gold = draw(st.lists(st.sampled_from(tags), min_size=T, max_size=T))
+        return Sequence(tokens=list(tokens), gold=gold)
+
+    train = [sequence("ab", 6), Sequence(tokens=[("a", "1")] * K, gold=tags)]
+    model = build_model(train, draw(st.sampled_from(KERNEL_TEMPLATES)), 2)
+    seed = draw(st.integers(0, 2**32 - 1))
+    model.weights[:] = np.random.default_rng(seed).uniform(-2, 2, model.index.n_features)
+    probe = sequence("abz", 14)
+    return model, probe, compile_sequence(model, probe, labeled=True)
+
+
+def _reference_expectation(model, probe, tag_mass, pair_mass):
+    """Today's loop: a per-id dict over positions, then tags, then features."""
+    K, index = model.num_tags, model.index
+    acc = {}
+    for t, masses in enumerate(tag_mass):
+        feats = position_features(probe.tokens, t, model.templates, model.n_columns)
+        for tag, mass in masses:
+            for raw, value in feats:
+                rid = index.lookup_raw(raw)
+                if rid is not None:
+                    acc[rid * K + tag] = acc.get(rid * K + tag, 0.0) + mass * value
+    if index.transitions:
+        for prev, cur, mass in pair_mass:
+            fid = index.transition_base + prev * K + cur
+            acc[fid] = acc.get(fid, 0.0) + mass
+    return sorted((fid, v) for fid, v in acc.items() if v != 0.0)
+
+
+def _assert_same_vector(got, want):
+    assert got["id"].tolist() == [fid for fid, _ in want]
+    assert got["value"].tobytes() == np.array([v for _, v in want], dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(), st.data())
+def test_expectation_kernel_equals_sequential_loop(case, data):
+    model, probe, cs = case
+    K, T = model.num_tags, len(probe)
+    paths = data.draw(st.lists(st.lists(st.integers(0, K - 1), min_size=T, max_size=T),
+                               min_size=1, max_size=5))
+    probs = data.draw(st.lists(MASSES, min_size=len(paths), max_size=len(paths)))
+
+    point = [((y, 1.0),) for y in paths[0]]
+    point_pairs = [(a, b, 1.0) for a, b in zip(paths[0], paths[0][1:])]
+    _assert_same_vector(path_items(cs, paths[0], K),
+                        _reference_expectation(model, probe, point, point_pairs))
+
+    tally = [{} for _ in range(T)]
+    for path, p in zip(paths, probs):
+        for d, y in zip(tally, path):
+            d[y] = d.get(y, 0.0) + p
+    pairs = [(a, b, p) for path, p in zip(paths, probs) for a, b in zip(path, path[1:])]
+    _assert_same_vector(candidate_mixture(cs, paths, probs, K),
+                        _reference_expectation(model, probe, [d.items() for d in tally], pairs))
+
+    marg = forward_backward(build_lattice(model, probe))
+    node = [[(k, p) for k, p in enumerate(row) if p != 0.0] for row in marg.node.tolist()]
+    edge = marg.edge.sum(axis=0)
+    chain_pairs = [(a, b, edge[a, b]) for a, b in zip(*np.nonzero(edge))]
+    _assert_same_vector(expected_items(cs, marg, K),
+                        _reference_expectation(model, probe, node, chain_pairs))
+
+
+UPDATE_VALUES = st.floats(-5.0, 5.0, allow_nan=False).filter(lambda x: x != 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0, allow_nan=False),
+                          st.dictionaries(st.integers(0, 30), UPDATE_VALUES, min_size=1, max_size=12)),
+                min_size=1, max_size=5))
+def test_sparse_sum_and_subtraction_equal_dict_loops(terms):
+    vectors = [(c, sparse_vector(sorted(d), [d[fid] for fid in sorted(d)])) for c, d in terms]
+    acc = {}  # MIRA's former update loop: zero sums kept
+    for c, d in terms:
+        for fid in sorted(d):
+            acc[fid] = acc.get(fid, 0.0) + c * d[fid]
+    _assert_same_vector(sparse_sum(vectors), sorted(acc.items()))
+    diff = dict(terms[0][1])  # the former subtract_oracle: exact zeros dropped
+    for fid, value in terms[-1][1].items():
+        diff[fid] = diff.get(fid, 0.0) - value
+    _assert_same_vector(subtract_oracle(vectors[0][1], vectors[-1][1]),
+                        sorted((fid, v) for fid, v in diff.items() if v != 0.0))
+
+
+def _reference_sparse_add(state, items, coeff):
+    """The per-pair update loop that ``WeightState.sparse_add`` replaces."""
+    v, c = state.v, state.scale
+    for fid, value in items:
+        if state.averaging:
+            state.acc[fid] += v[fid] * (state.cum_scale - state.last_cum[fid])
+            state.last_cum[fid] = state.cum_scale
+        v[fid] += coeff * value / c
+
+
+OPERATIONS = st.one_of(
+    st.tuples(st.just("add"), st.dictionaries(st.integers(0, 11), UPDATE_VALUES, min_size=1),
+              UPDATE_VALUES, st.booleans()),
+    st.tuples(st.just("decay"), st.floats(0.05, 1.0)),
+    st.tuples(st.just("end")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.sampled_from((training.SCALE_FLOOR, 0.3, 0.9)),
+       st.lists(OPERATIONS, max_size=40))
+def test_sparse_add_equals_per_pair_loop(averaging, floor, operations):
+    # A high floor folds the scale into the weights every few decays.
+    states = [WeightState(12, averaging=averaging) for _ in range(2)]
+    with mock.patch.object(training, "SCALE_FLOOR", floor):
+        for op in operations:
+            for i, state in enumerate(states):
+                if op[0] == "add":
+                    items = sorted(op[1].items())
+                    if i:
+                        _reference_sparse_add(state, items, op[2])
+                    else:
+                        # as (id, value) pairs, or as a sparse vector array
+                        state.sparse_add(items if op[3] else np.array(items, SPARSE), op[2])
+                elif op[0] == "decay":
+                    state.decay(op[1])
+                else:
+                    state.end_sample()
+    got, want = states
+    assert got.scale == want.scale and got.v.tobytes() == want.v.tobytes()
+    if averaging:
+        assert got.acc.tobytes() == want.acc.tobytes()
+        assert got.last_cum.tobytes() == want.last_cum.tobytes()
+        assert got.averaged_weights().tobytes() == want.averaged_weights().tobytes()
 
 
 # CoNLL columns are split on whitespace, so only non-whitespace strings round-trip.
