@@ -23,9 +23,9 @@ from .dataio import (
     write_text,
 )
 from .evaluation import chunk_f1, token_accuracy
-from .features import Sequence, TemplateError, compile_sequence
+from .features import Sequence, TemplateError, compile_sequence, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostic, topn_distribution
-from .lattice import astar_nbest, build_lattice, viterbi_tags
+from .lattice import Lattice, astar_nbest, length_buckets, viterbi_tags
 from .training import (
     ALGORITHMS,
     METRICS,
@@ -189,10 +189,13 @@ def _read_for_model(path, model):
     )
 
 
-def _write_nbest(corpus, model, n, path):
+def _write_nbest(corpus, compiled, model, n, path):
+    nbest = [None] * len(compiled)
+    for idx, lat in length_buckets(compiled, weight_views(model.weights, model.index)):
+        for i, emit in zip(idx, lat.emit):
+            nbest[i] = topn_distribution(astar_nbest(Lattice(emit, lat.trans), n))
     out = []
-    for si, seq in enumerate(corpus.sequences):
-        nb = topn_distribution(astar_nbest(build_lattice(model, seq), n))
+    for si, (seq, nb) in enumerate(zip(corpus.sequences, nbest)):
         for rank, (cand, score, prob) in enumerate(nb.entries, start=1):
             out.append("# seq=%d rank=%d score=%r prob=%r\n" % (si, rank, score, prob))
             for t, token in enumerate(seq.tokens):
@@ -210,14 +213,14 @@ def cmd_decode(args) -> int:
         raise UsageError("--nbest must be >= 1")
     model = load_model(args.model)
     corpus = _read_for_model(args.input, model)
+    compiled = [compile_sequence(model, seq) for seq in corpus.sequences]
     if args.nbest is not None:
-        _write_nbest(corpus, model, args.nbest, args.output)
+        _write_nbest(corpus, compiled, model, args.nbest, args.output)
         print(
             "decode ok: %d sequences, %d-best with probabilities -> %s"
             % (len(corpus), args.nbest, args.output)
         )
         return 0
-    compiled = [compile_sequence(model, seq) for seq in corpus.sequences]
     write_conll(corpus, args.output, viterbi_tags(model, compiled, model.weights))
     print("decode ok: %d sequences -> %s" % (len(corpus), args.output))
     return 0

@@ -9,10 +9,11 @@ trip reproduces identical scores.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,19 +53,20 @@ class Corpus:
         return iter(self.sequences)
 
 
-def _open_lines(source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(source, "r", encoding="utf-8"), True
+@contextmanager
+def _opened(target, mode="r"):
+    """A file object as is, or a path opened as UTF-8 (written with LF line endings)."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        with open(target, mode, encoding="utf-8", newline="\n" if mode == "w" else None) as f:
+            yield f
 
 
 def write_text(path, text: str):
     """Write ``text`` to a file object, or to a path as UTF-8 with LF line endings."""
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+    with _opened(path, "w") as f:
+        f.write(text)
 
 
 def read_conll(source, labeled: bool = True) -> Corpus:
@@ -74,8 +76,7 @@ def read_conll(source, labeled: bool = True) -> Corpus:
     are inferred from the first token and enforced; CRLF and trailing
     blank lines are tolerated.
     """
-    stream, should_close = _open_lines(source)
-    try:
+    with _opened(source) as stream:
         sequences = []
         file_columns = None
         rows: list[list[str]] = []
@@ -111,9 +112,6 @@ def read_conll(source, labeled: bool = True) -> Corpus:
                 )
             rows.append(cols)
         flush()
-    finally:
-        if should_close:
-            stream.close()
     if not sequences:
         raise FormatError("empty input: no sequences found")
     n_columns = file_columns - 1 if labeled else file_columns
@@ -239,121 +237,145 @@ def generate_synthetic_hmm(
 
 # ---------------------------------------------------------------------------
 # Model persistence
+#
+# Both directions stream: the writer writes the nonzero cells of one block of
+# table rows at a time; the reader parses one read at a time and keeps only each
+# line's flat weight id and weight, for one duplicate sort and one scatter.
+
+_WRITE_CELLS = 8192  # table cells per writer block
+_READ_CHARS = 1 << 18  # characters per reader block
 
 
 def save_model(m: Model, path):
     """Write a model as line-oriented text; zero weights are omitted."""
-    out = io.StringIO()
-    out.write("version\t%s\n" % MODEL_FORMAT_VERSION)
-    out.write("columns\t%d\n" % m.n_columns)
-    out.write("tags\t%s\n" % "\t".join(m.tagset.tags))
-    out.write("config\t%s\n" % json.dumps(m.meta, sort_keys=True))
-    out.write("templates-begin\n")
     text = m.template_text
     if text and not text.endswith("\n"):
         text += "\n"
-    out.write(text)
-    out.write("templates-end\n")
     tags = m.tagset.tags
-    tables = zip("ET", weight_views(m.weights, m.index), (m.index.raw_strings, tags))
-    for kind, table, row_names in tables:
-        for name, row in zip(row_names, table):
-            for tag, w in zip(tags, row.tolist()):
-                if w != 0.0:
-                    out.write("%s\t%s\t%s\t%r\n" % (kind, name, tag, w))
-    write_text(path, out.getvalue())
+    cells = ["\t%s\t" % tag for tag in tags]
+    step = max(1, _WRITE_CELLS // len(tags))
+    with _opened(path, "w") as out:
+        out.write("version\t%s\ncolumns\t%d\ntags\t%s\nconfig\t%s\ntemplates-begin\n%stemplates-end\n" % (
+            MODEL_FORMAT_VERSION, m.n_columns, "\t".join(tags), json.dumps(m.meta, sort_keys=True), text))
+        tables = zip("ET", weight_views(m.weights, m.index), (m.index.raw_strings, tags))
+        for kind, table, names in tables:
+            for lo in range(0, len(table), step):
+                block = table[lo : lo + step]
+                rows, cols = np.nonzero(block)
+                lines = zip((rows + lo).tolist(), cols.tolist(), block[rows, cols].tolist())
+                out.write("".join([f"{kind}\t{names[i]}{cells[j]}{w!r}\n" for i, j, w in lines]))
+
+
+def _line_blocks(stream):
+    """The remaining lines of ``stream``, one list per read of ``_READ_CHARS``
+    characters; a line that a read cuts goes whole into the next list."""
+    carry = ""
+    for chunk in iter(lambda: stream.read(_READ_CHARS), ""):
+        text = carry + chunk
+        cut = text.rfind("\n") + 1
+        carry = text[cut:]
+        yield text[:cut].splitlines()
+    yield carry.splitlines()
 
 
 def load_model(path) -> Model:
-    """Load a model saved by :func:`save_model`; scores round-trip exactly."""
-    stream, should_close = _open_lines(path)
-    try:
-        lines = stream.read().splitlines()
-    finally:
-        if should_close:
-            stream.close()
+    """Load a model saved by :func:`save_model`; scores round-trip exactly.
 
-    def header(idx, key):
-        if idx >= len(lines):
-            raise ModelFileError("truncated model file: missing %r line" % key)
-        parts = lines[idx].split("\t")
-        if parts[0] != key:
-            raise ModelFileError("line %d: expected %r header" % (idx + 1, key))
-        return parts[1:]
+    A fault names its line.  Duplicate features are looked for only after
+    every line has passed its own checks."""
+    with _opened(path) as stream:
+        lineno = 0
 
-    version = header(0, "version")
-    if version != [MODEL_FORMAT_VERSION]:
-        raise ModelFileError(
-            "unsupported model file version %r (expected %s)"
-            % ("\t".join(version), MODEL_FORMAT_VERSION)
-        )
-    columns = header(1, "columns")
-    try:
-        n_columns = int(columns[0])
-    except (IndexError, ValueError):
-        raise ModelFileError("line 2: malformed columns header") from None
-    tags = header(2, "tags")
-    if not tags:
-        raise ModelFileError("line 3: empty tagset")
-    meta_raw = header(3, "config")
-    try:
-        meta = json.loads("\t".join(meta_raw) or "{}")
-    except json.JSONDecodeError:
-        raise ModelFileError("line 4: malformed config JSON") from None
-    if lines[4:5] != ["templates-begin"]:
-        raise ModelFileError("line 5: expected 'templates-begin'")
-    try:
-        end = lines.index("templates-end", 5)
-    except ValueError:
-        raise ModelFileError("missing 'templates-end'") from None
-    template_text = "\n".join(lines[5:end]) + ("\n" if end > 5 else "")
-    templates = compile_templates(template_text)
-    tagset = Tagset(tags)
-    transitions = has_transitions(templates)
+        def next_line(key):
+            nonlocal lineno
+            lineno += 1
+            line = stream.readline()
+            if not line:
+                raise ModelFileError("truncated model file: missing %r line" % key)
+            return line.rstrip("\r\n")
 
-    index = FeatureIndex(num_tags=len(tagset), transitions=transitions)
-    cells = ([], [])  # (row, col, weight) of the emission and the transition table
-    seen = set()
-    for lineno, line in enumerate(lines[end + 1 :], start=end + 2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4 or parts[0] not in ("E", "T"):
-            raise ModelFileError("line %d: corrupt feature line %r" % (lineno, line))
-        kind, a, b, wtext = parts
+        def header(key):
+            parts = next_line(key).split("\t")
+            if parts[0] != key:
+                raise ModelFileError("line %d: expected %r header" % (lineno, key))
+            return parts[1:]
+
+        version = header("version")
+        if version != [MODEL_FORMAT_VERSION]:
+            raise ModelFileError(
+                "unsupported model file version %r (expected %s)"
+                % ("\t".join(version), MODEL_FORMAT_VERSION)
+            )
+        columns = header("columns")
         try:
-            w = float(wtext)
-        except ValueError:
-            raise ModelFileError("line %d: bad weight %r" % (lineno, wtext)) from None
-        if not math.isfinite(w):
-            raise ModelFileError("line %d: non-finite weight %r" % (lineno, wtext))
-        key = (kind, a, b)
-        if key in seen:
-            raise ModelFileError("line %d: duplicate feature %r" % (lineno, "\t".join(key)))
-        seen.add(key)
-        if kind == "E":
-            if b not in tagset.index:
-                raise ModelFileError("line %d: unknown tag %r" % (lineno, b))
-            cells[0].append((index.add_raw(a), tagset.index[b], w))
-        else:
-            if not transitions:
-                raise ModelFileError(
-                    "line %d: transition feature in a model without transitions" % lineno
-                )
-            if a not in tagset.index or b not in tagset.index:
-                raise ModelFileError("line %d: unknown tag pair %r/%r" % (lineno, a, b))
-            cells[1].append((tagset.index[a], tagset.index[b], w))
+            n_columns = int(columns[0])
+        except (IndexError, ValueError):
+            raise ModelFileError("line 2: malformed columns header") from None
+        tags = header("tags")
+        if not tags:
+            raise ModelFileError("line 3: empty tagset")
+        meta_raw = header("config")
+        try:
+            meta = json.loads("\t".join(meta_raw) or "{}")
+        except json.JSONDecodeError:
+            raise ModelFileError("line 4: malformed config JSON") from None
+        if next_line("templates-begin") != "templates-begin":
+            raise ModelFileError("line 5: expected 'templates-begin'")
+        template_lines = iter(lambda: next_line("templates-end"), "templates-end")
+        template_text = "".join(line + "\n" for line in template_lines)
+        templates = compile_templates(template_text)
+        tagset = Tagset(tags)
+        transitions = has_transitions(templates)
+        index = FeatureIndex(num_tags=len(tagset), transitions=transitions)
+        K, tag_ids = len(tagset), tagset.index
+        ids, ws, blank = array("q"), array("d"), array("q")  # flat weight ids, weights, blank lines
+        first, raw = lineno + 1, None
+        for lines in _line_blocks(stream):
+            for lineno, line in enumerate(lines, start=lineno + 1):
+                if not line:
+                    blank.append(lineno)
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 4 or parts[0] not in ("E", "T"):
+                    raise ModelFileError("line %d: corrupt feature line %r" % (lineno, line))
+                kind, a, b, wtext = parts
+                try:
+                    w = float(wtext)
+                except ValueError:
+                    raise ModelFileError("line %d: bad weight %r" % (lineno, wtext)) from None
+                if not math.isfinite(w):
+                    raise ModelFileError("line %d: non-finite weight %r" % (lineno, wtext))
+                col = tag_ids.get(b)
+                if kind == "E":
+                    if col is None:
+                        raise ModelFileError("line %d: unknown tag %r" % (lineno, b))
+                    if a != raw:  # a row's lines usually come together
+                        raw, rid = a, index.add_raw(a)
+                    ids.append(rid * K + col)
+                else:
+                    if not transitions:
+                        raise ModelFileError(
+                            "line %d: transition feature in a model without transitions" % lineno
+                        )
+                    prev = tag_ids.get(a)
+                    if prev is None or col is None:
+                        raise ModelFileError("line %d: unknown tag pair %r/%r" % (lineno, a, b))
+                    ids.append(-1 - (prev * K + col))  # the raw-id count is not known yet
+                ws.append(w)
     index.freeze()
+    ids = np.frombuffer(ids, np.int64)
+    ids = np.where(ids < 0, index.transition_base - 1 - ids, ids)
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][np.diff(ids[order]) == 0]  # each id's feature lines after its first
+    if len(repeats):
+        at = int(repeats.min())
+        row, col = divmod(int(ids[at]), K)
+        key = ("E" if row < index.n_raw else "T", (index.raw_strings + tags)[row], tags[col])
+        lineno = first + at
+        for b in blank:  # each blank line up to the feature line moves it down by one
+            lineno += b <= lineno
+        raise ModelFileError("line %d: duplicate feature %r" % (lineno, "\t".join(key)))
     weights = np.zeros(index.n_features)
-    for table, table_cells in zip(weight_views(weights, index), cells):
-        for row, col, w in table_cells:
-            table[row, col] = w
-    return Model(
-        tagset=tagset,
-        index=index,
-        templates=templates,
-        weights=weights,
-        n_columns=n_columns,
-        template_text=template_text,
-        meta=meta,
-    )
+    weights[ids] = np.frombuffer(ws)
+    return Model(tagset=tagset, index=index, templates=templates, weights=weights,
+                 n_columns=n_columns, template_text=template_text, meta=meta)

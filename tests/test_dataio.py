@@ -1,4 +1,6 @@
 import io
+import re
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -17,6 +19,7 @@ from sapo import (
     synthetic_hmm_params,
     write_conll,
 )
+from sapo import dataio
 
 
 class TestReadConll:
@@ -270,3 +273,135 @@ class TestModelPersistence:
             f.write("E\traw\tt0\tnot-a-number\n")
         with pytest.raises(ModelFileError, match="weight"):
             load_model(path)
+
+
+def _saved_text(model):
+    out = io.StringIO()
+    save_model(model, out)
+    return out.getvalue()
+
+
+def _first_feature(lines):
+    """List index of the first feature line of a saved model file's lines."""
+    return lines.index("templates-end") + 1
+
+
+class TestModelFileFaults:
+    """Each fault the loader rejects, named with its line number."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("E\tU00=w0\tnope\t1.0", "unknown tag 'nope'"),
+            ("T\tt0\tnope\t1.0", "unknown tag pair 't0'/'nope'"),
+            ("T\tnope\tt1\t1.0", "unknown tag pair 'nope'/'t1'"),
+            ("E\tU00=w0\tt0\tinf", "non-finite weight 'inf'"),
+            ("T\tt0\tt1\tnan", "non-finite weight 'nan'"),
+            ("X\tU00=w0\tt0\t1.0", "corrupt feature line"),
+            ("E\tU00=w0\tt0\t1.0\textra", "corrupt feature line"),
+        ],
+    )
+    def test_bad_feature_line_names_its_line(self, rng, line, message):
+        model, _ = _toy_model(rng)
+        lines = _saved_text(model).splitlines()
+        at = _first_feature(lines) + 3  # list index of the new line
+        lines.insert(at, line)
+        with pytest.raises(ModelFileError, match="^line %d: %s" % (at + 1, re.escape(message))):
+            load_model(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_transition_line_without_transitions(self, rng):
+        seqs = [Sequence(tokens=[("a",), ("b",)], gold=["t0", "t1"])]
+        model = build_model(seqs, "U00:%x[0,0]\n", n_columns=1)
+        model.weights[:] = 1.0
+        text = _saved_text(model) + "T\tt0\tt1\t0.5\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ModelFileError, match="^line %d: transition feature in a model "
+                                                 "without transitions" % lineno):
+            load_model(io.StringIO(text))
+
+    @pytest.mark.parametrize("keep", [0, 1, 2, 3, 4])
+    def test_truncated_header(self, keep):
+        header = ["version\t1", "columns\t1", "tags\tt0", "config\t{}", "templates-begin"]
+        missing = ["version", "columns", "tags", "config", "templates-begin"][keep]
+        text = "".join(line + "\n" for line in header[:keep])
+        with pytest.raises(ModelFileError, match="truncated model file: missing '%s' line"
+                                                 % missing):
+            load_model(io.StringIO(text))
+
+    def test_missing_templates_end(self):
+        text = "version\t1\ncolumns\t1\ntags\tt0\nconfig\t{}\ntemplates-begin\nU00:%x[0,0]\n"
+        with pytest.raises(ModelFileError, match="missing 'templates-end'"):
+            load_model(io.StringIO(text))
+
+    def test_duplicate_names_its_line(self, rng):
+        model, _ = _toy_model(rng)
+        lines = _saved_text(model).splitlines()
+        first = _first_feature(lines)
+        dup = lines[first + 3]
+        # blank lines before and after the repeat must not shift its number
+        lines[first + 1 : first + 1] = ["", ""]
+        lines += ["", dup, lines[first]]
+        message = "line %d: duplicate feature %r" % (len(lines) - 1, "\t".join(dup.split("\t")[:3]))
+        with pytest.raises(ModelFileError, match="^" + re.escape(message)):
+            load_model(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_line_faults_come_before_duplicates(self, rng):
+        model, _ = _toy_model(rng)
+        lines = _saved_text(model).splitlines()
+        lines += [lines[_first_feature(lines)], "E\tU00=w0\tt0\tbad"]
+        with pytest.raises(ModelFileError, match="^line %d: bad weight" % len(lines)):
+            load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+class TestModelFileLayout:
+    def test_blank_lines_and_crlf_in_body(self, rng):
+        model, _ = _toy_model(rng)
+        lines = _saved_text(model).splitlines()
+        start = _first_feature(lines)
+        lines[start:start] = [""]
+        lines.insert(start + 5, "")
+        lines.append("")
+        for text in ("\r\n".join(lines) + "\r\n", "\n".join(lines) + "\n\n\n"):
+            loaded = load_model(io.StringIO(text))
+            assert loaded.weights.tobytes() == model.weights.tobytes()
+            assert loaded.template_text == model.template_text
+
+    @pytest.mark.parametrize("chars", [1, 2, 7, 64])
+    def test_lines_cut_by_reader_blocks(self, rng, tmp_path, monkeypatch, chars):
+        model, _ = _toy_model(rng)
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        monkeypatch.setattr(dataio, "_READ_CHARS", chars)
+        assert load_model(path).weights.tobytes() == model.weights.tobytes()
+        crlf = path.read_text().replace("\n", "\r\n")  # a cut may fall between \r and \n
+        assert load_model(io.StringIO(crlf)).weights.tobytes() == model.weights.tobytes()
+        lines = path.read_text().splitlines()
+        lines.insert(len(lines) - 2, "E\tcut\tt0")
+        with pytest.raises(ModelFileError, match="^line %d: corrupt" % (len(lines) - 2)):
+            load_model(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_streaming_memory(self, tmp_path):
+        """On a dense model of a few MB, loading holds at most twice the file
+        size and saving at most the file size (tracemalloc peaks)."""
+        K, rows = 20, 4000
+        seqs = [Sequence(tokens=[("w%d" % i,) for i in range(rows)],
+                         gold=["t%d" % (i % K) for i in range(rows)])]
+        model = build_model(seqs, "U00:%x[0,0]\nB\n", n_columns=1)
+        model.weights[:] = np.random.default_rng(3).normal(size=model.index.n_features)
+        path = tmp_path / "dense.model"
+        save_model(model, path)
+        size = path.stat().st_size
+        assert size > 2_500_000
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            save_model(loaded, tmp_path / "again.model")
+            save_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+        assert load_peak <= 2 * size
+        assert save_peak <= size

@@ -7,9 +7,12 @@ and Viterbi against enumeration on tie-heavy lattices, stacks of lattices
 against the same lattices one at a time, and CoNLL and model-file round
 trips with arbitrary non-whitespace token and tag strings.  The feature
 expectation kernel and the sparse weight update against the per-item loops
-they replace, bit for bit.
+they replace, bit for bit, and the block-streaming model writer against the
+per-cell writer it replaces, byte for byte.
 """
 
+import io
+import json
 import math
 import os
 import tempfile
@@ -39,7 +42,7 @@ from sapo import (
     score_sequence,
     viterbi,
 )
-from sapo import training
+from sapo import dataio, training
 from sapo.features import (
     SPARSE,
     compile_sequence,
@@ -491,3 +494,61 @@ def test_conll_and_model_files_round_trip(corpus, data):
     assert loaded.template_text == model.template_text
     assert loaded.meta == model.meta
     assert _weight_map(loaded) == _weight_map(model)
+
+
+def _reference_model_text(model):
+    """A model file as the per-cell writer wrote it: every cell of both tables
+    in row order, zeros (and -0.0) left out, weights in shortest ``%r`` form."""
+    tags = model.tagset.tags
+    text = model.template_text
+    if text and not text.endswith("\n"):
+        text += "\n"
+    out = ["version\t1\n", "columns\t%d\n" % model.n_columns, "tags\t%s\n" % "\t".join(tags),
+           "config\t%s\n" % json.dumps(model.meta, sort_keys=True), "templates-begin\n", text,
+           "templates-end\n"]
+    tables = zip("ET", weight_views(model.weights, model.index), (model.index.raw_strings, tags))
+    for kind, table, names in tables:
+        for name, row in zip(names, table):
+            for tag, w in zip(tags, row.tolist()):
+                if w != 0.0:
+                    out.append("%s\t%s\t%s\t%r\n" % (kind, name, tag, w))
+    return "".join(out)
+
+
+EDGE_WEIGHTS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16, 1e-5, 0.1 + 0.2, 1e300]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_model_writer_bytes_equal_per_cell_writer(data):
+    K = data.draw(st.integers(1, 4), label="K")
+    block = data.draw(st.sampled_from([dataio._WRITE_CELLS, 1, 7]), label="writer block")
+    # up to several blocks of rows; at the real block size, sometimes just over one block
+    n_words = data.draw(st.integers(1, 3 * max(1, block // K)) if block < 100
+                        else st.sampled_from([1, 5, 40, block // K + 3]), label="rows")
+    tags = ["t%d" % k for k in range(K)]
+    seq = Sequence(tokens=[("w%d" % (i % n_words),) for i in range(max(n_words, K))],
+                   gold=[tags[i % K] for i in range(max(n_words, K))])
+    model = build_model([seq], data.draw(st.sampled_from(["U00:%x[0,0]\nB\n", "U00:%x[0,0]"])), 1)
+    pool = data.draw(st.lists(EDGE_WEIGHTS | st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=1, max_size=6))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    cells = np.random.default_rng(seed).choice(np.array(pool + [0.0]), model.index.n_features)
+    model.weights[:] = cells
+    model.meta = {"seed": seed}
+    out = io.StringIO()
+    with mock.patch.object(dataio, "_WRITE_CELLS", block):
+        save_model(model, out)
+    assert out.getvalue() == _reference_model_text(model)
+
+    loaded = load_model(io.StringIO(out.getvalue()))
+    # rows without a nonzero weight are not stored, and -0.0 is stored as nothing
+    emit, trans = weight_views(model.weights, model.index)
+    kept = (emit != 0.0).any(axis=1)
+    assert loaded.index.raw_strings == [r for r, k in zip(model.index.raw_strings, kept) if k]
+    want = np.concatenate([emit[kept].ravel(), trans.ravel() if model.index.transitions else []])
+    assert loaded.weights.tobytes() == (want + 0.0).tobytes()
+    if kept.all():
+        assert loaded.weights.tobytes() == (model.weights + 0.0).tobytes()
