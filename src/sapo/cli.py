@@ -23,7 +23,7 @@ from .dataio import (
     write_text,
 )
 from .evaluation import chunk_f1, token_accuracy
-from .features import Sequence, TemplateError, compile_sequence, weight_views
+from .features import Sequence, TemplateError, compile_corpus, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostic, topn_distribution
 from .lattice import Lattice, astar_nbest, length_buckets, viterbi_tags
 from .training import (
@@ -213,7 +213,7 @@ def cmd_decode(args) -> int:
         raise UsageError("--nbest must be >= 1")
     model = load_model(args.model)
     corpus = _read_for_model(args.input, model)
-    compiled = [compile_sequence(model, seq) for seq in corpus.sequences]
+    compiled = compile_corpus(model, corpus.sequences)
     if args.nbest is not None:
         _write_nbest(corpus, compiled, model, args.nbest, args.output)
         print(

@@ -14,6 +14,14 @@ which keeps the dense weight vector reshapeable into an (n_raw, K)
 emission table and a (K, K) transition table.  Only this module applies the
 layout: ``expected_features`` builds feature vectors, ``weight_views`` the tables.
 
+Extraction works a template at a time over a whole corpus: every atom's cells
+come from the corpus's token columns at once, each observation template's raw
+strings and ``%v`` values are built for every position (``_observations``), and
+their ids are looked up in one pass.  ``build_feature_index`` numbers raw strings
+in first-seen (sequence, position, template) order.  ``compile_corpus`` splits one
+id array into each sequence's compiled form; ``compile_sequence`` and
+``position_features`` are its one-sequence cases.
+
 A compiled sequence holds its position features as arrays (raw ids, values and
 each position's feature count).  A sparse vector, an E[F] or an update, is an
 array of ``SPARSE`` (id, value) records sorted by id and free of duplicates;
@@ -22,11 +30,11 @@ array of ``SPARSE`` (id, value) records sorted by id and free of duplicates;
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from operator import add
+from itertools import chain, repeat
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -186,51 +194,98 @@ def has_transitions(templates) -> bool:
     return any(t.transition for t in templates)
 
 
-def _cell(tokens, pos, col, n_columns):
-    """Token column lookup; out-of-range rows read a reserved boundary symbol."""
-    if col >= n_columns:
-        raise TemplateError(
-            "unknown column reference %d (data has %d columns)" % (col, n_columns)
-        )
-    if pos < 0:
-        return "_B-%d_" % (-pos)
-    if pos >= len(tokens):
-        return "_B+%d_" % (pos - len(tokens) + 1)
-    return tokens[pos][col]
+def _float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _observations(token_lists, templates, n_columns, t=None):
+    """Every observation template's raw string and value at every position of a corpus.
+
+    Returns (strings, values, fired): object, float and bool arrays with one row per
+    position in (sequence, position) order, or one row for position ``t`` of a
+    one-sequence corpus, and one column per observation template.  ``fired`` is false
+    where a ``%v`` atom falls beyond the boundary or reads 0.  Cells are gathered for
+    every atom at once from the corpus's token columns; rows out of range read the
+    reserved boundary symbols ``_B-d_`` and ``_B+d_``.  Raises the TemplateError of the
+    first failing (position, template): a template's atoms fail in order, and a ``%v``
+    atom beyond the boundary stops its template at that position.
+    """
+    obs = [tpl for tpl in templates if not tpl.transition]
+    atoms = [atom for tpl in obs for atom in tpl.atoms]
+    lengths = np.fromiter(map(len, token_lists), np.intp, len(token_lists))
+    tokens = list(chain.from_iterable(token_lists))
+    if len(set(map(len, tokens))) > 1:
+        k, width = next((k, w) for k, w in enumerate(map(len, tokens)) if w != len(tokens[0]))
+        raise ExtractionError("sequence %d has a token of %d columns, expected %d" % (
+            lengths.cumsum().searchsorted(k, side="right"), width, len(tokens[0])))
+    T = lengths.repeat(lengths)
+    start = (lengths.cumsum() - lengths).repeat(lengths)  # flat index of the sequence's token 0
+    pos = np.arange(len(tokens)) - start
+    if t is not None:
+        T, start, pos = T[:1], start[:1], np.array([t])
+    # (atom, row): the atom's position in its sequence, and the cell it reads there from
+    # the token columns it names, laid end to end (an unknown column reads "")
+    p = pos + np.array([atom.row for atom in atoms], dtype=np.intp)[:, None]
+    before, out = p < 0, (p < 0) | (p >= T)
+    named = sorted({min(atom.col, n_columns) for atom in atoms})
+    table = np.concatenate([np.fromiter(map(itemgetter(col), tokens), object, len(tokens))
+                            if col < n_columns else np.full(len(tokens), "", object)
+                            for col in named] or [np.empty(0, object)])
+    block = np.array([named.index(min(atom.col, n_columns)) for atom in atoms], dtype=np.intp)
+    cells = table[np.where(out, 0, start + p) + block[:, None] * len(tokens)]
+    cells[out] = ["_B%+d_" % d for d in np.where(before, p, p - T + 1)[out].tolist()]
+
+    values = np.ones((len(pos), len(obs)))
+    fired = np.ones(values.shape, bool)
+    failures = []  # (row, template column, message): each failing atom's first row
+    prefixes, firsts = [], []  # each atom's string prefix; each template's first atom
+    for j, tpl in enumerate(obs):
+        alive = fired[:, j]  # a view: the rows where the template has not stopped
+        firsts.append(len(prefixes))
+        head = tpl.name + "="
+        for a, atom in enumerate(tpl.atoms, len(prefixes)):
+            prefixes.append("" if atom.numeric else head)
+            head = head if atom.numeric else "/"
+            if atom.numeric:
+                alive &= ~out[a]  # no numeric cell to read beyond the boundary
+            if atom.col >= n_columns:
+                if alive.any():
+                    failures.append((int(alive.argmax()), j, "unknown column reference %d "
+                                     "(data has %d columns)" % (atom.col, n_columns)))
+                alive[:] = False
+            elif atom.numeric:
+                rows = alive.nonzero()[0]
+                read = cells[a, rows].tolist()
+                parsed = {cell: _float(cell) for cell in set(read)}
+                got = np.array(list(map(parsed.__getitem__, read)), dtype=float)  # None: nan
+                bad = ~np.isfinite(got)
+                if bad.any():
+                    k = int(bad.argmax())
+                    failures.append((int(rows[k]), j, "template %s: %s cell %r for %%v atom" % (
+                        tpl.name, "non-numeric" if parsed[read[k]] is None else "non-finite",
+                        read[k])))
+                    alive[rows[bad]] = False
+                values[rows, j] = got
+                cells[a] = ""
+        if head != "/":  # no %x atom: the string is the name alone
+            prefixes[-1] = head
+    if failures:
+        raise TemplateError(min(failures)[2])
+    fired &= values != 0.0
+    # A template's string: the name, "=", then its %x cells joined by "/".
+    pieces = np.array(prefixes, dtype=object)[:, None] + cells
+    strings = np.add.reduceat(pieces, np.array(firsts, dtype=np.intp), axis=0).T
+    return strings, values, fired
 
 
 def position_features(tokens, t, templates, n_columns):
     """Raw (string, value) observation features fired at position ``t``."""
-    out = []
-    for tpl in templates:
-        if tpl.transition:
-            continue
-        parts = []
-        value = 1.0
-        skip = False
-        for atom in tpl.atoms:
-            pos = t + atom.row
-            if atom.numeric:
-                if pos < 0 or pos >= len(tokens):
-                    skip = True  # no numeric cell to read beyond the boundary
-                    break
-                cell = _cell(tokens, pos, atom.col, n_columns)
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise TemplateError(
-                        "template %s: non-numeric cell %r for %%v atom" % (tpl.name, cell)
-                    ) from None
-                if not math.isfinite(value):
-                    raise TemplateError(
-                        "template %s: non-finite cell %r for %%v atom" % (tpl.name, cell)
-                    )
-            else:
-                parts.append(_cell(tokens, pos, atom.col, n_columns))
-        if skip or value == 0.0:
-            continue
-        out.append((tpl.name + "=" + "/".join(parts), value))
-    return out
+    strings, values, fired = _observations([tokens], templates, n_columns, t)
+    return [(raw, value) for raw, value, f in
+            zip(strings[0].tolist(), values[0].tolist(), fired[0].tolist()) if f]
 
 
 class FeatureIndex:
@@ -283,14 +338,19 @@ class FeatureIndex:
 
 
 def build_feature_index(sequences, templates, tagset, n_columns, compiled=None) -> FeatureIndex:
-    """Scan a labeled training corpus once and return the frozen feature index.
-    Given a list as ``compiled``, the scan appends each sequence's compiled form."""
+    """Scan a labeled training corpus once and return the frozen feature index, raw ids in
+    first-seen (sequence, position, template) order.  Given a list as ``compiled``, the
+    scan appends each sequence's compiled form."""
     index = FeatureIndex(num_tags=len(tagset), transitions=has_transitions(templates))
-    scanned = [_pos_feats(seq.tokens, templates, n_columns, index.add_raw) for seq in sequences]
+    token_lists = [seq.tokens for seq in sequences]
+    obs = _observations(token_lists, templates, n_columns)
+    strings, _, fired = obs
+    for raw in dict.fromkeys(strings[fired].tolist()):
+        index.add_raw(raw)
     index.freeze()
     if compiled is not None:
-        for seq, pos_feats in zip(sequences, scanned):
-            compiled.append(_compiled(pos_feats, tagset.ids(seq.gold), index))
+        compiled.extend(_split(token_lists, [tagset.ids(seq.gold) for seq in sequences], obs,
+                               index))
     return index
 
 
@@ -318,41 +378,57 @@ class CompiledSequence:
         return pos, rows * self.K, rows.searchsorted(self.rids) * self.K
 
 
-def _compiled(pos_feats, gold, index) -> CompiledSequence:
-    flat = [f for feats in pos_feats for f in feats]
-    counts = np.array([len(feats) for feats in pos_feats], dtype=np.intp)
-    rids = np.array([rid for rid, _ in flat], dtype=np.intp)
-    vals = np.array([value for _, value in flat], dtype=float)
+def _split(token_lists, golds, observations, index) -> list[CompiledSequence]:
+    """Each sequence's compiled form from its corpus's ``_observations``: the fired
+    features the frozen index holds, unseen strings dropped."""
+    strings, values, fired = observations
+    flat = strings[fired].tolist()
+    rids = np.fromiter(map(index.raw_ids.get, flat, repeat(-1)), np.intp, len(flat))
+    held, seen = fired.copy(), rids >= 0
+    held[fired] = seen
+    rids, vals, counts = rids[seen], values[held], held.sum(axis=1, dtype=np.intp)
+    ends = np.fromiter(map(len, token_lists), np.intp, len(token_lists)).cumsum()
+    offsets = counts.cumsum()[ends - 1].tolist()
     trans_base = index.transition_base if index.transitions else None
-    return CompiledSequence(gold, trans_base, index.num_tags, rids, vals, counts)
-
-
-def _pos_feats(tokens, templates, n_columns, rid_of):
-    """Per position, the (raw_id, value) features whose ``rid_of`` id is not None."""
-    out = []
-    for t in range(len(tokens)):
-        feats = position_features(tokens, t, templates, n_columns)
-        out.append([(rid, value) for raw, value in feats if (rid := rid_of(raw)) is not None])
+    out, a, s = [], 0, 0
+    for gold, b, e in zip(golds, offsets, ends.tolist()):
+        out.append(CompiledSequence(gold, trans_base, index.num_tags, rids[a:b], vals[a:b],
+                                    counts[s:e]))
+        a, s = b, e
     return out
 
 
-def _index_sequence(tokens, templates, index, gold):
-    """Position features resolved against a frozen index; unseen are dropped."""
-    return _compiled(_pos_feats(tokens, templates, len(tokens[0]), index.raw_ids.get), gold, index)
+def compile_corpus(m: Model, sequences, labeled: bool = False) -> list[CompiledSequence]:
+    """Index every sequence's position features under the model in one corpus-wide pass;
+    raw strings the model has not seen are dropped.
+
+    With ``labeled`` each gold tagging is required and kept as tag ids; otherwise
+    ``gold`` is None.  The first failure in (sequence, position, template) order is
+    raised, a sequence's missing or unknown gold tags before its features' failures.
+    """
+    golds = [None] * len(sequences)
+    for i, seq in enumerate(sequences if labeled else ()):
+        try:
+            if seq.gold is None:
+                raise ExtractionError("sample has no gold tagging")
+            golds[i] = m.tagset.ids(seq.gold)
+        except ExtractionError:
+            compile_corpus(m, sequences[:i])  # an earlier sequence's failure comes first
+            raise
+    return _compile([seq.tokens for seq in sequences], golds, m.templates, m.index)
+
+
+def _compile(token_lists, golds, templates, index):
+    """Compiled sequences of token lists under templates and a frozen index."""
+    if not token_lists:
+        return []
+    obs = _observations(token_lists, templates, len(token_lists[0][0]))
+    return _split(token_lists, golds, obs, index)
 
 
 def compile_sequence(m: Model, seq: Sequence, labeled: bool = False) -> CompiledSequence:
-    """Index a sequence's position features under the model.
-
-    With ``labeled`` the gold tagging is required and returned as tag ids;
-    otherwise ``gold`` is None.
-    """
-    gold = None
-    if labeled:
-        if seq.gold is None:
-            raise ExtractionError("sample has no gold tagging")
-        gold = m.tagset.ids(seq.gold)
-    return _index_sequence(seq.tokens, m.templates, m.index, gold)
+    """:func:`compile_corpus` of one sequence."""
+    return compile_corpus(m, [seq], labeled)[0]
 
 
 SPARSE = np.dtype([("id", np.intp), ("value", float)])
@@ -420,7 +496,7 @@ def extract_features(x: Sequence, y, templates, index: FeatureIndex):
     for tag_id in y:
         if not (0 <= tag_id < K):
             raise ExtractionError("tag id %r outside tagset of size %d" % (tag_id, K))
-    return path_items(_index_sequence(x.tokens, templates, index, None), y, K).tolist()
+    return path_items(_compile([x.tokens], [None], templates, index)[0], y, K).tolist()
 
 
 def weight_views(weights: np.ndarray, index: FeatureIndex):

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import (Model, Sequence, compile_sequence, expected_features, path_items,
-                       sparse_sum, weight_views)
+from .features import (Model, Sequence, compile_corpus, compile_sequence, expected_features,
+                       path_items, sparse_sum, weight_views)
 from .lattice import (
     Lattice,
     NBestList,
@@ -164,7 +164,7 @@ def regularizer_value(weights: np.ndarray) -> float:
 
 def objective_value(m: Model, data, l2: float) -> float:
     """Negative regularized log-likelihood over a labeled dataset."""
-    compiled = [compile_sequence(m, z, labeled=True) for z in data]
+    compiled = compile_corpus(m, list(data), labeled=True)
     return compiled_objective(compiled, m.weights, m.index, l2)
 
 

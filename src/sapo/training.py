@@ -32,7 +32,7 @@ from .features import (
     Model,
     Sequence,
     build_model,
-    compile_sequence,
+    compile_corpus,
     dot_sparse,
     path_items,
     sparse_sum,
@@ -275,14 +275,18 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     if not sequences:
         raise ConfigError("training set is empty")
     held_sequences = _as_sequences(heldout) if heldout is not None else []
+    n_columns = len(sequences[0].tokens[0])
     for name, seqs in (("training", sequences), ("held-out", held_sequences)):
         for i, seq in enumerate(seqs):
             if seq.gold is None:
                 raise ConfigError("%s sequence %d has no gold tagging" % (name, i))
-    n_columns = len(sequences[0].tokens[0])
+            widths = set(map(len, seq.tokens)) - {n_columns}
+            if widths:
+                raise ConfigError("%s sequence %d has a token of %d columns; the training "
+                                  "corpus has %d" % (name, i, min(widths), n_columns))
     compiled = []
     model = build_model(sequences, template_text, n_columns, compiled)
-    held_compiled = [compile_sequence(model, seq, labeled=True) for seq in held_sequences]
+    held_compiled = compile_corpus(model, held_sequences, labeled=True)
 
     K = model.num_tags
     # (compiled sequence, oracle features F(x, y*)) per training sample

@@ -91,6 +91,18 @@ class TestTrain:
         assert code == 1
         assert "template U00: non-finite cell 'nan'" in capsys.readouterr().err
 
+    def test_heldout_column_count_mismatch_rejected(self, tmp_path, capsys):
+        data, held = tmp_path / "train.conll", tmp_path / "held.conll"
+        data.write_text("a\tX\nb\tY\n\nb\tY\n")
+        held.write_text("a\tz\tX\nb\tz\tY\n")  # two observation columns against one
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%x[0,0]\n")
+        code = main(["train", "--algo", "perc", "--train", str(data), "--heldout", str(held),
+                     "--templates", str(tpl), "--epochs", "1"])
+        assert code == 1
+        assert ("held-out sequence 0 has a token of 2 columns; the training corpus has 1"
+                in capsys.readouterr().err)
+
     def test_non_finite_l2_rejected(self, workdir, capsys):
         code, _, _ = _train(workdir, "--l2", "nan")
         assert code == 1
@@ -202,6 +214,42 @@ class TestDecode:
             "decode", "--model", str(workdir / "none.model"),
             "--input", str(workdir / "train.conll"), "--output", str(workdir / "x"),
         ]) == 2
+
+    @pytest.mark.parametrize("cell, kind", [("oops", "non-numeric"), ("inf", "non-finite")])
+    def test_bad_value_cell_rejected(self, tmp_path, capsys, cell, kind):
+        data = tmp_path / "train.conll"
+        data.write_text("a\t0.5\tX\nb\t2\tY\n")
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%x[0,0]\nV01:%v[0,1]\nB\n")
+        model = tmp_path / "model.txt"
+        assert main(["train", "--algo", "perc", "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "1", "--model-out", str(model)]) == 0
+        probe = tmp_path / "probe.conll"
+        probe.write_text("a\t1\nb\t0\n\nb\t%s\na\t1\n" % cell)
+        capsys.readouterr()
+        for extra in ((), ("--nbest", "2")):
+            assert main(["decode", "--model", str(model), "--input", str(probe),
+                         "--output", str(tmp_path / "out.conll"), *extra]) == 1
+            assert ("template V01: %s cell %r for %%v atom" % (kind, cell)
+                    in capsys.readouterr().err)
+
+    def test_short_sequences_and_unseen_words(self, workdir, tmp_path):
+        from sapo import load_model
+
+        code, model, _ = _train(workdir)
+        assert code == 0
+        probe = tmp_path / "probe.conll"
+        words = ["w0", "never-seen", "w1", "zzz", "w2", "w3"]
+        blocks = [["zzz"], ["w1"], words, ["never-seen"], words[:2], ["w3"]]
+        probe.write_text("\n".join("".join(w + "\n" for w in block) for block in blocks))
+        out = tmp_path / "out.conll"
+        assert main(["decode", "--model", str(model), "--input", str(probe),
+                     "--output", str(out)]) == 0
+        got = [[line.split("\t") for line in block.splitlines()]
+               for block in out.read_text().strip("\n").split("\n\n")]
+        assert [[row[0] for row in block] for block in got] == blocks
+        tags = set(load_model(model).tagset)
+        assert all(len(row) == 2 and row[1] in tags for block in got for row in block)
 
     def test_column_mismatch(self, workdir, tmp_path):
         code, model, _ = _train(workdir)

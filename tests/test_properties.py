@@ -24,12 +24,18 @@ from hypothesis import strategies as st
 
 from sapo import (
     Corpus,
+    FeatureIndex,
     Lattice,
+    Model,
     Sequence,
+    Tagset,
+    TemplateError,
     astar_nbest,
     beam_nbest,
     build_lattice,
+    build_feature_index,
     build_model,
+    compile_templates,
     crf_stochastic_gradient,
     enumerate_all,
     load_model,
@@ -45,6 +51,7 @@ from sapo import (
 from sapo import dataio, training
 from sapo.features import (
     SPARSE,
+    compile_corpus,
     compile_sequence,
     path_items,
     position_features,
@@ -552,3 +559,136 @@ def test_model_writer_bytes_equal_per_cell_writer(data):
     assert loaded.weights.tobytes() == (want + 0.0).tobytes()
     if kept.all():
         assert loaded.weights.tobytes() == (model.weights + 0.0).tobytes()
+
+
+# The corpus compile against the per-position extraction it replaced.  Some cases draw
+# cells from the whole pool, so %v atoms meet non-numeric and non-finite cells, and some
+# draw a column past the data, so both paths must fail with the same message.
+CELLS = ("a", "b", "0", "-0.5", "1", "2.5", "x", "nan")
+
+
+def _reference_features(tokens, t, templates, n_columns):
+    """Raw (string, value) features at position ``t``, one atom at a time."""
+    def cell(pos, col):
+        if col >= n_columns:
+            raise TemplateError("unknown column reference %d (data has %d columns)"
+                                % (col, n_columns))
+        if pos < 0:
+            return "_B-%d_" % (-pos)
+        if pos >= len(tokens):
+            return "_B+%d_" % (pos - len(tokens) + 1)
+        return tokens[pos][col]
+
+    out = []
+    for tpl in templates:
+        if tpl.transition:
+            continue
+        parts, value, skip = [], 1.0, False
+        for atom in tpl.atoms:
+            pos = t + atom.row
+            if not atom.numeric:
+                parts.append(cell(pos, atom.col))
+                continue
+            if pos < 0 or pos >= len(tokens):
+                skip = True  # no numeric cell to read beyond the boundary
+                break
+            text = cell(pos, atom.col)
+            try:
+                value = float(text)
+            except ValueError:
+                raise TemplateError("template %s: non-numeric cell %r for %%v atom"
+                                    % (tpl.name, text)) from None
+            if not math.isfinite(value):
+                raise TemplateError("template %s: non-finite cell %r for %%v atom"
+                                    % (tpl.name, text))
+        if not skip and value != 0.0:
+            out.append((tpl.name + "=" + "/".join(parts), value))
+    return out
+
+
+def _reference_compile(seqs, templates, n_columns, rid_of):
+    """Per sequence (rids, vals, counts): each position's features whose ``rid_of`` id
+    is not None, positions in order."""
+    out = []
+    for seq in seqs:
+        feats = [[(rid, value) for raw, value in
+                  _reference_features(seq.tokens, t, templates, n_columns)
+                  if (rid := rid_of(raw)) is not None] for t in range(len(seq))]
+        flat = [f for fs in feats for f in fs]
+        out.append((np.array([rid for rid, _ in flat], dtype=np.intp),
+                    np.array([value for _, value in flat], dtype=float),
+                    np.array([len(fs) for fs in feats], dtype=np.intp)))
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as e:  # the type and message are compared
+        return type(e), str(e)
+
+
+def _same_arrays(got, want):
+    assert len(got) == len(want)
+    for cs, (rids, vals, counts) in zip(got, want):
+        for a, b in ((cs.rids, rids), (cs.vals, vals), (cs.counts, counts)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def extraction_cases(draw):
+    """(training corpus, decode corpus, templates, column count)."""
+    n_columns = draw(st.integers(1, 3))
+    cells = st.sampled_from(CELLS if draw(st.booleans()) else CELLS[:6])
+    cols = st.integers(0, n_columns - (draw(st.integers(0, 3)) > 0))  # sometimes one too far
+
+    def corpus(words):
+        seqs = []
+        for _ in range(draw(st.integers(1, 4))):
+            T = draw(st.integers(1, 6))
+            tokens = [(draw(st.sampled_from(words)),) + tuple(draw(st.lists(
+                cells, min_size=n_columns - 1, max_size=n_columns - 1))) for _ in range(T)]
+            seqs.append(Sequence(tokens=tokens, gold=["t"] * T))
+        return seqs
+
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        n_atoms = draw(st.integers(1, 3))
+        numeric = draw(st.integers(-1, n_atoms - 1))  # which atom is %v; -1: none
+        lines.append("U%d:" % i + "/".join(
+            "%%%s[%d,%d]" % ("v" if k == numeric else "x", draw(st.integers(-3, 3)), draw(cols))
+            for k in range(n_atoms)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "B")
+    return corpus(CELLS[:4]), corpus(CELLS), compile_templates("\n".join(lines)), n_columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(extraction_cases())
+def test_corpus_compile_equals_per_position_extraction(case):
+    train, probe, templates, n_columns = case
+    tagset = Tagset(["t"])
+    ref = FeatureIndex(1, any(t.transition for t in templates))
+    want = _outcome(lambda: _reference_compile(train, templates, n_columns, ref.add_raw))
+    compiled = []
+    index = _outcome(lambda: build_feature_index(train, templates, tagset, n_columns, compiled))
+    for seq in train:
+        for t in range(len(seq)):
+            assert (_outcome(lambda: position_features(seq.tokens, t, templates, n_columns))
+                    == _outcome(lambda: _reference_features(seq.tokens, t, templates,
+                                                            n_columns)))
+    if isinstance(want, tuple):
+        assert index == want
+        return
+    assert index.raw_strings == ref.raw_strings
+    _same_arrays(compiled, want)
+    assert [cs.gold for cs in compiled] == [[0] * len(seq) for seq in train]
+
+    model = Model(tagset, index, templates, np.zeros(index.n_features), n_columns)
+    want = _outcome(lambda: _reference_compile(probe, templates, n_columns, index.raw_ids.get))
+    got = _outcome(lambda: compile_corpus(model, probe))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    _same_arrays(got, want)
+    _same_arrays([compile_sequence(model, seq, labeled=True) for seq in probe], want)

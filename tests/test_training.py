@@ -86,6 +86,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="empty"):
             train_sapo([], None, cfg, TEMPLATES)
 
+    @pytest.mark.parametrize("held", [False, True])
+    def test_token_column_count_mismatch_rejected(self, held):
+        good = Sequence(tokens=[("a", "1"), ("b", "2")], gold=["X", "Y"])
+        short = Sequence(tokens=[("a", "1"), ("b",)], gold=["X", "Y"])
+        data, heldout = ([good], [good, short]) if held else ([good, short], None)
+        where = "held-out sequence 1" if held else "training sequence 1"
+        with pytest.raises(ConfigError, match="%s has a token of 1 columns; the training "
+                           "corpus has 2" % where):
+            train(data, heldout, TrainConfig(algorithm="perc", epochs=1),
+                  "U00:%x[0,0]\nU01:%x[0,1]\n")
+
     def test_unlabeled_data_rejected(self):
         cfg = TrainConfig(algorithm="sapo", epochs=1)
         data = [Sequence(tokens=[("a",)], gold=None)]
