@@ -25,7 +25,7 @@ from .dataio import (
 from .evaluation import chunk_f1, token_accuracy
 from .features import Sequence, TemplateError, compile_corpus, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostic, topn_distribution
-from .lattice import Lattice, astar_nbest, length_buckets, viterbi_tags
+from .lattice import astar_nbest, length_buckets, viterbi_tags
 from .training import (
     ALGORITHMS,
     METRICS,
@@ -191,19 +191,18 @@ def _read_for_model(path, model):
 
 def _write_nbest(corpus, compiled, model, n, path):
     nbest = [None] * len(compiled)
-    for idx, lat in length_buckets(compiled, weight_views(model.weights, model.index)):
-        for i, emit in zip(idx, lat.emit):
-            nbest[i] = topn_distribution(astar_nbest(Lattice(emit, lat.trans), n))
-    out = []
+    for idx, lat in length_buckets(compiled, weight_views(model.weights, model.index), n):
+        for i, nb in zip(idx, astar_nbest(lat, n)):
+            nbest[i] = topn_distribution(nb)
+    tags, out = model.tagset.tags, []
     for si, (seq, nb) in enumerate(zip(corpus.sequences, nbest)):
+        # Each token's columns, built once per sequence rather than per candidate.
+        prefixes = ["".join(col + "\t" for col in token) for token in seq.tokens]
+        if seq.gold is not None:
+            prefixes = [p + gold + "\t" for p, gold in zip(prefixes, seq.gold)]
         for rank, (cand, score, prob) in enumerate(nb.entries, start=1):
             out.append("# seq=%d rank=%d score=%r prob=%r\n" % (si, rank, score, prob))
-            for t, token in enumerate(seq.tokens):
-                cols = list(token)
-                if seq.gold is not None:
-                    cols.append(seq.gold[t])
-                cols.append(model.tagset.tag(cand[t]))
-                out.append("\t".join(cols) + "\n")
+            out.extend(p + tags[k] + "\n" for p, k in zip(prefixes, cand))
             out.append("\n")
     write_text(path, "".join(out))
 

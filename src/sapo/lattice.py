@@ -9,8 +9,13 @@ by rank.  Unpruned (n or beam width >= K^T), the path lists are identical
 too; otherwise paths differ only where the float accumulation makes a tie.
 
 An ``emit`` of shape (B, T, K) is a stack of B equal-length lattices sharing
-``trans``, built by :func:`length_buckets`; :func:`viterbi` and :func:`path_score`
-take stacks, and the search's n = 1 step treats one lattice as a stack of one.
+``trans``, built by :func:`length_buckets`.  :func:`viterbi`, :func:`path_score`
+and :func:`astar_nbest` take stacks and return one result per lattice, for
+:func:`astar_nbest` one NBestList each.  Exact search runs a whole stack at
+once unless n*K^2 exceeds ``_DENSE_CELLS``: the ``g + h`` cut then leaves each
+lattice its own number of survivors, and the lattices are searched one at a
+time.  :func:`beam_nbest` takes no stack.  The search's n = 1 step treats one
+lattice as a stack of one.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .features import position_features  # noqa: F401, E402
 ENUMERATION_LIMIT = 10**6
 # Cells per step (n*K^2) above which the g + h cut beats sorting every tag's n*K.
 _DENSE_CELLS = 1024
-# Bound on B*K*max(K, T) for a stack: the cells of its tables and per-step temporaries.
+# Bound on B*K*max(n*K, T) for a stack: the cells of its tables and per-step temporaries.
 _STACK_CELLS = 2**18
 
 
@@ -86,16 +91,21 @@ def compiled_lattice(cs, views, scale=1.0) -> Lattice:
     return Lattice(emit=emit, trans=trans_w.copy())
 
 
-def length_buckets(compiled, views):
+def length_buckets(compiled, views, n=1):
     """(indices, stacked lattice) of each group of equal-length compiled
-    sequences, split to keep within ``_STACK_CELLS``."""
+    sequences, split to keep within ``_STACK_CELLS`` both a stack's tables
+    (B*T*K cells) and the up to B*n*K^2 cells of its top-n search step.
+    Where the ``g + h`` cut applies, :func:`astar_nbest` searches the lattices
+    one at a time, so those buckets are sized as for n = 1."""
     emit_w, trans_w = views
     K = emit_w.shape[1]
+    if _cuts(n, K):
+        n = 1
     by_length = {}
     for i, cs in enumerate(compiled):
         by_length.setdefault(len(cs.counts), []).append(i)
     for T, members in by_length.items():
-        size = max(1, _STACK_CELLS // (K * max(K, T)))
+        size = max(1, _STACK_CELLS // (K * max(n * K, T)))
         for idx in (members[lo : lo + size] for lo in range(0, len(members), size)):
             emit = emission_scores([compiled[i] for i in idx], emit_w)
             yield idx, Lattice(emit=emit.reshape(len(idx), T, K), trans=trans_w)
@@ -148,6 +158,12 @@ def backward_viterbi(l: Lattice) -> np.ndarray:
     return h
 
 
+def _cuts(n, K):
+    """Whether exact top-n search prunes by ``g + h``: its n*K^2 step cells
+    exceed ``_DENSE_CELLS``.  Lattices then keep ragged survivor counts."""
+    return n > 1 and n * K * K > _DENSE_CELLS
+
+
 def _search(l: Lattice, n: int, width=None):
     """The one search: exact top n or, with ``width``, beam.
 
@@ -157,19 +173,22 @@ def _search(l: Lattice, n: int, width=None):
     keeps each tag's n best extensions by (score before the emission they
     share, descending; rank ascending); float addition is monotone, so every
     prefix of a top-n tagging survives.  Beam keeps the ``width`` best, ties by key.
-    At n = 1 exact, ``l`` may be a stack of B lattices: a step's survivors are
-    the lattices' K each in turn, and the result is a list of B (path, score).
+
+    Exact search without the ``g + h`` cut also takes a stack of B lattices:
+    each then keeps the same number R of survivors, the (B*R, K) table holds
+    the lattices' tables in turn and a step selects within each lattice.
+    Returns (paths, scores), the lattices' top-n lists one after another.
     """
     T, K, trans = l.T, l.K, l.trans
-    if l.emit.ndim == 3 and (n > 1 or width is not None):
-        raise ValueError("only the exact n = 1 search takes a stack of lattices")
     B = l.emit.size // (T * K)
+    cut = width is None and _cuts(n, K)
+    if l.emit.ndim == 3 and (cut or width is not None):
+        raise ValueError("beam search and the g + h cut take one lattice, not a stack")
     emit = l.emit.reshape(B, T, K).transpose(1, 0, 2).reshape(T, B * K)
-    offset = np.arange(K)  # key of (row 0, tag), plus each lattice's first key in a stack
-    if B > 1:
-        start = np.repeat(np.arange(0, B * K, K), K)  # first survivor of a survivor's lattice
+    offset = np.arange(K)  # key of (row 0, tag); at n = 1, plus each lattice's first key
+    if B > 1 and n == 1:
+        start = np.repeat(np.arange(0, B * K, K), K)  # first column of a survivor's lattice
         offset = offset + start[::K, None] * K
-    cut = width is None and n > 1 and n * K * K > _DENSE_CELLS
     if cut:
         eh = backward_viterbi(l)
         eh[1:] += emit[1:]  # from step 1 on, cand lacks the emission
@@ -206,8 +225,12 @@ def _search(l: Lattice, n: int, width=None):
             if n == 1 and len(cand) > 1:  # each tag's best row, per lattice
                 rows = cand.reshape(B, K, K).argmax(1)
                 keys = np.sort(rows * K + offset, axis=1).ravel()
-            elif len(cand) > n:
-                rows = (-cand).argsort(0, kind="stable")[:n]
+            elif len(cand) > B * n:  # each tag's n best rows, per lattice
+                if B > 1:
+                    rows = (-cand.reshape(B, -1, K)).argsort(1, kind="stable")[:, :n]
+                    rows += np.arange(0, len(cand), len(cand) // B)[:, None, None]
+                else:  # the B = 1 case of the above, without its per-step overhead
+                    rows = (-cand).argsort(0, kind="stable")[:n]
                 keys = np.sort(rows * K + offset, axis=None)
         elif cand.size > width:
             flat = cand.ravel()
@@ -220,31 +243,34 @@ def _search(l: Lattice, n: int, width=None):
         g = cand.take(keys)
         tags = keys % K
         if t and width is None:
+            if B > 1 and n > 1:  # survivors per lattice change from step to step
+                start = keys // (cand.size // B) * K
             g += emit[t].take(tags + start if B > 1 else tags)
         history.append(keys)
     if n == 1:  # argmax per lattice of a stack
-        top = (g.reshape(B, -1).argmax(1) + np.arange(B) * (g.size // B)).tolist()
-    else:
-        top = (-g).argsort(kind="stable")[:n].tolist()
+        top = g.reshape(B, -1).argmax(1) + np.arange(B) * (g.size // B)
+    elif B == 1:  # as below, without its overhead
+        top = (-g).argsort(kind="stable")[:n]
+    else:  # each lattice's n best
+        top = (-g.reshape(B, -1)).argsort(1, kind="stable")[:, :n]
+        top = (top + np.arange(0, g.size, g.size // B)[:, None]).ravel()
+    scores = g.take(top).tolist()
     history = [keys.tolist() for keys in history]
     paths = []
-    for i in top:
+    for i in top.tolist():
         path = [0] * T
         for t in range(T - 1, -1, -1):
             i, path[t] = divmod(history[t][i], K)
         paths.append(tuple(path))
-    if l.emit.ndim == 3:
-        return list(zip(paths, g.take(top).tolist()))
-    exhausted = _count_at_most(K, T, len(paths)) == len(paths)
-    return NBestList(paths, g.take(top).tolist(), None, n, exhausted)
+    return paths, scores
 
 
 def viterbi(l: Lattice):
     """Highest-scoring tagging and its exact score, the search's top 1; ties
     go to the lexicographically smallest (see the module note on rounding).
     For a stack of lattices, the list of their (path, score) pairs."""
-    found = _search(l, 1)
-    return found if l.emit.ndim == 3 else (list(found.paths[0]), found.scores[0])
+    paths, scores = _search(l, 1)
+    return list(zip(paths, scores)) if l.emit.ndim == 3 else (list(paths[0]), scores[0])
 
 
 def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
@@ -266,13 +292,27 @@ def _count_at_most(K, T, cap):
     return total
 
 
+def _nbest_lists(l: Lattice, n, paths, scores):
+    """The search's output as the NBestList of a lattice, or a stack's list of them."""
+    m = len(paths) * l.T * l.K // l.emit.size  # entries per lattice
+    exhausted = _count_at_most(l.K, l.T, m) == m
+    if l.emit.ndim == 2:
+        return NBestList(paths, scores, None, n, exhausted)
+    return [NBestList(paths[i : i + m], scores[i : i + m], None, n, exhausted)
+            for i in range(0, len(paths), m)]
+
+
 def astar_nbest(l: Lattice, n: int) -> NBestList:
     """Exact top-n taggings (the ``--search astar`` mode), probabilities left
     unfilled.  Scores equal :func:`enumerate_all`'s first n; at n >= K^T so
-    do the paths."""
+    do the paths.  For a stack of lattices, the list of their NBestLists: one
+    search of the whole stack, or one per lattice where the ``g + h`` cut applies."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _search(l, n)
+    if l.emit.ndim == 3 and _cuts(n, l.K):
+        singles = (Lattice(emit, l.trans) for emit in l.emit)
+        return [_nbest_lists(one, n, *_search(one, n)) for one in singles]
+    return _nbest_lists(l, n, *_search(l, n))
 
 
 def beam_nbest(l: Lattice, n: int, beam: int) -> NBestList:
@@ -283,7 +323,7 @@ def beam_nbest(l: Lattice, n: int, beam: int) -> NBestList:
         raise ValueError("n must be >= 1")
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    return _search(l, n, beam)
+    return _nbest_lists(l, n, *_search(l, n, beam))
 
 
 def enumerate_all(l: Lattice) -> NBestList:

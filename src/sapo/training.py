@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .dataio import write_text
-from .evaluation import chunk_f1, token_accuracy
+from .evaluation import chunk_f1, token_accuracy, w_complexity
 from .features import (
     SPARSE,
     Model,
@@ -302,7 +302,6 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     rng = np.random.default_rng(cfg.seed)
     curve = TrainCurve()
     since_check = [0]
-    final_weights = None
 
     def checked_step(i, gamma, epoch):
         step(i, gamma)
@@ -321,9 +320,8 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
         if not state.finite():
             raise NonFiniteError(int(order[-1]), epoch, since_check[0])
         since_check[0] = 0
-        weights = state.averaged_weights() if averaged else state.current_weights()
+        weights = model.weights = state.averaged_weights() if averaged else state.current_weights()
         objective = compiled_objective(compiled, weights, model.index, cfg.l2)
-        wc = float(np.abs(weights).mean())
         held_metric = None
         if held_compiled and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             preds = viterbi_tags(model, held_compiled, weights)
@@ -333,16 +331,14 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
                 epoch=epoch,
                 objective=objective,
                 heldout_metric=held_metric,
-                w_complexity=wc,
+                w_complexity=w_complexity(model),
                 epoch_seconds=seconds,
             )
         )
         if on_epoch_end is not None:
             on_epoch_end(epoch, weights)
-        final_weights = weights
 
-    model.weights = final_weights
-    train_acc = _metric("accuracy", sequences, viterbi_tags(model, compiled, final_weights))
+    train_acc = _metric("accuracy", sequences, viterbi_tags(model, compiled, model.weights))
     model.meta = {
         "config": cfg.snapshot(),
         "train_accuracy": train_acc,

@@ -7,15 +7,19 @@ import pytest
 
 from sapo import (
     Lattice,
+    Sequence,
     astar_nbest,
     backward_viterbi,
     beam_nbest,
     build_lattice,
+    build_model,
     enumerate_all,
     path_score,
     score_sequence,
     viterbi,
 )
+from sapo.features import compile_corpus, weight_views
+from sapo.lattice import _STACK_CELLS, _search, length_buckets
 
 from conftest import random_lattice, random_word_model
 
@@ -156,14 +160,61 @@ class TestAstarNBest:
         with pytest.raises(ValueError):
             astar_nbest(random_lattice(rng), 0)
 
-    def test_stack_only_at_n_1(self, rng):
-        lat = random_lattice(rng)
-        stack = Lattice(np.stack([lat.emit, lat.emit]), lat.trans)
-        assert [path for path, _ in viterbi(stack)] == [tuple(viterbi(lat)[0])] * 2
+    def test_stack_equals_single_lattices(self, rng):
+        # (T, K, n): n > 1, T = 1, K = 1, n = K^T, n > K^T, and n = 1.
+        for T, K, n in ((5, 3, 7), (1, 4, 3), (6, 1, 4), (3, 2, 8), (2, 3, 40), (4, 4, 1)):
+            lats = [random_lattice(rng, T=T, K=K) for _ in range(3)]
+            trans = lats[0].trans
+            emits = [lat.emit for lat in lats] + [lats[0].emit]  # a repeated lattice, too
+            found = astar_nbest(Lattice(np.stack(emits), trans), n)
+            assert len(found) == len(emits)
+            for nb, emit in zip(found, emits):
+                own = astar_nbest(Lattice(emit, trans), n)
+                assert (nb.paths, nb.scores, nb.exhausted) == (own.paths, own.scores, own.exhausted)
+                assert nb.n_requested == n and nb.probs is None
+
+    def test_stack_splits_where_the_cut_applies(self, rng):
+        # n*K^2 > 1,024: the lattices keep ragged survivor counts, so the
+        # search itself refuses a stack, and astar_nbest searches each alone.
+        lat = random_lattice(rng, T=4, K=15)
+        stack = Lattice(np.stack([lat.emit, lat.emit[::-1]]), lat.trans)
         with pytest.raises(ValueError, match="stack"):
-            astar_nbest(stack, 2)
+            _search(stack, 5)
+        own = [astar_nbest(Lattice(emit, lat.trans), 5) for emit in stack.emit]
+        assert [(nb.paths, nb.scores) for nb in astar_nbest(stack, 5)] == [
+            (nb.paths, nb.scores) for nb in own
+        ]
         with pytest.raises(ValueError, match="stack"):
             beam_nbest(stack, 1, 5)
+
+    def test_stack_of_a_large_n_stays_small(self, rng):
+        # K=2, n=256, T=10 makes no cut (n*K^2 = 1,024), so a bucket is searched
+        # as one stack; sized by K*max(K, T) alone it would hold all 1,024
+        # sequences, and its n-best step up to 1,024*n*K^2 cells.
+        seqs = [Sequence(tokens=[(w,) for w in rng.choice(list("abcdef"), 10)],
+                         gold=list(rng.choice(["X", "Y"], 10))) for _ in range(1024)]
+        model = build_model(seqs, "U00:%x[0,0]\nU01:%x[-1,0]\nB\n", 1)
+        model.weights[:] = rng.normal(size=model.weights.shape)
+        compiled = compile_corpus(model, seqs)
+        views = weight_views(model.weights, model.index)
+        # At n = 257 the cut applies and each lattice is searched alone, so
+        # the bucket is sized as for n = 1.
+        assert [len(idx) for idx, _ in length_buckets(compiled, views, 257)] == [1024]
+        buckets = length_buckets(compiled, views, 256)
+        tracemalloc.start()
+        try:
+            idx, stack = next(buckets)
+            found = astar_nbest(stack, 256)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(idx) * 256 * 2 * 2 <= _STACK_CELLS
+        # Beyond the lists it returns, the search holds a few float tables of
+        # _STACK_CELLS cells (2 MB) at a time.
+        assert peak - kept <= 16 * 8 * _STACK_CELLS
+        for i in (0, len(idx) - 1):
+            own = astar_nbest(Lattice(stack.emit[i], stack.trans), 256)
+            assert (found[i].paths, found[i].scores) == (own.paths, own.scores)
 
     def test_near_ties_stay_small(self):
         # Many paths share the top score 3.5 (every transition 0.7), and

@@ -221,6 +221,23 @@ def test_stacked_lattices_equal_single_lattices(batch):
         assert forward_logz(stack) == [forward_logz(l) for l in singles]
 
 
+@settings(max_examples=200, deadline=None)
+@given(lattice_batches(), st.integers(1, 40))
+def test_stacked_nbest_scores_equal_enumeration(batch, n):
+    # n*K^2 <= 1,000 makes no cut, so each length's lattices are searched as one stack.
+    emits, trans = batch
+    for T in {len(e) for e in emits}:
+        group = [e for e in emits if len(e) == T]
+        found = astar_nbest(Lattice(np.stack(group), trans), n)
+        assert len(found) == len(group)
+        for nb, emit in zip(found, group):
+            full = enumerate_all(Lattice(emit, trans))
+            assert nb.scores == full.scores[:n]
+            assert nb.exhausted == (len(full.paths) <= n)
+            if nb.exhausted:
+                assert nb.paths == full.paths
+
+
 FEATURELESS_TEMPLATES = (
     "U00:%x[0,0]/%v[0,1]\nB\n",
     "U00:%x[0,0]\nU01:%x[-1,0]/%v[0,1]\nB\n",

@@ -307,6 +307,22 @@ class TestMiraNbest:
         for wn, wm in zip(n_snaps, m_snaps):
             assert np.array_equal(wn, wm)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Hildreth's coordinate ascent stops at HILDRETH_MAX_PASSES "
+                       "without converging on some steps, silently")
+    def test_hildreth_converges_within_the_pass_cap(self, monkeypatch):
+        # If every step converged within the cap, a 10x higher cap would change nothing.
+        corpus = generate_synthetic_hmm(K=5, V=50, T_mean=10, count=60, seed=2024,
+                                        separability=0.5)
+        templates = ("U00:%x[-1,0]\nU01:%x[0,0]\nU02:%x[1,0]\n"
+                     "U03:%x[-1,0]/%x[0,0]\nU04:%x[-1,0]/%x[0,0]/%x[1,0]\nB\n")
+        weights = []
+        for cap in (100, 1000):
+            monkeypatch.setattr(training, "HILDRETH_MAX_PASSES", cap)
+            cfg = TrainConfig("mira-nbest-avg", n=5, epochs=1, seed=1)
+            weights.append(train_mira_nbest(corpus, None, cfg, templates)[0].weights)
+        assert np.array_equal(weights[0], weights[1])
+
     def test_single_tagging_noop(self):
         data = word_corpus([("a b", "T T"), ("b", "T")])
         cfg = TrainConfig("mira-nbest", n=4, epochs=2, seed=1)
