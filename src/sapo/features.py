@@ -23,9 +23,9 @@ id array into each sequence's compiled form; ``compile_sequence`` and
 ``position_features`` are its one-sequence cases.
 
 A compiled sequence holds its position features as arrays (raw ids, values and
-each position's feature count).  A sparse vector, an E[F] or an update, is an
-array of ``SPARSE`` (id, value) records sorted by id and free of duplicates;
-``.tolist()`` gives its (id, value) pairs.
+each position's feature count).  A sparse vector, an E[F] or an update E[F] - F(x, y*)
+(one ``expected_features`` call given y* as ``minus``), is an array of ``SPARSE``
+(id, value) records sorted by id and free of duplicates; ``.tolist()`` gives its pairs.
 """
 
 from __future__ import annotations
@@ -449,36 +449,45 @@ def sparse_sum(terms):
         return sparse_vector(ids, values + 0.0)  # from 0.0: a -0.0 term sums to 0.0
     order = ids.argsort(kind="stable")  # equal ids adjacent, their terms still in order
     ids = ids[order]
-    first = np.concatenate(([True], ids[1:] != ids[:-1]))
+    first = np.diff(ids, prepend=-1) != 0
     return sparse_vector(ids[first], np.bincount(first.cumsum() - 1, values[order]))
 
 
-def expected_features(cs: CompiledSequence, tag_mass, pairs, pair_mass, K):
+def expected_features(cs: CompiledSequence, tag_mass, pairs, pair_mass, K, minus=None):
     """E[F(x, y)] under a tag mass, as a sparse vector of its nonzero entries.
 
     ``tag_mass`` is (T, K), each tag's mass at each position, or a tagging (T,) for the
     point mass on it: a feature (raw_id, value) at t adds value * mass to (raw_id, tag).
     With transitions, ``pair_mass[i]`` is added to tag pair ``pairs[i]`` (prev * K + cur).
     Each id sums its terms in position order, and a pair's in the given order, from 0.0
-    (``np.bincount`` adds in input order)."""
+    (``np.bincount`` adds in input order).  Given a tagging ``minus``, E[F] - F(x, minus):
+    F fills a second half of the bins, so each id is 0.0 + E + (-F) as in ``sparse_sum``."""
     pos, bases, bins = cs.kernel_bins
-    if tag_mass.ndim == 1:  # value * 1.0 is the value
-        ids, terms = bins + tag_mass[pos], cs.vals
-    else:
-        ids = (bins[:, None] + np.arange(K)).ravel()
-        terms = (tag_mass[pos] * cs.vals[:, None]).ravel()
-    if cs.trans_base is not None:  # pairs are the bins of the last K rows
-        ids = np.concatenate((ids, pairs + (len(bases) - K) * K))
-        terms = np.concatenate((terms, pair_mass))
-    sums = np.bincount(ids, terms, len(bases) * K)
+    n = len(bases) * K
+    masses = [(tag_mass, pairs, pair_mass)]
+    if minus is not None:
+        y = np.array(minus, dtype=np.intp)
+        masses.append((y, y[:-1] * K + y[1:], np.ones(len(y) - 1)))
+    cells = []  # (bins, terms) per mass; the point mass on ``minus`` comes second, in n..2n-1
+    for half, (mass, pair_ids, pmass) in enumerate(masses):
+        if mass.ndim == 1:  # value * 1.0 is the value
+            cells.append((bins + (mass[pos] + half * n), cs.vals))
+        else:
+            cells.append(((bins[:, None] + np.arange(K)).ravel(),
+                          (mass[pos] * cs.vals[:, None]).ravel()))
+        if cs.trans_base is not None:  # pairs are the bins of the last K rows
+            cells.append((pair_ids + (n - K * K + half * n), pmass))
+    ids, terms = map(np.concatenate, zip(*cells))
+    e, f = np.bincount(ids, terms, 2 * n).reshape(2, n)
+    sums = e - f  # without ``minus`` f is 0.0, and e - 0.0 is e
     nz = (sums != 0.0).nonzero()[0]
     return sparse_vector(bases[nz // K] + nz % K, sums[nz])
 
 
-def path_items(cs: CompiledSequence, path, K):
+def path_items(cs: CompiledSequence, path, K, minus=None):
     """Global feature vector F(x, y) of one tagging: E[F] under a point mass."""
     y = np.array(path, dtype=np.intp)
-    return expected_features(cs, y, y[:-1] * K + y[1:], np.ones(len(y) - 1), K)
+    return expected_features(cs, y, y[:-1] * K + y[1:], np.ones(len(y) - 1), K, minus)
 
 
 def extract_features(x: Sequence, y, templates, index: FeatureIndex):
@@ -549,6 +558,9 @@ def build_model(sequences, template_text: str, n_columns: int, compiled=None) ->
         raise TemplateError("template set contains no observation templates")
     tagset = Tagset.from_corpus(sequences)
     index = build_feature_index(sequences, templates, tagset, n_columns, compiled)
+    if index.n_features == 0:
+        raise TemplateError("no template fires a feature on the training corpus and there is "
+                            "no B template: the model would have no features")
     weights = np.zeros(index.n_features)
     return Model(
         tagset=tagset,

@@ -7,11 +7,12 @@ gradient and its top-n approximation.
 
 Every learner's update term is an expected feature vector E[F] under a
 distribution over taggings, minus the oracle features F(x, y*).  One kernel,
-``features.expected_features``, computes E[F] from a tag mass per position
-and a tag-pair mass; ``path_items`` fills them with a point mass (perceptron,
-MIRA), ``candidate_mixture`` with the top-n distribution (SAPO) and
-``expected_items`` with the exact chain marginals (CRF).  ``subtract_oracle``
-merges E[F] and the oracle's, both sparse vectors (``features.SPARSE``).
+``features.expected_features``, computes it from a tag mass per position and a
+tag-pair mass and the gold tagging y* as ``minus``; ``path_items`` fills the
+masses with a point mass (perceptron, MIRA), ``candidate_mixture`` with the
+top-n distribution (SAPO) and ``expected_items`` with the exact chain marginals
+(CRF).  ``subtract_oracle`` is the diagnostic's difference of two sparse
+vectors (``features.SPARSE``).
 
 The forward recursion and :func:`forward_logz` also take a stack of lattices
 (``emit`` (B, T, K)): the objective pass runs one forward per length bucket.
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# path_items is unused here: bench/layertrace.py looks it up in this module.
 from .features import (Model, Sequence, compile_corpus, compile_sequence, expected_features,
                        path_items, sparse_sum, weight_views)
 from .lattice import (
@@ -125,7 +127,7 @@ def topn_distribution(nb: NBestList) -> NBestList:
 # precision.
 
 
-def candidate_mixture(cs, paths, probs, K):
+def candidate_mixture(cs, paths, probs, K, minus=None):
     """E[F] under the top-n distribution: sum_k P_k F(x, y_k).
 
     The tag mass tallies the candidates' probabilities per position and tag in
@@ -135,13 +137,14 @@ def candidate_mixture(cs, paths, probs, K):
     T, p = len(cs.counts), np.array(probs)
     y = np.array(paths, dtype=np.intp).reshape(-1, T)
     tally = np.bincount((y + np.arange(0, T * K, K)).ravel(), p.repeat(T), T * K).reshape(T, K)
-    return expected_features(cs, tally, (y[:, :-1] * K + y[:, 1:]).ravel(), p.repeat(T - 1), K)
+    return expected_features(cs, tally, (y[:, :-1] * K + y[:, 1:]).ravel(), p.repeat(T - 1), K,
+                             minus)
 
 
-def expected_items(cs, marg: Marginals, K):
+def expected_items(cs, marg: Marginals, K, minus=None):
     """E[F] under the exact chain: the tag mass is the node marginals, the pair
     mass the edge marginals summed over positions."""
-    return expected_features(cs, marg.node, np.arange(K * K), marg.edge.sum(axis=0).ravel(), K)
+    return expected_features(cs, marg.node, np.arange(K * K), marg.edge.sum(0).ravel(), K, minus)
 
 
 def subtract_oracle(mixture, oracle):
@@ -151,10 +154,9 @@ def subtract_oracle(mixture, oracle):
 
 
 def labeled_sample(m: Model, z: Sequence):
-    """(lattice, compiled sequence, oracle features F(x, y*)) of a labeled sample."""
+    """(lattice, compiled sequence) of a labeled sample."""
     cs = compile_sequence(m, z, labeled=True)
-    lat = compiled_lattice(cs, weight_views(m.weights, m.index))
-    return lat, cs, path_items(cs, cs.gold, m.num_tags)
+    return compiled_lattice(cs, weight_views(m.weights, m.index)), cs
 
 
 def regularizer_value(weights: np.ndarray) -> float:
@@ -192,10 +194,10 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
     with sequential log-add so it is non-increasing in n by construction.
     ``l2`` and ``dataset_size`` are unused: the decay terms they set cancel.
     """
-    l, cs, oracle = labeled_sample(m, z)
+    l, cs = labeled_sample(m, z)
     K = m.num_tags
     marg = forward_backward(l)
-    exact = subtract_oracle(expected_items(cs, marg, K), oracle)
+    exact = expected_items(cs, marg, K, cs.gold)
 
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
@@ -216,7 +218,7 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
             exhausted=nb.exhausted or k < n,
         )
         sub = topn_distribution(sub)
-        approx = subtract_oracle(candidate_mixture(cs, sub.paths, sub.probs, K), oracle)
+        approx = candidate_mixture(cs, sub.paths, sub.probs, K, cs.gold)
         diffs = subtract_oracle(exact, approx)["value"]
         l2_delta = math.sqrt(math.fsum((diffs * diffs).tolist()))
         linf_delta = float(np.abs(diffs).max(initial=0.0))

@@ -85,10 +85,8 @@ def compiled_lattice(cs, views, scale=1.0) -> Lattice:
     views, with every score multiplied by ``scale``."""
     emit_w, trans_w = views
     emit = emission_scores([cs], emit_w)
-    if scale != 1.0:
-        emit *= scale
-        return Lattice(emit=emit, trans=trans_w * scale)
-    return Lattice(emit=emit, trans=trans_w.copy())
+    emit *= scale
+    return Lattice(emit=emit, trans=trans_w * scale)
 
 
 def length_buckets(compiled, views, n=1):

@@ -9,8 +9,8 @@ likelihood, the structured perceptron, and 1-best/n-best MIRA (naive and
 averaged) share the same epoch orchestration; 1-best MIRA is n-best MIRA
 with the Viterbi path as its only candidate.
 
-The candidate downdates and the oracle update are applied as one merged
-sparse vector (``features.SPARSE``) by fancy indexing, and the per-sample
+The update E[F] - F(x, y*), one sparse vector (``features.SPARSE``) from
+``features.expected_features``, is applied by fancy indexing, and the per-sample
 decay is a deferred global scale factor, so a full pass costs O(touched
 features) per sample.  All trainers are deterministic given (data, config, seed).
 """
@@ -44,7 +44,6 @@ from .inference import (
     expected_items,
     forward_backward,
     labeled_sample,
-    subtract_oracle,
     topn_distribution,
 )
 from .lattice import astar_nbest, beam_nbest, compiled_lattice, viterbi, viterbi_tags
@@ -288,16 +287,13 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     model = build_model(sequences, template_text, n_columns, compiled)
     held_compiled = compile_corpus(model, held_sequences, labeled=True)
 
-    K = model.num_tags
-    # (compiled sequence, oracle features F(x, y*)) per training sample
-    samples = [(cs, path_items(cs, cs.gold, K)) for cs in compiled]
     state = WeightState(model.index.n_features, averaging=averaged)
     views = weight_views(state.v, model.index)
 
     def lattice_for(cs):
         return compiled_lattice(cs, views, state.scale)
 
-    step = factory(model=model, samples=samples, state=state, cfg=cfg, lattice_for=lattice_for)
+    step = factory(model=model, samples=compiled, state=state, cfg=cfg, lattice_for=lattice_for)
 
     rng = np.random.default_rng(cfg.seed)
     curve = TrainCurve()
@@ -316,7 +312,7 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
 
     for epoch in range(1, cfg.epochs + 1):
         gamma = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
-        order, seconds = run_epoch(lambda i: checked_step(i, gamma, epoch), samples, rng)
+        order, seconds = run_epoch(lambda i: checked_step(i, gamma, epoch), compiled, rng)
         if not state.finite():
             raise NonFiniteError(int(order[-1]), epoch, since_check[0])
         since_check[0] = 0
@@ -375,15 +371,15 @@ def _nbest(lat, n, search, beam):
     raise ValueError("search must be 'astar' or 'beam'")
 
 
-def _sapo_items(lat, cs, oracle, n, search, beam):
+def _sapo_items(lat, cs, n, search, beam):
     """Top-n probability-weighted candidate features minus the oracle's."""
     nb = topn_distribution(_nbest(lat, n, search, beam))
-    return subtract_oracle(candidate_mixture(cs, nb.paths, nb.probs, lat.K), oracle)
+    return candidate_mixture(cs, nb.paths, nb.probs, lat.K, cs.gold)
 
 
-def _crf_items(lat, cs, oracle):
+def _crf_items(lat, cs):
     """Exact expected features minus the oracle's."""
-    return subtract_oracle(expected_items(cs, forward_backward(lat), lat.K), oracle)
+    return expected_items(cs, forward_backward(lat), lat.K, cs.gold)
 
 
 def crf_stochastic_gradient(m: Model, z: Sequence, l2: float, dataset_size: int) -> UpdateTerm:
@@ -438,12 +434,11 @@ def _sgd_factory(model, samples, state, cfg, lattice_for):
     sapo = cfg.algorithm == "sapo"
 
     def step(i, gamma):
-        cs, oracle = samples[i]
-        lat = lattice_for(cs)
+        cs = samples[i]
         if sapo:
-            items = _sapo_items(lat, cs, oracle, cfg.n, cfg.search, cfg.beam_width)
+            items = _sapo_items(lattice_for(cs), cs, cfg.n, cfg.search, cfg.beam_width)
         else:
-            items = _crf_items(lat, cs, oracle)
+            items = _crf_items(lattice_for(cs), cs)
         state.sparse_add(items, -gamma)
         state.decay(1.0 - gamma * decay_l2)
 
@@ -454,11 +449,11 @@ def _perceptron_factory(model, samples, state, cfg, lattice_for):
     K = model.num_tags
 
     def step(i, gamma):
-        cs, oracle = samples[i]
+        cs = samples[i]
         pred, _ = viterbi(lattice_for(cs))
         if pred == cs.gold:
             return
-        state.sparse_add(subtract_oracle(path_items(cs, pred, K), oracle), -1.0)
+        state.sparse_add(path_items(cs, pred, K, cs.gold), -1.0)
 
     return step
 
@@ -481,21 +476,16 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
     min(C, (loss - w.dF) / ||dF||^2)."""
     K = model.num_tags
     clip = cfg.mira_clip
-    if cfg.algorithm in ("mira", "mira-avg"):
-        def candidates(lat):
-            return astar_nbest(lat, 1).paths
-    else:
-        def candidates(lat):
-            return _nbest(lat, cfg.n, cfg.search, cfg.beam_width).paths
+    n, search = (1, "astar") if cfg.algorithm in ("mira", "mira-avg") else (cfg.n, cfg.search)
 
     def step(i, gamma):
-        cs, oracle = samples[i]
+        cs = samples[i]
         cands = []  # (items, loss, margin)
-        for path in candidates(lattice_for(cs)):
+        for path in _nbest(lattice_for(cs), n, search, cfg.beam_width).paths:
             loss = _hamming(path, cs.gold)
             if loss == 0:
                 continue
-            items = subtract_oracle(path_items(cs, path, K), oracle)
+            items = path_items(cs, path, K, cs.gold)
             if not len(items):
                 continue
             cands.append((items, loss, -state.dot_items(items)))

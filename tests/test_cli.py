@@ -91,6 +91,29 @@ class TestTrain:
         assert code == 1
         assert "template U00: non-finite cell 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo", ["perc", "sapo", "crf-sgd", "mira"])
+    def test_sample_without_features_trains(self, tmp_path, algo):
+        # The second sequence's only value is 0, so no feature fires on it and
+        # its update term (E[F] minus the oracle's, both empty) is empty.
+        data = tmp_path / "train.conll"
+        data.write_text("a 1 X\nb 2 Y\n\nb 0 Y\n")
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%v[0,1]\n")
+        code = main(["train", "--algo", algo, "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "2", "--model-out", str(tmp_path / "m.txt")])
+        assert code == 0
+
+    def test_corpus_without_features_rejected(self, tmp_path, capsys):
+        data, curves = tmp_path / "train.conll", tmp_path / "curves.csv"
+        data.write_text("a 0 X\nb 0 Y\n\nb 0 Y\n")
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%v[0,1]\n")
+        code = main(["train", "--algo", "perc", "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "1", "--curves", str(curves)])
+        assert code == 1
+        assert "no template fires a feature on the training corpus" in capsys.readouterr().err
+        assert not curves.exists()
+
     def test_heldout_column_count_mismatch_rejected(self, tmp_path, capsys):
         data, held = tmp_path / "train.conll", tmp_path / "held.conll"
         data.write_text("a\tX\nb\tY\n\nb\tY\n")
@@ -302,6 +325,22 @@ class TestDiagnose:
         last = rows[-1].split(",")
         assert last[0] == "8"
         assert float(last[3]) <= 1e-12
+
+    def test_sample_without_features(self, tmp_path):
+        # No feature fires on the second sample and there are no transitions,
+        # so its exact and top-n terms are both empty vectors.
+        train, data = tmp_path / "train.conll", tmp_path / "data.conll"
+        train.write_text("a 1 X\nb 2 Y\n")
+        data.write_text("a 1 X\nb 2 Y\n\nb 0 Y\n")
+        tpl = tmp_path / "t.txt"
+        tpl.write_text("U00:%v[0,1]\n")
+        model, out = tmp_path / "m.model", tmp_path / "delta.csv"
+        assert main(["train", "--algo", "crf-sgd", "--train", str(train), "--templates", str(tpl),
+                     "--epochs", "1", "--model-out", str(model)]) == 0
+        assert main(["diagnose", "--model", str(model), "--data", str(data), "--samples", "2",
+                     "--n-list", "1,2", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()  # header, two samples, their mean
+        assert len(rows) == 7 and rows[3:5] == ["1,0.0,0.0,0.5", "2,0.0,0.0,0.0"]
 
     def test_bad_n_list(self, tmp_path):
         assert main([

@@ -386,13 +386,22 @@ def test_expectation_kernel_equals_sequential_loop(case, data):
     _assert_same_vector(expected_items(cs, marg, K),
                         _reference_expectation(model, probe, node, chain_pairs))
 
+    # With minus=gold each mass's term is E[F] - F(x, y*), byte for byte the
+    # former composition with subtract_oracle.
+    oracle = path_items(cs, cs.gold, K)
+    for term, mass in ((path_items(cs, paths[0], K, cs.gold), path_items(cs, paths[0], K)),
+                       (candidate_mixture(cs, paths, probs, K, cs.gold),
+                        candidate_mixture(cs, paths, probs, K)),
+                       (expected_items(cs, marg, K, cs.gold), expected_items(cs, marg, K))):
+        assert term.tobytes() == subtract_oracle(mass, oracle).tobytes()
+
 
 UPDATE_VALUES = st.floats(-5.0, 5.0, allow_nan=False).filter(lambda x: x != 0.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.floats(-3.0, 3.0, allow_nan=False),
-                          st.dictionaries(st.integers(0, 30), UPDATE_VALUES, min_size=1, max_size=12)),
+                          st.dictionaries(st.integers(0, 30), UPDATE_VALUES, min_size=0, max_size=12)),
                 min_size=1, max_size=5))
 def test_sparse_sum_and_subtraction_equal_dict_loops(terms):
     vectors = [(c, sparse_vector(sorted(d), [d[fid] for fid in sorted(d)])) for c, d in terms]
