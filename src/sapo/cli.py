@@ -27,6 +27,7 @@ from .features import Sequence, TemplateError, compile_corpus, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostic, topn_distribution
 from .lattice import astar_nbest, length_buckets, viterbi_tags
 from .training import (
+    _TRAINERS,
     ALGORITHMS,
     METRICS,
     SEARCH_MODES,
@@ -46,21 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_NBEST = ("sapo", "mira-nbest", "mira-nbest-avg")
-_SGD = ("sapo", "crf-sgd")
-# Train flags only meaningful for some algorithms (explicit use elsewhere is
-# an error), keyed by the TrainConfig field they set: (flag, algorithms).
-_FLAG_ALGOS = {
-    "n": ("--n", _NBEST),
-    "search": ("--search", _NBEST),
-    "beam_width": ("--beam", _NBEST),
-    "learning_rate": ("--lr", _SGD),
-    "l2": ("--l2", _SGD),
-    "lr_decay": ("--lr-decay", _SGD),
-    "mira_clip": ("--mira-c", ("mira", "mira-avg", "mira-nbest", "mira-nbest-avg")),
-}
-
-
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
     """Appends a flag's default to its help, unless the flag has none (None)."""
 
@@ -76,12 +62,14 @@ def _build_parser():
     fmt = _HelpFormatter
 
     p = sub.add_parser("train", help="train a model", formatter_class=fmt)
+    flags = {}  # TrainConfig field -> its flag
 
     def config_flag(flag, field, help, **kwargs):
         # Unset flags stay None, so that TrainConfig supplies their defaults
         # and cmd_train can tell which algorithm-specific flags were given.
         help = "%s (default: %s)" % (help, getattr(TrainConfig, field))
         p.add_argument(flag, dest=field, default=None, help=help, **kwargs)
+        flags[field] = flag
 
     p.add_argument("--algo", required=True, choices=ALGORITHMS, help="training algorithm")
     p.add_argument("--train", required=True, metavar="PATH", help="labeled training corpus")
@@ -101,7 +89,7 @@ def _build_parser():
     p.add_argument("--curves", metavar="PATH", default=None, help="per-epoch curve CSV output")
     p.add_argument("--model-out", dest="model_out", metavar="PATH", default=None,
                    help="model file output")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, flags=flags)
 
     p = sub.add_parser("decode", help="tag a corpus with a trained model", formatter_class=fmt)
     p.add_argument("--model", required=True, metavar="PATH", help="model file")
@@ -149,9 +137,11 @@ def _build_parser():
 def cmd_train(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name != "algorithm"}
     given = {f: v for f, v in given.items() if v is not None}
-    for f, (flag, algos) in _FLAG_ALGOS.items():
-        if f in given and args.algo not in algos:
-            raise UsageError("%s is not applicable to --algo %s" % (flag, args.algo))
+    reads = _TRAINERS[args.algo][2]
+    # Each algorithm-specific field, in the order the algorithms first read it.
+    for f in dict.fromkeys(f for _, _, fs in _TRAINERS.values() for f in fs):
+        if f in given and f not in reads:
+            raise UsageError("%s is not applicable to --algo %s" % (args.flags[f], args.algo))
     cfg = TrainConfig(algorithm=args.algo, **given)
     cfg.validate()
     with open(args.templates, "r", encoding="utf-8") as f:

@@ -22,6 +22,7 @@ from .features import (
     Model,
     Sequence,
     Tagset,
+    TemplateError,
     compile_templates,
     has_transitions,
     weight_views,
@@ -199,6 +200,8 @@ def generate_synthetic_hmm(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not math.isfinite(T_mean):
+        raise ValueError("T_mean must be finite, got %r" % T_mean)
     if T_mean < 1:
         raise ValueError("T_mean must be >= 1")
     init, trans, emit = synthetic_hmm_params(K, V, seed, separability)
@@ -314,6 +317,9 @@ def load_model(path) -> Model:
         tags = header("tags")
         if not tags:
             raise ModelFileError("line 3: empty tagset")
+        if len(set(tags)) < len(tags):
+            raise ModelFileError("line 3: duplicate tag %r" % next(
+                tag for i, tag in enumerate(tags) if tag in tags[:i]))
         meta_raw = header("config")
         try:
             meta = json.loads("\t".join(meta_raw) or "{}")
@@ -323,7 +329,10 @@ def load_model(path) -> Model:
             raise ModelFileError("line 5: expected 'templates-begin'")
         template_lines = iter(lambda: next_line("templates-end"), "templates-end")
         template_text = "".join(line + "\n" for line in template_lines)
-        templates = compile_templates(template_text)
+        try:  # five blank lines stand in for the header, so errors name file lines
+            templates = compile_templates("\n" * 5 + template_text)
+        except TemplateError as e:
+            raise ModelFileError(str(e)) from None
         tagset = Tagset(tags)
         transitions = has_transitions(templates)
         index = FeatureIndex(num_tags=len(tagset), transitions=transitions)

@@ -109,10 +109,8 @@ def extract_chunks(tags):
     return chunks
 
 
-def chunk_f1(gold_corpus, predictions, scheme: str = "BIO") -> EvalReport:
-    """Balanced F-score over exactly-matched (start, end, type) chunks."""
-    if scheme != "BIO":
-        raise ValueError("unsupported chunk scheme %r" % scheme)
+def chunk_f1(gold_corpus, predictions) -> EvalReport:
+    """Balanced F-score over exactly-matched BIO (start, end, type) chunks."""
     matched = n_pred = n_gold = 0
     per_tag = Counter()
     for seq, pred in zip(_gold_sequences(gold_corpus, predictions), predictions):

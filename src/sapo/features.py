@@ -11,8 +11,10 @@ tag pair.  Feature ids are laid out in blocks:
     transition (prev, cur)    ->  n_raw * K + prev * K + cur
 
 which keeps the dense weight vector reshapeable into an (n_raw, K)
-emission table and a (K, K) transition table.  Only this module applies the
-layout: ``expected_features`` builds feature vectors, ``weight_views`` the tables.
+emission table and a (K, K) transition table.  ``expected_features`` builds
+feature vectors in this layout and ``weight_views`` the tables; the one other
+user is ``dataio.load_model``, which computes flat ids (``rid * K + col``, and
+transition ids after ``transition_base``) from a model file's lines.
 
 Extraction works a template at a time over a whole corpus: every atom's cells
 come from the corpus's token columns at once, each observation template's raw
@@ -139,9 +141,9 @@ def compile_templates(spec_text: str) -> list[FeatureTemplate]:
     """Parse template text into a deterministic template list.
 
     Grammar, one template per line: ``<id>:%x[<row>,<col>]`` atoms joined
-    by ``/``; ``%v[<row>,<col>]`` reads a numeric feature value from a cell
-    (at most one per template); lines starting with ``#`` are comments; a
-    bare ``B`` line enables tag-bigram transition features.
+    by ``/``, with |row| < 2**31; ``%v[<row>,<col>]`` reads a numeric feature
+    value from a cell (at most one per template); lines starting with ``#``
+    are comments; a bare ``B`` line enables tag-bigram transition features.
     """
     templates = []
     names = set()
@@ -176,9 +178,12 @@ def compile_templates(spec_text: str) -> list[FeatureTemplate]:
                 raise TemplateError(
                     "line %d, column %d: malformed atom %r" % (lineno, pos, part)
                 )
-            numeric = m.group(1) == "v"
+            numeric, row = m.group(1) == "v", int(m.group(2))
+            if abs(row) >= 2**31:  # so that position + row cannot overflow an int64
+                raise TemplateError("line %d, column %d: row offset %d is outside (-2**31, 2**31)"
+                                    % (lineno, pos, row))
             n_numeric += numeric
-            atoms.append(TemplateAtom(row=int(m.group(2)), col=int(m.group(3)), numeric=numeric))
+            atoms.append(TemplateAtom(row=row, col=int(m.group(3)), numeric=numeric))
             pos += len(part) + 1
         if n_numeric > 1:
             raise TemplateError(

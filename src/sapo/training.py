@@ -48,17 +48,6 @@ from .inference import (
 )
 from .lattice import astar_nbest, beam_nbest, compiled_lattice, viterbi, viterbi_tags
 
-ALGORITHMS = (
-    "sapo",
-    "crf-sgd",
-    "perc",
-    "perc-avg",
-    "mira",
-    "mira-avg",
-    "mira-nbest",
-    "mira-nbest-avg",
-)
-
 SEARCH_MODES = ("astar", "beam")
 METRICS = ("accuracy", "chunk-f1")
 FINITE_CHECK_INTERVAL = 1000
@@ -269,7 +258,7 @@ def _metric(metric, sequences, predictions):
 
 def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     """Train with the algorithm selected by ``cfg.algorithm``."""
-    factory, averaged = _TRAINERS[cfg.validate().algorithm]
+    factory, averaged, _ = _TRAINERS[cfg.validate().algorithm]
     sequences = _as_sequences(data)
     if not sequences:
         raise ConfigError("training set is empty")
@@ -431,11 +420,11 @@ def _decay_rate(cfg, dataset_size):
 def _sgd_factory(model, samples, state, cfg, lattice_for):
     """SAPO and CRF-SGD: w -= gamma * term, then w *= 1 - gamma * l2/|S|."""
     decay_l2 = _decay_rate(cfg, len(samples))
-    sapo = cfg.algorithm == "sapo"
+    topn = "n" in _TRAINERS[cfg.algorithm][2]
 
     def step(i, gamma):
         cs = samples[i]
-        if sapo:
+        if topn:
             items = _sapo_items(lattice_for(cs), cs, cfg.n, cfg.search, cfg.beam_width)
         else:
             items = _crf_items(lattice_for(cs), cs)
@@ -476,7 +465,7 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
     min(C, (loss - w.dF) / ||dF||^2)."""
     K = model.num_tags
     clip = cfg.mira_clip
-    n, search = (1, "astar") if cfg.algorithm in ("mira", "mira-avg") else (cfg.n, cfg.search)
+    n, search = (cfg.n, cfg.search) if "n" in _TRAINERS[cfg.algorithm][2] else (1, "astar")
 
     def step(i, gamma):
         cs = samples[i]
@@ -525,22 +514,29 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
 # ---------------------------------------------------------------------------
 # Public trainer entry points
 
-# algorithm -> (step factory, averaged)
+# The one description of each algorithm: algorithm -> (step factory, averaged,
+# the algorithm-specific TrainConfig fields it reads).  An algorithm that reads
+# ``n`` searches the top n; the CLI rejects a flag for a field it does not read.
+_TOPN_FIELDS = ("n", "search", "beam_width")
+_SGD_FIELDS = ("learning_rate", "l2", "lr_decay")
 _TRAINERS = {
-    "sapo": (_sgd_factory, False),
-    "crf-sgd": (_sgd_factory, False),
-    "perc": (_perceptron_factory, False),
-    "perc-avg": (_perceptron_factory, True),
-    "mira": (_mira_factory, False),
-    "mira-avg": (_mira_factory, True),
-    "mira-nbest": (_mira_factory, False),
-    "mira-nbest-avg": (_mira_factory, True),
+    "sapo": (_sgd_factory, False, _TOPN_FIELDS + _SGD_FIELDS),
+    "crf-sgd": (_sgd_factory, False, _SGD_FIELDS),
+    "perc": (_perceptron_factory, False, ()),
+    "perc-avg": (_perceptron_factory, True, ()),
+    "mira": (_mira_factory, False, ("mira_clip",)),
+    "mira-avg": (_mira_factory, True, ("mira_clip",)),
+    "mira-nbest": (_mira_factory, False, _TOPN_FIELDS + ("mira_clip",)),
+    "mira-nbest-avg": (_mira_factory, True, _TOPN_FIELDS + ("mira_clip",)),
 }
+ALGORITHMS = tuple(_TRAINERS)
 
 
-def _train_family(algos, data, heldout, cfg, template_text, on_epoch_end, averaged=None):
-    """``train``, after checking that ``cfg.algorithm`` is one of ``algos`` and,
-    when ``averaged`` is given, that it agrees with the algorithm."""
+def _train_family(name, data, heldout, cfg, template_text, on_epoch_end, averaged=None):
+    """``train``, after checking that ``cfg.algorithm`` is ``name`` or differs from it
+    only in averaging and, when ``averaged`` is given, that it agrees with the algorithm."""
+    factory, _, reads = _TRAINERS[name]
+    algos = tuple(a for a, (f, _, r) in _TRAINERS.items() if (f, r) == (factory, reads))
     if cfg.algorithm not in algos:
         raise ConfigError(
             "this trainer requires cfg.algorithm in %s, got %r" % (algos, cfg.algorithm)
@@ -553,26 +549,20 @@ def _train_family(algos, data, heldout, cfg, template_text, on_epoch_end, averag
 
 
 def train_sapo(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
-    return _train_family(("sapo",), data, heldout, cfg, template_text, on_epoch_end)
+    return _train_family("sapo", data, heldout, cfg, template_text, on_epoch_end)
 
 
 def train_crf_sgd(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
-    return _train_family(("crf-sgd",), data, heldout, cfg, template_text, on_epoch_end)
+    return _train_family("crf-sgd", data, heldout, cfg, template_text, on_epoch_end)
 
 
 def train_perceptron(data, heldout, cfg: TrainConfig, template_text, averaged=None, on_epoch_end=None):
-    return _train_family(
-        ("perc", "perc-avg"), data, heldout, cfg, template_text, on_epoch_end, averaged
-    )
+    return _train_family("perc", data, heldout, cfg, template_text, on_epoch_end, averaged)
 
 
 def train_mira(data, heldout, cfg: TrainConfig, template_text, averaged=None, on_epoch_end=None):
-    return _train_family(
-        ("mira", "mira-avg"), data, heldout, cfg, template_text, on_epoch_end, averaged
-    )
+    return _train_family("mira", data, heldout, cfg, template_text, on_epoch_end, averaged)
 
 
 def train_mira_nbest(data, heldout, cfg: TrainConfig, template_text, averaged=None, on_epoch_end=None):
-    return _train_family(
-        ("mira-nbest", "mira-nbest-avg"), data, heldout, cfg, template_text, on_epoch_end, averaged
-    )
+    return _train_family("mira-nbest", data, heldout, cfg, template_text, on_epoch_end, averaged)

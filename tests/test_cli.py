@@ -43,6 +43,13 @@ class TestGenerate:
     def test_bad_parameters(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x"), "--tags", "1"]) == 1
 
+    @pytest.mark.parametrize("mean", ["inf", "nan"])
+    def test_non_finite_mean_length_rejected(self, tmp_path, capsys, mean):
+        out = tmp_path / "x"
+        assert main(["generate", "--out", str(out), "--mean-length", mean]) == 1
+        assert capsys.readouterr().err == "error: T_mean must be finite, got %s\n" % mean
+        assert not out.exists()
+
 
 class TestTrain:
     def test_smoke_run_writes_artifacts(self, workdir, capsys):
@@ -66,6 +73,41 @@ class TestTrain:
         code, _, _ = _train(workdir, "--n", "5", algo="perc")
         assert code == 1
         assert "--n is not applicable" in capsys.readouterr().err
+
+    # flag -> (value, the algorithms that accept it)
+    APPLICABLE = {
+        "--n": ("3", {"sapo", "mira-nbest", "mira-nbest-avg"}),
+        "--search": ("beam", {"sapo", "mira-nbest", "mira-nbest-avg"}),
+        "--beam": ("4", {"sapo", "mira-nbest", "mira-nbest-avg"}),
+        "--lr": ("0.05", {"sapo", "crf-sgd"}),
+        "--l2": ("0.5", {"sapo", "crf-sgd"}),
+        "--lr-decay": ("0.9", {"sapo", "crf-sgd"}),
+        "--mira-c": ("1.0", {"mira", "mira-avg", "mira-nbest", "mira-nbest-avg"}),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(APPLICABLE))
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_flag_applicability_matrix(self, workdir, capsys, algo, flag):
+        value, algos = self.APPLICABLE[flag]
+        code, _, _ = _train(workdir, flag, value, algo=algo, epochs="1")
+        err = capsys.readouterr().err
+        if algo in algos:
+            assert code == 0, err
+        else:
+            assert code == 1
+            assert err == "error: %s is not applicable to --algo %s\n" % (flag, algo)
+
+    @pytest.mark.parametrize("algo,flags,named", [
+        ("perc", ["--mira-c", "1", "--lr", "0.1", "--search", "beam"], "--search"),
+        ("crf-sgd", ["--mira-c", "1", "--beam", "4", "--n", "2"], "--n"),
+        ("mira", ["--lr-decay", "0.9", "--beam", "4"], "--beam"),
+        ("mira-nbest", ["--mira-c", "1", "--l2", "0.5", "--lr", "0.1"], "--lr"),
+    ])
+    def test_first_inapplicable_flag_named(self, workdir, capsys, algo, flags, named):
+        code, _, _ = _train(workdir, *flags, algo=algo)
+        assert code == 1
+        assert capsys.readouterr().err == "error: %s is not applicable to --algo %s\n" % (
+            named, algo)
 
     @pytest.mark.parametrize("algo", ["crf-sgd", "sapo"])
     @pytest.mark.parametrize("l2", ["20", "40"])
@@ -125,6 +167,15 @@ class TestTrain:
         assert code == 1
         assert ("held-out sequence 0 has a token of 2 columns; the training corpus has 1"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("atoms, column", [
+        ("%x[99999999999999999999,0]", 5), ("%x[0,0]/%x[9223372036854775807,0]", 13)])
+    def test_row_offset_out_of_range_rejected(self, workdir, capsys, atoms, column):
+        (workdir / "templates.txt").write_text("B\nU00:%s\n" % atoms)
+        code, model, _ = _train(workdir, algo="perc")
+        assert code == 1
+        assert "error: line 2, column %d: row offset" % column in capsys.readouterr().err
+        assert not model.exists()
 
     def test_non_finite_l2_rejected(self, workdir, capsys):
         code, _, _ = _train(workdir, "--l2", "nan")
@@ -231,6 +282,20 @@ class TestDecode:
                 "--output", str(workdir / "out.conll"), *extra,
             ]) == 2
             assert "line %d: non-finite weight %r" % (i + 1, weight) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("tags\t", "tags\tt1\t", "line 3: duplicate tag 't1'"),
+        ("U01:%x[-1,0]", "U01:%x[-1]", "line 7, column 5: malformed atom '%x[-1]'"),
+    ])
+    def test_faulty_model_header_rejected(self, workdir, capsys, old, new, message):
+        code, model, _ = _train(workdir)
+        model.write_text(model.read_text().replace(old, new, 1))
+        capsys.readouterr()
+        assert main([
+            "decode", "--model", str(model), "--input", str(workdir / "train.conll"),
+            "--output", str(workdir / "out.conll"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_missing_model(self, workdir):
         assert main([

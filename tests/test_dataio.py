@@ -162,6 +162,11 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError):
             generate_synthetic_hmm(**full)
 
+    @pytest.mark.parametrize("mean", [float("inf"), float("nan")])
+    def test_non_finite_mean_length_rejected(self, mean):
+        with pytest.raises(ValueError, match="^T_mean must be finite, got %r$" % mean):
+            generate_synthetic_hmm(K=2, V=4, T_mean=mean, count=5, seed=1, separability=0.5)
+
 
 def _toy_model(rng):
     corpus = generate_synthetic_hmm(K=3, V=8, T_mean=4, count=20, seed=21, separability=0.6)
@@ -326,6 +331,17 @@ class TestModelFileFaults:
         text = "".join(line + "\n" for line in header[:keep])
         with pytest.raises(ModelFileError, match="truncated model file: missing '%s' line"
                                                  % missing):
+            load_model(io.StringIO(text))
+
+    def test_duplicate_tag(self):
+        text = "version\t1\ncolumns\t1\ntags\tt0\tt1\tt0\nconfig\t{}\n"
+        with pytest.raises(ModelFileError, match="^line 3: duplicate tag 't0'$"):
+            load_model(io.StringIO(text))
+
+    def test_template_fault_names_its_file_line(self):
+        text = ("version\t1\ncolumns\t1\ntags\tt0\nconfig\t{}\ntemplates-begin\n"
+                "# comment\nU00:%x[0,0]\nU01:%x[0,0\ntemplates-end\n")
+        with pytest.raises(ModelFileError, match=r"^line 8, column 5: malformed atom"):
             load_model(io.StringIO(text))
 
     def test_missing_templates_end(self):

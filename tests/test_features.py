@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,16 @@ class TestCompileTemplates:
     def test_two_value_atoms_rejected(self):
         with pytest.raises(TemplateError, match="value atom"):
             compile_templates("V00:%v[0,1]/%v[0,2]")
+
+    @pytest.mark.parametrize("row", [2**31, -2**31, 2**63 - 1, 10**20])
+    def test_row_offset_out_of_range_rejected(self, row):
+        message = "line 2, column 13: row offset %d is outside (-2**31, 2**31)" % row
+        with pytest.raises(TemplateError, match="^%s$" % re.escape(message)):
+            compile_templates("B\nU00:%%x[0,0]/%%x[%d,0]" % row)
+
+    def test_row_offset_range_bounds_accepted(self):
+        (tpl,) = compile_templates("U00:%%x[%d,0]/%%x[%d,0]" % (2**31 - 1, 1 - 2**31))
+        assert [a.row for a in tpl.atoms] == [2**31 - 1, 1 - 2**31]
 
     def test_deterministic(self):
         text = "U00:%x[0,0]\nU01:%x[-2,0]/%x[2,0]\nB\n"
