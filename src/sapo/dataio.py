@@ -317,6 +317,8 @@ def load_model(path) -> Model:
         tags = header("tags")
         if not tags:
             raise ModelFileError("line 3: empty tagset")
+        if "" in tags:
+            raise ModelFileError("line 3: empty tag")
         if len(set(tags)) < len(tags):
             raise ModelFileError("line 3: duplicate tag %r" % next(
                 tag for i, tag in enumerate(tags) if tag in tags[:i]))

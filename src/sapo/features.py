@@ -11,10 +11,11 @@ tag pair.  Feature ids are laid out in blocks:
     transition (prev, cur)    ->  n_raw * K + prev * K + cur
 
 which keeps the dense weight vector reshapeable into an (n_raw, K)
-emission table and a (K, K) transition table.  ``expected_features`` builds
-feature vectors in this layout and ``weight_views`` the tables; the one other
-user is ``dataio.load_model``, which computes flat ids (``rid * K + col``, and
-transition ids after ``transition_base``) from a model file's lines.
+emission table and a (K, K) transition table.  ``expected_features`` and
+``path_matrix`` build feature vectors in this layout and ``weight_views`` the
+tables; the one other user is ``dataio.load_model``, which computes flat ids
+(``rid * K + col``, and transition ids after ``transition_base``) from a model
+file's lines.
 
 Extraction works a template at a time over a whole corpus: every atom's cells
 come from the corpus's token columns at once, each observation template's raw
@@ -143,12 +144,14 @@ def compile_templates(spec_text: str) -> list[FeatureTemplate]:
     Grammar, one template per line: ``<id>:%x[<row>,<col>]`` atoms joined
     by ``/``, with |row| < 2**31; ``%v[<row>,<col>]`` reads a numeric feature
     value from a cell (at most one per template); lines starting with ``#``
-    are comments; a bare ``B`` line enables tag-bigram transition features.
+    are comments; a bare ``B`` line enables tag-bigram transition features.  Only a
+    newline ends a line (trailing whitespace, a carriage return included, is dropped),
+    so line numbers count newlines.
     """
     templates = []
     names = set()
-    for lineno, rawline in enumerate(spec_text.splitlines(), start=1):
-        line = rawline.rstrip("\r\n").rstrip()
+    for lineno, rawline in enumerate(spec_text.split("\n"), start=1):
+        line = rawline.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue
         if line == "B":
@@ -493,6 +496,28 @@ def path_items(cs: CompiledSequence, path, K, minus=None):
     """Global feature vector F(x, y) of one tagging: E[F] under a point mass."""
     y = np.array(path, dtype=np.intp)
     return expected_features(cs, y, y[:-1] * K + y[1:], np.ones(len(y) - 1), K, minus)
+
+
+def path_matrix(cs: CompiledSequence, paths, K, minus):
+    """Each tagging's F(x, y) - F(x, minus) as a row of one dense matrix.
+
+    Returns (matrix, ids): one row per path, and one column per kernel cell of ``cs``
+    (a (row, tag) of ``kernel_bins``) where some row is nonzero, ``ids`` the columns'
+    feature ids in increasing order.  One ``np.bincount`` fills every path's cells and,
+    last, the point mass on ``minus``; a row's nonzeros are ``path_items(cs, path, K,
+    minus)``, bit for bit."""
+    pos, bases, bins = cs.kernel_bins
+    n = len(bases) * K
+    y = np.vstack((paths, minus))  # (paths + 1, T)
+    offsets = np.arange(len(y))[:, None] * n
+    ids, terms = [(bins + y[:, pos] + offsets).ravel()], [np.tile(cs.vals, len(y))]
+    if cs.trans_base is not None:  # pairs are the bins of the last K rows
+        ids.append((y[:, :-1] * K + y[:, 1:] + (n - K * K) + offsets).ravel())
+        terms.append(np.ones(ids[-1].size))
+    f = np.bincount(np.concatenate(ids), np.concatenate(terms), len(y) * n).reshape(len(y), n)
+    diff = f[:-1] - f[-1]
+    cells = diff.any(axis=0).nonzero()[0]
+    return diff[:, cells], bases[cells // K] + cells % K
 
 
 def extract_features(x: Sequence, y, templates, index: FeatureIndex):

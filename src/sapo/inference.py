@@ -9,10 +9,11 @@ Every learner's update term is an expected feature vector E[F] under a
 distribution over taggings, minus the oracle features F(x, y*).  One kernel,
 ``features.expected_features``, computes it from a tag mass per position and a
 tag-pair mass and the gold tagging y* as ``minus``; ``path_items`` fills the
-masses with a point mass (perceptron, MIRA), ``candidate_mixture`` with the
+masses with a point mass (perceptron), ``candidate_mixture`` with the
 top-n distribution (SAPO) and ``expected_items`` with the exact chain marginals
-(CRF).  ``subtract_oracle`` is the diagnostic's difference of two sparse
-vectors (``features.SPARSE``).
+(CRF); MIRA stacks its candidates' point masses with ``features.path_matrix``.
+``subtract_oracle`` is the diagnostic's difference of two sparse vectors
+(``features.SPARSE``).
 
 The forward recursion and :func:`forward_logz` also take a stack of lattices
 (``emit`` (B, T, K)): the objective pass runs one forward per length bucket.

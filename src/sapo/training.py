@@ -12,7 +12,11 @@ with the Viterbi path as its only candidate.
 The update E[F] - F(x, y*), one sparse vector (``features.SPARSE``) from
 ``features.expected_features``, is applied by fancy indexing, and the per-sample
 decay is a deferred global scale factor, so a full pass costs O(touched
-features) per sample.  All trainers are deterministic given (data, config, seed).
+features) per sample.  MIRA stacks its candidates' F(x, y_k) - F(x, y*) as the
+rows of one dense matrix D (``features.path_matrix``), solves the dual of its
+margin constraints, a box-constrained QP over at most n variables, exactly by an
+active set (``_box_dual``), and applies -D^T alpha as one sparse vector.  All
+trainers are deterministic given (data, config, seed).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -33,9 +37,9 @@ from .features import (
     Sequence,
     build_model,
     compile_corpus,
-    dot_sparse,
     path_items,
-    sparse_sum,
+    path_matrix,
+    sparse_vector,
     weight_views,
 )
 from .inference import (
@@ -54,8 +58,6 @@ FINITE_CHECK_INTERVAL = 1000
 # A positive weight scale below this is folded into the weights (see
 # WeightState.decay), long before it could underflow to 0.
 SCALE_FLOOR = 1e-100
-HILDRETH_MAX_PASSES = 100
-HILDRETH_TOL = 1e-8
 
 
 class ConfigError(ValueError):
@@ -216,9 +218,6 @@ class WeightState:
     def end_sample(self):
         self.samples += 1
         self.cum_scale += self.scale
-
-    def dot_items(self, items) -> float:
-        return self.scale * dot_sparse(self.v, items)
 
     def finite(self) -> bool:
         return math.isfinite(self.scale) and bool(np.isfinite(self.v).all())
@@ -447,66 +446,125 @@ def _perceptron_factory(model, samples, state, cfg, lattice_for):
     return step
 
 
-def _hamming(a, b):
-    return sum(x != y for x, y in zip(a, b))
+# A pivot or a KKT gradient within this fraction of its own scale is rounding, so zero.
+_DUAL_RTOL = 1e-12
 
 
-def _sparse_dot(a, b):
-    """Dot product of two sparse vectors, summed in id order."""
-    at = b["id"].searchsorted(a["id"])
-    hit = slice(None) if a is b else (b["id"].take(at, mode="clip") == a["id"]).nonzero()[0]
-    return reduce(operator.add, (a["value"][hit] * b["value"][at[hit]]).tolist(), 0.0)
+def _free_solve(G, free, r):
+    """Solve G[free, free] x = r by Gaussian elimination in ``free`` order.
+
+    Returns (x, None), or (None, d) when a pivot is within rounding of zero: G is PSD,
+    so the first such pivot's leading block has a null vector d (its last entry 1),
+    and d padded with zeros is a null vector of G[free, free]."""
+    m = len(free)
+    aug = [[G[i][j] for j in free] + [r_i] for i, r_i in zip(free, r)]
+    for k, row in enumerate(aug):
+        if row[k] <= _DUAL_RTOL * G[free[k]][free[k]]:
+            d = [0.0] * k + [1.0]
+            for p in range(k - 1, -1, -1):
+                d[p] = -sum(map(mul, aug[p][p + 1:k + 1], d[p + 1:])) / aug[p][p]
+            return None, d
+        for below in aug[k + 1:]:
+            f = below[k] / row[k]
+            for j in range(k, m + 1):
+                below[j] -= f * row[j]
+    x = [0.0] * m
+    for p in range(m - 1, -1, -1):
+        x[p] = (aug[p][m] - sum(map(mul, aug[p][p + 1:m], x[p + 1:]))) / aug[p][p]
+    return x, None
+
+
+def _box_dual(G, b, C):
+    """The maximizer of b.a - a.G.a / 2 over 0 <= a <= C, for a PSD Gram matrix G.
+
+    A primal active set (Lawson & Hanson 1974, with an upper bound).  From a = 0, each
+    round frees the bound variable that violates the KKT conditions most, then moves
+    toward the optimum of the free subsystem, the bound variables fixed.  A free
+    variable that meets a bound on the way stops the move there and leaves the free
+    set; the round ends when the optimum lies inside the box.  If freeing makes the
+    subsystem singular, a null direction d of G = D.D^T (so D^T a does not change
+    along it) raises the objective linearly, and the move follows d to the first
+    bound instead.  Two cases keep the freed variable at its bound for the rest of
+    the solve: no bound stops the move along d (C = inf and the candidates' margins
+    cannot all hold, so the dual is unbounded), or the round does not raise the
+    objective (rounding).  Neither changes D^T a.  Each other round raises the
+    objective, so no (free list, bounds) state repeats and the solve ends.  One
+    variable gives min(C, max(0, b / G)).
+    """
+    nc = len(b)
+    if nc == 1:
+        return [min(C, max(0.0, b[0] / G[0][0]))]
+    a, free, held = [0.0] * nc, [], set()
+    g, best = b[:], 0.0  # g = b - G.a, and the objective at a
+    while True:
+        i, viol = None, 0.0
+        for k, g_k in enumerate(g):
+            v = g_k if a[k] == 0.0 else -g_k
+            if (v > viol and k not in free and k not in held
+                    and v > _DUAL_RTOL * (abs(b[k]) + sum(map(abs, map(mul, G[k], a))))):
+                i, viol = k, v
+        if i is None:
+            return a
+        saved = a[:], free[:], g, best
+        sign = 1.0 if a[i] == 0.0 else -1.0
+        free.append(i)
+        while free:
+            upper = [j for j, a_j in enumerate(a) if a_j == C and j not in free]
+            r = [b[k] - sum([G[k][j] for j in upper]) * C if upper else b[k] for k in free]
+            z, d = _free_solve(G, free, r)
+            u = [z_k - a[k] for z_k, k in zip(z, free)] if d is None else [sign * x for x in d]
+            t, stop = (1.0 if d is None else math.inf), None
+            for p, (k, u_k) in enumerate(zip(free, u)):
+                t_k = -a[k] / u_k if u_k < 0 else (C - a[k]) / u_k if u_k > 0 else math.inf
+                if t_k < t:
+                    t, stop = t_k, p
+            if stop is None:  # the optimum is inside the box, or d is unbounded
+                if d is None:
+                    for k, z_k in zip(free, z):
+                        a[k] = z_k
+                else:
+                    a = saved[0]
+                break
+            for k, u_k in zip(free, u):
+                a[k] += t * u_k
+            a[free.pop(stop)] = 0.0 if u[stop] < 0 else C
+        g = [b_k - sum(map(mul, G_k, a)) for b_k, G_k in zip(b, G)]
+        value = sum(map(mul, a, map(add, b, g))) / 2
+        if value > best:
+            best = value
+        else:
+            a, free, g, best = saved
+            held.add(i)
 
 
 def _mira_factory(model, samples, state, cfg, lattice_for):
-    """1-best and n-best MIRA: Hildreth's dual coordinate ascent over one
-    margin constraint per candidate, each dual clipped to [0, C].  With one
-    constraint, its first step is the passive-aggressive closed form
-    min(C, (loss - w.dF) / ||dF||^2)."""
+    """1-best and n-best MIRA (McDonald, Crammer & Pereira 2005): the smallest weight
+    change that lifts the gold y*'s margin over each candidate y_k to at least their
+    Hamming distance, slack priced at C.  The candidates' dF_k = F(x, y_k) - F(x, y*)
+    are the rows of one matrix D over the sequence's kernel cells
+    (``features.path_matrix``); the dual max b.a - a.D.D^T.a / 2 over 0 <= a <= C,
+    with b = loss - margin, is solved exactly by ``_box_dual``, and w -= D^T a is one
+    sparse update.  Candidates with zero loss or dF = 0 give no constraint.  With one
+    candidate the step is the passive-aggressive closed form
+    min(C, max(0, (loss - margin) / ||dF||^2)).
+    """
     K = model.num_tags
-    clip = cfg.mira_clip
     n, search = (cfg.n, cfg.search) if "n" in _TRAINERS[cfg.algorithm][2] else (1, "astar")
 
     def step(i, gamma):
         cs = samples[i]
-        cands = []  # (items, loss, margin)
-        for path in _nbest(lattice_for(cs), n, search, cfg.beam_width).paths:
-            loss = _hamming(path, cs.gold)
-            if loss == 0:
-                continue
-            items = path_items(cs, path, K, cs.gold)
-            if not len(items):
-                continue
-            cands.append((items, loss, -state.dot_items(items)))
-        if not cands:
+        paths = np.array(_nbest(lattice_for(cs), n, search, cfg.beam_width).paths)
+        loss = (paths != cs.gold).sum(axis=1)
+        dF, ids = path_matrix(cs, paths, K, cs.gold)
+        keep = (loss > 0) & dF.any(axis=1)
+        if not keep.any():
             return
-        nc = len(cands)
-        gram = [[0.0] * nc for _ in range(nc)]
-        for a in range(nc):
-            for b in range(a, nc):
-                gram[a][b] = gram[b][a] = _sparse_dot(cands[a][0], cands[b][0])
-        alphas = [0.0] * nc
-        for _ in range(HILDRETH_MAX_PASSES):
-            changed = False
-            for k in range(nc):
-                _, loss_k, margin_k = cands[k]
-                adj = margin_k
-                for j in range(nc):
-                    if alphas[j] != 0.0:
-                        adj += alphas[j] * gram[k][j]
-                new = alphas[k] + (loss_k - adj) / gram[k][k]
-                if new < 0.0:
-                    new = 0.0
-                elif new > clip:
-                    new = clip
-                if abs(new - alphas[k]) > HILDRETH_TOL:
-                    alphas[k] = new
-                    changed = True
-            if not changed:
-                break
-        used = [(a_k, items) for a_k, (items, _, _) in zip(alphas, cands) if a_k != 0.0]
-        if used:
-            state.sparse_add(sparse_sum(used), -1.0)
+        dF = dF[keep]
+        b = loss[keep] + state.scale * (dF @ state.v[ids])  # loss - margin
+        alpha = _box_dual((dF @ dF.T).tolist(), b.tolist(), cfg.mira_clip)
+        update = np.array(alpha) @ dF
+        nz = update.nonzero()[0]
+        state.sparse_add(sparse_vector(ids[nz], update[nz]), -1.0)
 
     return step
 

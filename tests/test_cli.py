@@ -1,8 +1,10 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from sapo import load_model
 from sapo.cli import main
 from sapo.training import ALGORITHMS, TrainConfig
 
@@ -145,6 +147,20 @@ class TestTrain:
                      "--epochs", "2", "--model-out", str(tmp_path / "m.txt")])
         assert code == 0
 
+    @pytest.mark.parametrize("clip", ["inf", "1"])
+    def test_contradictory_mira_candidates_train(self, tmp_path, clip):
+        # Candidates XX and YY of "a a"/"X Y" have opposite dF: a singular dual, and
+        # with C = inf an unbounded one (tests/test_training.py, TestMiraNbest).
+        data, model = tmp_path / "train.conll", tmp_path / "m.txt"
+        data.write_text("a X\na Y\n\nb X\n\nc Y\n")
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%x[0,0]\n")
+        code = main(["train", "--algo", "mira-nbest", "--n", "4", "--mira-c", clip,
+                     "--train", str(data), "--templates", str(tpl), "--epochs", "3",
+                     "--model-out", str(model)])
+        assert code == 0
+        assert np.isfinite(load_model(str(model)).weights).all()
+
     def test_corpus_without_features_rejected(self, tmp_path, capsys):
         data, curves = tmp_path / "train.conll", tmp_path / "curves.csv"
         data.write_text("a 0 X\nb 0 Y\n\nb 0 Y\n")
@@ -285,6 +301,7 @@ class TestDecode:
 
     @pytest.mark.parametrize("old, new, message", [
         ("tags\t", "tags\tt1\t", "line 3: duplicate tag 't1'"),
+        ("tags\t", "tags\t\t", "line 3: empty tag"),
         ("U01:%x[-1,0]", "U01:%x[-1]", "line 7, column 5: malformed atom '%x[-1]'"),
     ])
     def test_faulty_model_header_rejected(self, workdir, capsys, old, new, message):

@@ -338,6 +338,12 @@ class TestModelFileFaults:
         with pytest.raises(ModelFileError, match="^line 3: duplicate tag 't0'$"):
             load_model(io.StringIO(text))
 
+    @pytest.mark.parametrize("tags", ["\t", "\tt0\t", "\t\tt0"])
+    def test_empty_tag(self, tags):
+        text = "version\t1\ncolumns\t1\ntags%s\nconfig\t{}\n" % tags
+        with pytest.raises(ModelFileError, match="^line 3: empty tag$"):
+            load_model(io.StringIO(text))
+
     def test_template_fault_names_its_file_line(self):
         text = ("version\t1\ncolumns\t1\ntags\tt0\nconfig\t{}\ntemplates-begin\n"
                 "# comment\nU00:%x[0,0]\nU01:%x[0,0\ntemplates-end\n")

@@ -37,6 +37,15 @@ class TestCompileTemplates:
         tpls = compile_templates("# header\n\nU00:%x[0,0]\n  \n# tail\n")
         assert [t.name for t in tpls] == ["U00"]
 
+    def test_only_newline_ends_a_line(self):
+        with pytest.raises(TemplateError, match=r"^line 1, column 5: malformed atom "
+                                                r"'%x\[0,0\]\\x0cU01:%x\[0,0\]'$"):
+            compile_templates("U00:%x[0,0]\x0cU01:%x[0,0]")
+        with pytest.raises(TemplateError, match=r"^line 3, column 5: malformed atom 'bad'$"):
+            compile_templates("# a\x1cb\x85c\u2028d\nU00:%x[0,0]\nU01:bad\n")
+        crlf = compile_templates("U00:%x[0,0]\r\n\r\n# c\r\nB\r\n")
+        assert crlf == compile_templates("U00:%x[0,0]\n\n# c\nB\n")
+
     def test_transition_line(self):
         tpls = compile_templates("U00:%x[0,0]\nB\n")
         assert [t.transition for t in tpls] == [False, True]

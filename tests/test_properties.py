@@ -8,7 +8,8 @@ against the same lattices one at a time, and CoNLL and model-file round
 trips with arbitrary non-whitespace token and tag strings.  The feature
 expectation kernel and the sparse weight update against the per-item loops
 they replace, bit for bit, and the block-streaming model writer against the
-per-cell writer it replaces, byte for byte.
+per-cell writer it replaces, byte for byte.  MIRA's box-constrained dual solve
+against an enumeration of every (lower, free, upper) pattern.
 """
 
 import io
@@ -54,6 +55,7 @@ from sapo.features import (
     compile_corpus,
     compile_sequence,
     path_items,
+    path_matrix,
     position_features,
     sparse_sum,
     sparse_vector,
@@ -386,6 +388,13 @@ def test_expectation_kernel_equals_sequential_loop(case, data):
     _assert_same_vector(expected_items(cs, marg, K),
                         _reference_expectation(model, probe, node, chain_pairs))
 
+    # One row per path of MIRA's candidate matrix: path_items with minus=gold on its nonzeros.
+    matrix, ids = path_matrix(cs, paths, K, cs.gold)
+    for row, path in zip(matrix, paths):
+        nz = row.nonzero()[0]
+        assert (sparse_vector(ids[nz], row[nz]).tobytes()
+                == path_items(cs, path, K, cs.gold).tobytes())
+
     # With minus=gold each mass's term is E[F] - F(x, y*), byte for byte the
     # former composition with subtract_oracle.
     oracle = path_items(cs, cs.gold, K)
@@ -394,6 +403,56 @@ def test_expectation_kernel_equals_sequential_loop(case, data):
                         candidate_mixture(cs, paths, probs, K)),
                        (expected_items(cs, marg, K, cs.gold), expected_items(cs, marg, K))):
         assert term.tobytes() == subtract_oracle(mass, oracle).tobytes()
+
+
+@st.composite
+def box_duals(draw):
+    """(G, b, C): G = D D^T of nc <= 4 nonzero integer rows D, often rank-deficient."""
+    nc = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, nc))
+    ints = st.integers(-3, 3)
+    a = np.array(draw(st.lists(st.lists(ints, min_size=rank, max_size=rank),
+                               min_size=nc, max_size=nc)), dtype=float)
+    basis = np.array(draw(st.lists(st.lists(ints, min_size=5, max_size=5),
+                                   min_size=rank, max_size=rank)), dtype=float)
+    d = a @ basis
+    d[~d.any(axis=1), 0] = 1.0  # MIRA drops candidates with dF = 0
+    b = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=nc, max_size=nc))
+    return (d @ d.T).tolist(), b, draw(st.floats(0.01, 100.0))
+
+
+def _best_vertex_objective(G, b, C):
+    """max b.a - a.G.a/2 over every (lower, free, upper) pattern whose free block is
+    nonsingular and whose stationary point lies in the box.  Some optimum has such a
+    pattern: along a null direction of a singular free block the objective is constant
+    at an optimum, so a free variable can be moved to a bound."""
+    G, b, nc = np.array(G), np.array(b), len(b)
+    best = -math.inf
+    for pattern in np.ndindex(*(3,) * nc):
+        a = np.array([C if p == 2 else 0.0 for p in pattern])
+        free = [k for k, p in enumerate(pattern) if p == 1]
+        if free:
+            block = G[np.ix_(free, free)]
+            if np.linalg.matrix_rank(block) < len(free):
+                continue
+            a[free] = np.linalg.solve(block, b[free] - np.delete(G[free], free, 1)
+                                      @ np.delete(a, free))
+            if (a < -1e-9).any() or (a > C * (1 + 1e-9)).any():
+                continue
+        best = max(best, b @ a - a @ G @ a / 2)
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_duals())
+def test_box_dual_solve_equals_vertex_enumeration(case):
+    G, b, C = case
+    alpha = training._box_dual(G, b, C)
+    a = np.array(alpha)
+    assert ((0.0 <= a) & (a <= C)).all()
+    assert _close(b @ a - a @ np.array(G) @ a / 2, _best_vertex_objective(G, b, C))
+    if len(b) == 1:
+        assert alpha == [min(C, max(0.0, b[0] / G[0][0]))]
 
 
 UPDATE_VALUES = st.floats(-5.0, 5.0, allow_nan=False).filter(lambda x: x != 0.0)

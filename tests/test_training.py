@@ -307,21 +307,53 @@ class TestMiraNbest:
         for wn, wm in zip(n_snaps, m_snaps):
             assert np.array_equal(wn, wm)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="Hildreth's coordinate ascent stops at HILDRETH_MAX_PASSES "
-                       "without converging on some steps, silently")
-    def test_hildreth_converges_within_the_pass_cap(self, monkeypatch):
-        # If every step converged within the cap, a 10x higher cap would change nothing.
+    def test_every_step_meets_the_kkt_conditions(self, monkeypatch):
+        # Each step's dual max b.a - a.G.a/2 over 0 <= a <= C is solved exactly: the
+        # gradient g = b - G.a is <= 0 where a = 0, >= 0 where a = C and 0 in between.
         corpus = generate_synthetic_hmm(K=5, V=50, T_mean=10, count=60, seed=2024,
                                         separability=0.5)
         templates = ("U00:%x[-1,0]\nU01:%x[0,0]\nU02:%x[1,0]\n"
                      "U03:%x[-1,0]/%x[0,0]\nU04:%x[-1,0]/%x[0,0]/%x[1,0]\nB\n")
-        weights = []
-        for cap in (100, 1000):
-            monkeypatch.setattr(training, "HILDRETH_MAX_PASSES", cap)
-            cfg = TrainConfig("mira-nbest-avg", n=5, epochs=1, seed=1)
-            weights.append(train_mira_nbest(corpus, None, cfg, templates)[0].weights)
-        assert np.array_equal(weights[0], weights[1])
+        solves = []
+        solve = training._box_dual
+
+        def recorded(G, b, C):
+            alpha = solve(G, b, C)
+            solves.append((G, b, C, alpha))
+            return alpha
+
+        monkeypatch.setattr(training, "_box_dual", recorded)
+        cfg = TrainConfig("mira-nbest-avg", n=5, epochs=1, seed=1)
+        train_mira_nbest(corpus, None, cfg, templates)
+        assert len(solves) == 60 and {len(b) for _, b, _, _ in solves} == {4, 5}
+        for G, b, C, alpha in solves:
+            for k, a_k in enumerate(alpha):
+                terms = [G[k][j] * a_j for j, a_j in enumerate(alpha)]
+                g = b[k] - sum(terms)
+                tol = 1e-9 * (abs(b[k]) + sum(map(abs, terms)))
+                assert 0.0 <= a_k <= C
+                assert g <= tol if a_k == 0.0 else g >= -tol if a_k == C else abs(g) <= tol
+
+    @pytest.mark.parametrize("clip", [math.inf, 1.0])
+    def test_contradictory_candidates(self, clip):
+        # Candidates XX and YY of "a a"/"X Y" have dF_YY = -dF_XX, so G is singular and
+        # both margins cannot hold.  With C = inf the dual is unbounded along (1, 1), a
+        # direction that leaves D^T a unchanged: the candidate freed first takes the
+        # one-candidate step and the other stays at 0, so the weights of "a" swing by
+        # +-1 each epoch.  With C = 1 the optimum has both at C (no free variable), and
+        # no update.
+        G, b = [[2.0, -2.0], [-2.0, 2.0]], [1.0, 1.0]
+        assert training._box_dual(G, b, clip) == ([0.5, 0.0] if clip == math.inf else [1.0, 1.0])
+        # A third, independent candidate is still freed after the second stays at 0.
+        G3 = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert training._box_dual(G3, [1.0, 1.0, 1.0], clip) == (
+            [1.0, 0.0, 1.0] if clip == math.inf else [1.0, 1.0, 1.0])
+        data = word_corpus([("a a", "X Y"), ("b", "X"), ("c", "Y")])
+        cfg = TrainConfig("mira-nbest", n=4, epochs=2, seed=1, mira_clip=clip)
+        model, _ = train_mira_nbest(data, None, cfg, UNIGRAM_ONLY)
+        assert np.isfinite(model.weights).all()
+        a = model.index.lookup_raw("U00=a") * 2
+        assert model.weights[a:a + 2].tolist() == ([0.5, -0.5] if clip == math.inf else [0, 0])
 
     def test_single_tagging_noop(self):
         data = word_corpus([("a b", "T T"), ("b", "T")])
