@@ -144,13 +144,13 @@ def compile_templates(spec_text: str) -> list[FeatureTemplate]:
     Grammar, one template per line: ``<id>:%x[<row>,<col>]`` atoms joined
     by ``/``, with |row| < 2**31; ``%v[<row>,<col>]`` reads a numeric feature
     value from a cell (at most one per template); lines starting with ``#``
-    are comments; a bare ``B`` line enables tag-bigram transition features.  Only a
-    newline ends a line (trailing whitespace, a carriage return included, is dropped),
-    so line numbers count newlines.
+    are comments; a bare ``B`` line enables tag-bigram transition features.  A line
+    ends at a newline, a CRLF or a lone carriage return, as in a file read with
+    universal newlines, and at no other line break; line numbers count those ends.
     """
     templates = []
     names = set()
-    for lineno, rawline in enumerate(spec_text.split("\n"), start=1):
+    for lineno, rawline in enumerate(re.split(r"\r\n?|\n", spec_text), start=1):
         line = rawline.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue

@@ -8,9 +8,11 @@ emission`` everywhere, so the exact scores equal :func:`enumerate_all`'s rank
 by rank.  Unpruned (n or beam width >= K^T), the path lists are identical
 too; otherwise paths differ only where the float accumulation makes a tie.
 
-An ``emit`` of shape (B, T, K) is a stack of B equal-length lattices sharing
-``trans``, built by :func:`length_buckets`.  :func:`viterbi`, :func:`path_score`
-and :func:`astar_nbest` take stacks and return one result per lattice, for
+Emission rows come from :func:`emission_scores`, one in-order ``np.bincount``
+over a sequence's (position, tag) cells, or a stack's.  An ``emit`` of shape
+(B, T, K) is a stack of B equal-length lattices sharing ``trans``, built by
+:func:`length_buckets`.  :func:`viterbi`, :func:`path_score` and
+:func:`astar_nbest` take stacks and return one result per lattice, for
 :func:`astar_nbest` one NBestList each.  Exact search runs a whole stack at
 once unless n*K^2 exceeds ``_DENSE_CELLS``: the ``g + h`` cut then leaves each
 lattice its own number of survivors, and the lattices are searched one at a
@@ -112,22 +114,17 @@ def length_buckets(compiled, views, n=1):
 def emission_scores(compiled, emission_weights) -> np.ndarray:
     """Emission rows of every position of the compiled sequences, in order.
 
-    Rows add value * weight row one feature slot at a time, from 0.0: bit for
-    bit a sequential sum, which ``np.add.reduceat`` is not.  A row is never
-    -0.0, so the 0.0 a position short of a slot adds changes nothing.
+    One ``np.bincount`` over (position, tag) bins: bin p*K + k adds value *
+    weight for each of position p's features in stored order, from 0.0, so a
+    row is bit for bit a sequential sum (which ``np.add.reduceat`` is not).
     """
     rids = np.concatenate([cs.rids for cs in compiled])
     vals = np.concatenate([cs.vals for cs in compiled])
     counts = np.concatenate([cs.counts for cs in compiled])
-    terms = np.zeros((len(rids) + 1, emission_weights.shape[1]))  # the last row pads
-    np.multiply(emission_weights[rids], vals[:, None], out=terms[:-1])
-    slot = np.arange(counts.max(initial=0))
-    # at[p, j]: the row in terms of position p's j-th feature, or the padding row
-    at = np.where(slot < counts[:, None], (np.cumsum(counts) - counts)[:, None] + slot, -1)
-    emit = np.zeros((len(counts), emission_weights.shape[1]))
-    for term in terms[at.T]:
-        emit += term
-    return emit
+    T, K = len(counts), emission_weights.shape[1]
+    bins = np.arange(T * K).reshape(T, K).repeat(counts, axis=0)  # each feature's K bins
+    emit = np.bincount(bins.ravel(), (emission_weights[rids] * vals[:, None]).ravel(), T * K)
+    return emit.reshape(T, K).astype(float, copy=False)  # int64 zeros when no feature fires
 
 
 def path_score(l: Lattice, path):

@@ -273,7 +273,7 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
                                   "corpus has %d" % (name, i, min(widths), n_columns))
     compiled = []
     model = build_model(sequences, template_text, n_columns, compiled)
-    held_compiled = compile_corpus(model, held_sequences, labeled=True)
+    held_compiled = compile_corpus(model, held_sequences)  # golds compare as strings
 
     state = WeightState(model.index.n_features, averaging=averaged)
     views = weight_views(state.v, model.index)

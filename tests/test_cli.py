@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sapo import load_model
+from sapo import TemplateError, compile_templates, load_model
 from sapo.cli import main
 from sapo.training import ALGORITHMS, TrainConfig
 
@@ -183,6 +183,32 @@ class TestTrain:
         assert code == 1
         assert ("held-out sequence 0 has a token of 2 columns; the training corpus has 1"
                 in capsys.readouterr().err)
+
+    def test_heldout_tag_unseen_in_training_counts_as_an_error(self, tmp_path, capsys):
+        data, held = tmp_path / "train.conll", tmp_path / "held.conll"
+        data.write_text("a\tX\nb\tY\n\nb\tY\n")
+        held.write_text("a\tX\nb\tZ\n")
+        tpl, curves = tmp_path / "templates.txt", tmp_path / "curves.csv"
+        tpl.write_text("U00:%x[0,0]\n")
+        code = main(["train", "--algo", "perc", "--train", str(data), "--heldout", str(held),
+                     "--templates", str(tpl), "--epochs", "1", "--curves", str(curves)])
+        assert code == 0
+        assert "heldout=0.5000" in capsys.readouterr().out
+        assert curves.read_text().splitlines()[1].split(",")[2] == "0.5"
+
+    @pytest.mark.parametrize("text", ["U00:%x[0,0]\rU01:%x[-1,0]\rB\r",
+                                      "# a\rU01:%x[0,0]\nU00:%x[0,0]\nB\n",
+                                      "# note\rsecond half\nU00:%x[0,0]\n"])
+    def test_template_file_parses_as_in_process(self, workdir, capsys, text):
+        (workdir / "templates.txt").write_bytes(text.encode())
+        code, model, _ = _train(workdir, algo="perc", epochs="1")
+        try:
+            templates = compile_templates(text)
+        except TemplateError as e:
+            assert code == 1 and not model.exists()
+            assert capsys.readouterr().err == "error: %s\n" % e
+        else:
+            assert code == 0 and load_model(str(model)).templates == templates
 
     @pytest.mark.parametrize("atoms, column", [
         ("%x[99999999999999999999,0]", 5), ("%x[0,0]/%x[9223372036854775807,0]", 13)])

@@ -233,6 +233,22 @@ class TestModelPersistence:
         loaded = load_model(io.StringIO(out.getvalue()))
         assert loaded.weights.tolist() == plain.weights.tolist()
 
+    @pytest.mark.parametrize("text", ["# a\rU01:%x[0,0]\nU00:%x[0,0]\nB\n",
+                                      "U00:%x[0,0]\r\n# b\rU01:%x[1,0]\rB\r\n"])
+    def test_template_line_ends_round_trip(self, tmp_path, text):
+        # A path is read with universal newlines, a stream as is: both must give the
+        # templates the model was trained with.
+        seqs = [Sequence(tokens=[("b",), ("a",)], gold=["Y", "X"])]
+        model = build_model(seqs, text, n_columns=1)
+        model.weights = np.arange(1.0, len(model.weights) + 1)
+        path, out = tmp_path / "m.model", io.StringIO()
+        save_model(model, path)
+        save_model(model, out)
+        for loaded in (load_model(path), load_model(io.StringIO(out.getvalue()))):
+            assert loaded.templates == model.templates
+            assert loaded.index.raw_strings == model.index.raw_strings
+            assert loaded.weights.tolist() == model.weights.tolist()
+
     def test_zero_weights_not_stored(self, rng, tmp_path):
         model, _ = _toy_model(rng)
         path = tmp_path / "m.model"

@@ -46,6 +46,18 @@ class TestCompileTemplates:
         crlf = compile_templates("U00:%x[0,0]\r\n\r\n# c\r\nB\r\n")
         assert crlf == compile_templates("U00:%x[0,0]\n\n# c\nB\n")
 
+    def test_carriage_return_ends_a_line_as_in_a_template_file(self, tmp_path):
+        # `sapo train --templates` reads the file with universal newlines.
+        path = tmp_path / "t.txt"
+        for text in ("U00:%x[0,0]\rU01:%x[0,0]", "# a\rU01:%x[0,0]\nU00:%x[0,0]\nB\n",
+                     "U00:%x[0,0]\r\rB\r\nU01:%x[1,0]\r"):
+            path.write_bytes(text.encode())
+            with open(path, encoding="utf-8") as f:
+                assert compile_templates(text) == compile_templates(f.read())
+        assert [t.name for t in compile_templates("U00:%x[0,0]\rU01:%x[0,0]")] == ["U00", "U01"]
+        with pytest.raises(TemplateError, match=r"^line 3, column 5: malformed atom 'bad'$"):
+            compile_templates("U00:%x[0,0]\r\nB\rU01:bad\n")
+
     def test_transition_line(self):
         tpls = compile_templates("U00:%x[0,0]\nB\n")
         assert [t.transition for t in tpls] == [False, True]

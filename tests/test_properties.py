@@ -69,6 +69,7 @@ from sapo.inference import (
     regularizer_value,
     subtract_oracle,
 )
+from sapo.lattice import length_buckets
 from sapo.training import WeightState
 
 TAGS = ("X", "Y", "Z")
@@ -244,6 +245,8 @@ FEATURELESS_TEMPLATES = (
     "U00:%x[0,0]/%v[0,1]\nB\n",
     "U00:%x[0,0]\nU01:%x[-1,0]/%v[0,1]\nB\n",
     "U00:%x[0,0]\nU01:%v[0,1]\n",
+    # three features a position, so that the order of a row's sum shows
+    "U00:%x[0,0]\nU01:%x[-1,0]/%v[0,1]\nU02:%x[1,0]/%v[0,1]\nB\n",
 )
 
 
@@ -303,6 +306,13 @@ def test_stacked_objective_and_emission_rows(case):
     assert featureless
     for row in featureless:
         assert row.tolist() == [0.0] * model.num_tags and not np.signbit(row).any()
+    # Every length bucket's stacked rows are the single lattices' rows, byte for byte.
+    views, seen = weight_views(model.weights, model.index), []
+    for n in (1, 5):
+        for idx, stack in length_buckets(compiled, views, n):
+            assert stack.emit.tobytes() == np.stack([lattices[i].emit for i in idx]).tobytes()
+            seen.extend(idx)
+    assert sorted(seen) == sorted(2 * list(range(len(compiled))))
 
 
 # A bare %v template fires the same raw feature at every position, so ids

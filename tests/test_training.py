@@ -103,6 +103,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="gold"):
             train_sapo(data, None, cfg, TEMPLATES)
 
+    def test_heldout_tag_unseen_in_training_counts_as_an_error(self):
+        # Held-out golds compare as strings, so a tag the model cannot emit is a miss.
+        data, held = word_corpus([("a b", "X Y")]), word_corpus([("a b", "X Z")])
+        _, curve = train(data, held, TrainConfig("perc", epochs=1, seed=1), "U00:%x[0,0]\n")
+        assert curve[-1].heldout_metric == 0.5
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
