@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -74,8 +76,8 @@ def read_conll(source, labeled: bool = True) -> Corpus:
     """Parse CoNLL-format text into a corpus.
 
     ``labeled`` treats the final column as the gold tag.  Column counts
-    are inferred from the first token and enforced; CRLF and trailing
-    blank lines are tolerated.
+    are inferred from the first token and enforced; a line ends at a newline,
+    a CRLF or a lone carriage return, and trailing blank lines are tolerated.
     """
     with _opened(source) as stream:
         sequences = []
@@ -94,8 +96,7 @@ def read_conll(source, labeled: bool = True) -> Corpus:
             sequences.append(Sequence(tokens=tokens, gold=gold))
             rows.clear()
 
-        for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\r\n")
+        for lineno, line in enumerate(chain.from_iterable(_line_blocks(stream)), start=1):
             if not line.strip():
                 flush()
                 continue
@@ -247,10 +248,19 @@ def generate_synthetic_hmm(
 
 _WRITE_CELLS = 8192  # table cells per writer block
 _READ_CHARS = 1 << 18  # characters per reader block
+_FIELD_BREAK = re.compile(r"[\t\r\n]")  # what a saved raw string or tag cannot hold
 
 
 def save_model(m: Model, path):
-    """Write a model as line-oriented text; zero weights are omitted."""
+    """Write a model as line-oriented text; zero weights are omitted.  An empty tag, or a
+    raw string or tag holding a tab or a line end, raises ValueError before anything is
+    written, as :func:`load_model` would reject the file."""
+    if "" in m.tagset.tags:
+        raise ValueError("cannot save a model with an empty tag")
+    for kind, names in (("raw string", m.index.raw_strings), ("tag", m.tagset.tags)):
+        if _FIELD_BREAK.search(" ".join(names)):
+            raise ValueError("cannot save a model whose %s %r holds a tab or a line end" % (
+                kind, next(name for name in names if _FIELD_BREAK.search(name))))
     text = m.template_text
     if text and not text.endswith("\n"):
         text += "\n"
@@ -270,15 +280,20 @@ def save_model(m: Model, path):
 
 
 def _line_blocks(stream):
-    """The remaining lines of ``stream``, one list per read of ``_READ_CHARS``
-    characters; a line that a read cuts goes whole into the next list."""
+    """The remaining lines of ``stream`` without their ends, one list per read of
+    ``_READ_CHARS`` characters; a line that a read cuts goes whole into the next list.
+    A line ends at a newline, a CRLF or a lone carriage return, as in
+    ``compile_templates`` and in a file read with universal newlines, whether the
+    stream translated them or not, and at no other line break."""
     carry = ""
     for chunk in iter(lambda: stream.read(_READ_CHARS), ""):
         text = carry + chunk
-        cut = text.rfind("\n") + 1
-        carry = text[cut:]
-        yield text[:cut].splitlines()
-    yield carry.splitlines()
+        cut = len(text) - text.endswith("\r")  # the next read may hold its "\n"
+        lines = text[:cut].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        carry = lines.pop() + text[cut:]
+        yield lines
+    lines = carry.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    yield lines if lines[-1] else lines[:-1]
 
 
 def load_model(path) -> Model:
@@ -287,15 +302,15 @@ def load_model(path) -> Model:
     A fault names its line.  Duplicate features are looked for only after
     every line has passed its own checks."""
     with _opened(path) as stream:
-        lineno = 0
+        lines, lineno = chain.from_iterable(_line_blocks(stream)), 0
 
         def next_line(key):
             nonlocal lineno
             lineno += 1
-            line = stream.readline()
-            if not line:
+            line = next(lines, None)
+            if line is None:
                 raise ModelFileError("truncated model file: missing %r line" % key)
-            return line.rstrip("\r\n")
+            return line
 
         def header(key):
             parts = next_line(key).split("\t")
@@ -341,38 +356,37 @@ def load_model(path) -> Model:
         K, tag_ids = len(tagset), tagset.index
         ids, ws, blank = array("q"), array("d"), array("q")  # flat weight ids, weights, blank lines
         first, raw = lineno + 1, None
-        for lines in _line_blocks(stream):
-            for lineno, line in enumerate(lines, start=lineno + 1):
-                if not line:
-                    blank.append(lineno)
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4 or parts[0] not in ("E", "T"):
-                    raise ModelFileError("line %d: corrupt feature line %r" % (lineno, line))
-                kind, a, b, wtext = parts
-                try:
-                    w = float(wtext)
-                except ValueError:
-                    raise ModelFileError("line %d: bad weight %r" % (lineno, wtext)) from None
-                if not math.isfinite(w):
-                    raise ModelFileError("line %d: non-finite weight %r" % (lineno, wtext))
-                col = tag_ids.get(b)
-                if kind == "E":
-                    if col is None:
-                        raise ModelFileError("line %d: unknown tag %r" % (lineno, b))
-                    if a != raw:  # a row's lines usually come together
-                        raw, rid = a, index.add_raw(a)
-                    ids.append(rid * K + col)
-                else:
-                    if not transitions:
-                        raise ModelFileError(
-                            "line %d: transition feature in a model without transitions" % lineno
-                        )
-                    prev = tag_ids.get(a)
-                    if prev is None or col is None:
-                        raise ModelFileError("line %d: unknown tag pair %r/%r" % (lineno, a, b))
-                    ids.append(-1 - (prev * K + col))  # the raw-id count is not known yet
-                ws.append(w)
+        for lineno, line in enumerate(lines, start=lineno + 1):
+            if not line:
+                blank.append(lineno)
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4 or parts[0] not in ("E", "T"):
+                raise ModelFileError("line %d: corrupt feature line %r" % (lineno, line))
+            kind, a, b, wtext = parts
+            try:
+                w = float(wtext)
+            except ValueError:
+                raise ModelFileError("line %d: bad weight %r" % (lineno, wtext)) from None
+            if not math.isfinite(w):
+                raise ModelFileError("line %d: non-finite weight %r" % (lineno, wtext))
+            col = tag_ids.get(b)
+            if kind == "E":
+                if col is None:
+                    raise ModelFileError("line %d: unknown tag %r" % (lineno, b))
+                if a != raw:  # a row's lines usually come together
+                    raw, rid = a, index.add_raw(a)
+                ids.append(rid * K + col)
+            else:
+                if not transitions:
+                    raise ModelFileError(
+                        "line %d: transition feature in a model without transitions" % lineno
+                    )
+                prev = tag_ids.get(a)
+                if prev is None or col is None:
+                    raise ModelFileError("line %d: unknown tag pair %r/%r" % (lineno, a, b))
+                ids.append(-1 - (prev * K + col))  # the raw-id count is not known yet
+            ws.append(w)
     index.freeze()
     ids = np.frombuffer(ids, np.int64)
     ids = np.where(ids < 0, index.transition_base - 1 - ids, ids)

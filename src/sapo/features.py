@@ -25,17 +25,17 @@ in first-seen (sequence, position, template) order.  ``compile_corpus`` splits o
 id array into each sequence's compiled form; ``compile_sequence`` and
 ``position_features`` are its one-sequence cases.
 
-A compiled sequence holds its position features as arrays (raw ids, values and
-each position's feature count).  A sparse vector, an E[F] or an update E[F] - F(x, y*)
-(one ``expected_features`` call given y* as ``minus``), is an array of ``SPARSE``
-(id, value) records sorted by id and free of duplicates; ``.tolist()`` gives its pairs.
+A compiled sequence holds its position features as arrays and, when labeled, the update
+kernel's cells.  A sparse vector, an E[F] or an update E[F] - F(x, y*) (one
+``expected_features`` call given y* as ``minus``), is an array of ``SPARSE`` (id, value)
+records sorted by id and free of duplicates; ``.tolist()`` gives its pairs.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, repeat
 from operator import add, itemgetter
 
@@ -364,31 +364,23 @@ def build_feature_index(sequences, templates, tagset, n_columns, compiled=None) 
 
 @dataclass
 class CompiledSequence:
-    """One sequence's position features that a frozen feature index holds, in order."""
+    """One sequence's position features that a frozen feature index holds, in order, and
+    from a labeled compile the update kernel's cells (see ``_split``)."""
 
     gold: list | None  # gold tag ids, or None
     trans_base: int | None  # id of the first transition feature, None without transitions
-    K: int  # tagset size
     rids: np.ndarray  # the features' raw ids
     vals: np.ndarray  # their values
     counts: np.ndarray  # (T,): each position's number of features
-
-    @cached_property
-    def kernel_bins(self):
-        """``expected_features``'s (each feature's position, each row's id for tag 0, each
-        feature's bin for tag 0); a row has K bins, one per distinct raw id in order, then
-        one per tag prev with transitions: trans_base + prev * K + cur continues the layout."""
-        rows = sorted(set(self.rids.tolist()))
-        if self.trans_base is not None:
-            rows.extend(range(self.trans_base // self.K, self.trans_base // self.K + self.K))
-        rows = np.array(rows, dtype=np.intp)
-        pos = np.arange(len(self.counts)).repeat(self.counts)
-        return pos, rows * self.K, rows.searchsorted(self.rids) * self.K
+    bases: np.ndarray | None  # each row's id for tag 0; None when unlabeled
+    bins: np.ndarray | None  # each feature's bin for tag 0; None when unlabeled
 
 
 def _split(token_lists, golds, observations, index) -> list[CompiledSequence]:
     """Each sequence's compiled form from its corpus's ``_observations``: the fired
-    features the frozen index holds, unseen strings dropped."""
+    features the frozen index holds, unseen strings dropped.  Given golds, one ``np.unique``
+    gives every sequence's cells: a row of K bins per distinct raw id in order, then one
+    per tag prev with transitions (trans_base + prev * K + cur continues the layout)."""
     strings, values, fired = observations
     flat = strings[fired].tolist()
     rids = np.fromiter(map(index.raw_ids.get, flat, repeat(-1)), np.intp, len(flat))
@@ -398,10 +390,19 @@ def _split(token_lists, golds, observations, index) -> list[CompiledSequence]:
     ends = np.fromiter(map(len, token_lists), np.intp, len(token_lists)).cumsum()
     offsets = counts.cumsum()[ends - 1].tolist()
     trans_base = index.transition_base if index.transitions else None
+    K, S, firsts = index.num_tags, len(golds), [0] * (len(golds) + 1)
+    if None not in golds:  # a key is sequence * stride + row
+        stride = index.n_raw + K
+        seq = np.arange(S).repeat(np.diff(offsets, prepend=0))
+        prevs = np.arange(index.n_raw, index.n_raw + K * index.transitions)  # rows n_raw + prev
+        trans = np.add.outer(np.arange(S) * stride, prevs).ravel()
+        rows, inv = np.unique(np.concatenate((seq * stride + rids, trans)), return_inverse=True)
+        firsts = rows.searchsorted(np.arange(S + 1) * stride).tolist()
+        bases, bins = rows % stride * K, (inv[:len(rids)] - rows.searchsorted(seq * stride)) * K
     out, a, s = [], 0, 0
-    for gold, b, e in zip(golds, offsets, ends.tolist()):
-        out.append(CompiledSequence(gold, trans_base, index.num_tags, rids[a:b], vals[a:b],
-                                    counts[s:e]))
+    for gold, b, e, p, q in zip(golds, offsets, ends.tolist(), firsts, firsts[1:]):
+        cells = (None, None) if gold is None else (bases[p:q], bins[a:b])
+        out.append(CompiledSequence(gold, trans_base, rids[a:b], vals[a:b], counts[s:e], *cells))
         a, s = b, e
     return out
 
@@ -470,8 +471,7 @@ def expected_features(cs: CompiledSequence, tag_mass, pairs, pair_mass, K, minus
     Each id sums its terms in position order, and a pair's in the given order, from 0.0
     (``np.bincount`` adds in input order).  Given a tagging ``minus``, E[F] - F(x, minus):
     F fills a second half of the bins, so each id is 0.0 + E + (-F) as in ``sparse_sum``."""
-    pos, bases, bins = cs.kernel_bins
-    n = len(bases) * K
+    n = len(cs.bases) * K
     masses = [(tag_mass, pairs, pair_mass)]
     if minus is not None:
         y = np.array(minus, dtype=np.intp)
@@ -479,17 +479,17 @@ def expected_features(cs: CompiledSequence, tag_mass, pairs, pair_mass, K, minus
     cells = []  # (bins, terms) per mass; the point mass on ``minus`` comes second, in n..2n-1
     for half, (mass, pair_ids, pmass) in enumerate(masses):
         if mass.ndim == 1:  # value * 1.0 is the value
-            cells.append((bins + (mass[pos] + half * n), cs.vals))
+            cells.append((cs.bins + (mass.repeat(cs.counts) + half * n), cs.vals))
         else:
-            cells.append(((bins[:, None] + np.arange(K)).ravel(),
-                          (mass[pos] * cs.vals[:, None]).ravel()))
+            cells.append(((cs.bins[:, None] + np.arange(K)).ravel(),
+                          (mass.repeat(cs.counts, 0) * cs.vals[:, None]).ravel()))
         if cs.trans_base is not None:  # pairs are the bins of the last K rows
             cells.append((pair_ids + (n - K * K + half * n), pmass))
     ids, terms = map(np.concatenate, zip(*cells))
     e, f = np.bincount(ids, terms, 2 * n).reshape(2, n)
     sums = e - f  # without ``minus`` f is 0.0, and e - 0.0 is e
     nz = (sums != 0.0).nonzero()[0]
-    return sparse_vector(bases[nz // K] + nz % K, sums[nz])
+    return sparse_vector(cs.bases[nz // K] + nz % K, sums[nz])
 
 
 def path_items(cs: CompiledSequence, path, K, minus=None):
@@ -501,23 +501,23 @@ def path_items(cs: CompiledSequence, path, K, minus=None):
 def path_matrix(cs: CompiledSequence, paths, K, minus):
     """Each tagging's F(x, y) - F(x, minus) as a row of one dense matrix.
 
-    Returns (matrix, ids): one row per path, and one column per kernel cell of ``cs``
-    (a (row, tag) of ``kernel_bins``) where some row is nonzero, ``ids`` the columns'
-    feature ids in increasing order.  One ``np.bincount`` fills every path's cells and,
+    Returns (matrix, ids): one row per path, and one column per kernel cell (row, tag)
+    of ``cs`` where some row is nonzero, ``ids`` the columns' feature ids in increasing
+    order.  One ``np.bincount`` fills every path's cells and,
     last, the point mass on ``minus``; a row's nonzeros are ``path_items(cs, path, K,
     minus)``, bit for bit."""
-    pos, bases, bins = cs.kernel_bins
-    n = len(bases) * K
+    n = len(cs.bases) * K
     y = np.vstack((paths, minus))  # (paths + 1, T)
     offsets = np.arange(len(y))[:, None] * n
-    ids, terms = [(bins + y[:, pos] + offsets).ravel()], [np.tile(cs.vals, len(y))]
+    ids = [(cs.bins + y.repeat(cs.counts, 1) + offsets).ravel()]
+    terms = [np.tile(cs.vals, len(y))]
     if cs.trans_base is not None:  # pairs are the bins of the last K rows
         ids.append((y[:, :-1] * K + y[:, 1:] + (n - K * K) + offsets).ravel())
         terms.append(np.ones(ids[-1].size))
     f = np.bincount(np.concatenate(ids), np.concatenate(terms), len(y) * n).reshape(len(y), n)
     diff = f[:-1] - f[-1]
     cells = diff.any(axis=0).nonzero()[0]
-    return diff[:, cells], bases[cells // K] + cells % K
+    return diff[:, cells], cs.bases[cells // K] + cells % K
 
 
 def extract_features(x: Sequence, y, templates, index: FeatureIndex):
@@ -535,7 +535,7 @@ def extract_features(x: Sequence, y, templates, index: FeatureIndex):
     for tag_id in y:
         if not (0 <= tag_id < K):
             raise ExtractionError("tag id %r outside tagset of size %d" % (tag_id, K))
-    return path_items(_compile([x.tokens], [None], templates, index)[0], y, K).tolist()
+    return path_items(_compile([x.tokens], [list(y)], templates, index)[0], y, K).tolist()
 
 
 def weight_views(weights: np.ndarray, index: FeatureIndex):

@@ -171,16 +171,22 @@ def objective_value(m: Model, data, l2: float) -> float:
     return compiled_objective(compiled, m.weights, m.index, l2)
 
 
-def compiled_objective(compiled, weights, index, l2: float) -> float:
-    """:func:`objective_value` over compiled labeled sequences under ``weights``:
-    one forward per length bucket, the terms summed in corpus order."""
+def objective_terms(compiled, weights, index) -> list[float]:
+    """Each compiled labeled sequence's log Z - score of its gold tagging under
+    ``weights``, one forward per length bucket."""
     terms = [0.0] * len(compiled)
     for idx, l in length_buckets(compiled, weight_views(weights, index)):
         gold = path_score(l, [compiled[i].gold for i in idx])
         for i, logz, score in zip(idx, forward_logz(l), gold):
             terms[i] = logz - score
+    return terms
+
+
+def compiled_objective(compiled, weights, index, l2: float) -> float:
+    """:func:`objective_value` over compiled labeled sequences under ``weights``:
+    the regularizer, then the :func:`objective_terms` added in corpus order."""
     total = l2 * regularizer_value(weights)
-    for term in terms:
+    for term in objective_terms(compiled, weights, index):
         total += term
     return total
 

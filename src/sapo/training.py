@@ -48,6 +48,7 @@ from .inference import (
     expected_items,
     forward_backward,
     labeled_sample,
+    objective_terms,
     topn_distribution,
 )
 from .lattice import astar_nbest, beam_nbest, compiled_lattice, viterbi, viterbi_tags
@@ -65,14 +66,17 @@ class ConfigError(ValueError):
 
 
 class NonFiniteError(RuntimeError):
-    """Weights became non-finite during training.
+    """Weights, or a score computed from them, became non-finite during training.
 
-    ``sample_index`` is the last sample visited before the failed check, and
-    ``window`` the number of samples visited since the last passing check.
+    ``sample_index`` is the sample the check names, for the weights the last one
+    visited before the failed check (None when no sample is to blame), and ``window``
+    the number of samples visited since the last passing check.  ``what`` says what
+    was not finite.
     """
 
-    def __init__(self, sample_index, epoch, window=1):
-        msg = "non-finite weights detected after sample %d in epoch %d" % (sample_index, epoch)
+    def __init__(self, sample_index, epoch, window=1, what=None):
+        what = what or "weights detected after sample %d" % sample_index
+        msg = "non-finite %s in epoch %d" % (what, epoch)
         if window > 1:
             msg += " (within the %d samples visited since the last finite check)" % window
         super().__init__(msg)
@@ -287,8 +291,8 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     curve = TrainCurve()
     since_check = [0]
 
-    def checked_step(i, gamma, epoch):
-        step(i, gamma)
+    def checked_step(i, epoch):
+        step(i, epoch)
         state.end_sample()
         if not math.isfinite(state.scale):
             raise NonFiniteError(i, epoch)
@@ -299,13 +303,17 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
             since_check[0] = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        gamma = cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
-        order, seconds = run_epoch(lambda i: checked_step(i, gamma, epoch), compiled, rng)
+        order, seconds = run_epoch(lambda i: checked_step(i, epoch), compiled, rng)
         if not state.finite():
             raise NonFiniteError(int(order[-1]), epoch, since_check[0])
         since_check[0] = 0
         weights = model.weights = state.averaged_weights() if averaged else state.current_weights()
         objective = compiled_objective(compiled, weights, model.index, cfg.l2)
+        if not math.isfinite(objective):  # name its first non-finite term
+            terms = objective_terms(compiled, weights, model.index)
+            i = next((i for i, term in enumerate(terms) if not math.isfinite(term)), None)
+            raise NonFiniteError(i, epoch, what="objective (its L2 term)" if i is None
+                                 else "objective term of sequence %d" % i)
         held_metric = None
         if held_compiled and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             preds = viterbi_tags(model, held_compiled, weights)
@@ -421,8 +429,8 @@ def _sgd_factory(model, samples, state, cfg, lattice_for):
     decay_l2 = _decay_rate(cfg, len(samples))
     topn = "n" in _TRAINERS[cfg.algorithm][2]
 
-    def step(i, gamma):
-        cs = samples[i]
+    def step(i, epoch):
+        cs, gamma = samples[i], cfg.learning_rate * cfg.lr_decay ** (epoch - 1)
         if topn:
             items = _sapo_items(lattice_for(cs), cs, cfg.n, cfg.search, cfg.beam_width)
         else:
@@ -436,7 +444,7 @@ def _sgd_factory(model, samples, state, cfg, lattice_for):
 def _perceptron_factory(model, samples, state, cfg, lattice_for):
     K = model.num_tags
 
-    def step(i, gamma):
+    def step(i, epoch):
         cs = samples[i]
         pred, _ = viterbi(lattice_for(cs))
         if pred == cs.gold:
@@ -551,7 +559,7 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
     K = model.num_tags
     n, search = (cfg.n, cfg.search) if "n" in _TRAINERS[cfg.algorithm][2] else (1, "astar")
 
-    def step(i, gamma):
+    def step(i, epoch):
         cs = samples[i]
         paths = np.array(_nbest(lattice_for(cs), n, search, cfg.beam_width).paths)
         loss = (paths != cs.gold).sum(axis=1)
@@ -561,7 +569,10 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
             return
         dF = dF[keep]
         b = loss[keep] + state.scale * (dF @ state.v[ids])  # loss - margin
-        alpha = _box_dual((dF @ dF.T).tolist(), b.tolist(), cfg.mira_clip)
+        G = dF @ dF.T
+        if not (np.isfinite(b).all() and np.isfinite(G).all()):
+            raise NonFiniteError(i, epoch, what="MIRA margins or Gram matrix at sequence %d" % i)
+        alpha = _box_dual(G.tolist(), b.tolist(), cfg.mira_clip)
         update = np.array(alpha) @ dF
         nz = update.nonzero()[0]
         state.sparse_add(sparse_vector(ids[nz], update[nz]), -1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -160,6 +161,22 @@ class TestTrain:
                      "--model-out", str(model)])
         assert code == 0
         assert np.isfinite(load_model(str(model)).weights).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algo", ["perc", "mira", "mira-nbest"])
+    def test_overflowing_scores_exit_3(self, tmp_path, capsys, algo):
+        # Weights of +-1e308 are finite, but weight x value overflows: the perceptron's
+        # objective and MIRA's Gram matrix are not finite.
+        data, model = tmp_path / "train.conll", tmp_path / "m.txt"
+        data.write_text("a 1e308 X\nb 1e308 Y\n\nb 1e308 Y\na 1e308 X\n")
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%x[0,0]/%v[0,1]\nB\n")
+        code = main(["train", "--algo", algo, "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "3", "--model-out", str(model)])
+        assert code == 3
+        assert re.fullmatch(r"error: non-finite [^\n]* sequence 0 in epoch 1\n",
+                            capsys.readouterr().err)
+        assert not model.exists()
 
     def test_corpus_without_features_rejected(self, tmp_path, capsys):
         data, curves = tmp_path / "train.conll", tmp_path / "curves.csv"

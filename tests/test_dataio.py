@@ -48,6 +48,16 @@ class TestReadConll:
         corpus = read_conll(io.StringIO("the DT\r\ndog NN\r\n\r\n"))
         assert corpus.sequences[0].gold == ["DT", "NN"]
 
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        # As in compile_templates and a file read with universal newlines.
+        text = "a X\rb Y\n\nc X\n"
+        path = tmp_path / "lone-cr.conll"
+        path.write_bytes(text.encode())
+        for source in (path, io.StringIO(text), io.StringIO(text, newline="")):
+            corpus = read_conll(source)
+            assert [s.tokens for s in corpus.sequences] == [[("a",), ("b",)], [("c",)]]
+            assert [s.gold for s in corpus.sequences] == [["X", "Y"], ["X"]]
+
     def test_trailing_blank_lines_tolerated(self):
         corpus = read_conll(io.StringIO("a X\n\n\n\n"))
         assert len(corpus) == 1
@@ -249,6 +259,42 @@ class TestModelPersistence:
             assert loaded.index.raw_strings == model.index.raw_strings
             assert loaded.weights.tolist() == model.weights.tolist()
 
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_other_line_breaks_in_strings_round_trip(self, tmp_path, char):
+        # Only "\n", "\r\n" and a lone "\r" end a model file's line.
+        seqs = [Sequence(tokens=[("a" + char + "b",), ("a",)], gold=["X" + char, "Y"])]
+        model = build_model(seqs, "U00:%x[0,0]\nB\n", n_columns=1)
+        model.weights = np.arange(1.0, len(model.weights) + 1)
+        path, out = tmp_path / "m.model", io.StringIO()
+        save_model(model, path)
+        save_model(model, out)
+        for loaded in (load_model(path), load_model(io.StringIO(out.getvalue()))):
+            assert loaded.tagset.tags == model.tagset.tags
+            assert loaded.index.raw_strings == ["U00=a" + char + "b", "U00=a"]
+            assert loaded.weights.tolist() == model.weights.tolist()
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    @pytest.mark.parametrize("where", ["raw string", "tag"])
+    def test_string_that_would_break_its_line_rejected(self, tmp_path, char, where):
+        word, tag = ("a" + char, "X") if where == "raw string" else ("a", "X" + char)
+        seqs = [Sequence(tokens=[(word,)], gold=[tag])]
+        model = build_model(seqs, "U00:%x[0,0]\n", n_columns=1)
+        bad = "U00=" + word if where == "raw string" else tag
+        path, out = tmp_path / "m.model", io.StringIO()
+        for target in (path, out):
+            with pytest.raises(ValueError, match="^cannot save a model whose %s %s holds"
+                               % (where, re.escape(repr(bad)))):
+                save_model(model, target)
+        assert not path.exists() and out.getvalue() == ""
+
+    def test_empty_tag_rejected_on_save(self):
+        model = build_model([Sequence(tokens=[("a",), ("b",)], gold=["", "X"])],
+                            "U00:%x[0,0]\n", n_columns=1)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="^cannot save a model with an empty tag$"):
+            save_model(model, out)
+        assert out.getvalue() == ""
+
     def test_zero_weights_not_stored(self, rng, tmp_path):
         model, _ = _toy_model(rng)
         path = tmp_path / "m.model"
@@ -389,6 +435,17 @@ class TestModelFileFaults:
         lines += [lines[_first_feature(lines)], "E\tU00=w0\tt0\tbad"]
         with pytest.raises(ModelFileError, match="^line %d: bad weight" % len(lines)):
             load_model(io.StringIO("\n".join(lines) + "\n"))
+
+
+    def test_lone_carriage_return_counts_as_a_line_end(self, tmp_path):
+        # The template block's "\r" ends a line from a path and from a stream alike.
+        text = ("version\t1\ncolumns\t1\ntags\tA\nconfig\t{}\ntemplates-begin\n"
+                "# a\rU00:%x[0,0]\ntemplates-end\nE\tU00=x\tA\tbad\n")
+        path = tmp_path / "m.model"
+        path.write_bytes(text.encode())
+        for source in (path, io.StringIO(text), io.StringIO(text, newline="")):
+            with pytest.raises(ModelFileError, match="^line 9: bad weight 'bad'$"):
+                load_model(source)
 
 
 class TestModelFileLayout:

@@ -787,3 +787,67 @@ def test_corpus_compile_equals_per_position_extraction(case):
         return
     _same_arrays(got, want)
     _same_arrays([compile_sequence(model, seq, labeled=True) for seq in probe], want)
+
+
+# Each set fires nothing on the unseen single token ("z", "0"); the first two have no B.
+CELL_TEMPLATES = (
+    "U00:%x[0,0]\n",
+    "U00:%x[0,0]/%v[0,1]\nU01:%x[1,0]/%x[0,0]\n",
+    "U00:%x[0,0]\nB\n",
+    "U00:%x[0,0]\nU01:%x[-1,0]/%v[0,1]\nB\n",
+)
+
+
+@st.composite
+def cell_cases(draw):
+    """(model, labeled training corpus, probe corpus with unseen words): T 1-5, K 1-4."""
+    K = draw(st.integers(1, 4))
+    tags = ["t%d" % k for k in range(K)]
+
+    def sequences(words, count):
+        seqs = []
+        for _ in range(count):
+            T = draw(st.integers(1, 5))
+            tokens = zip(draw(st.lists(st.sampled_from(words), min_size=T, max_size=T)),
+                         draw(st.lists(st.sampled_from(("0", "1", "-2.5")), min_size=T,
+                                       max_size=T)))
+            seqs.append(Sequence(tokens=list(tokens), gold=draw(st.lists(
+                st.sampled_from(tags), min_size=T, max_size=T))))
+        return seqs
+
+    train = sequences("abc", draw(st.integers(1, 4))) + [
+        Sequence(tokens=[("a", "1")] * K, gold=tags), Sequence(tokens=[("b", "1")], gold=tags[:1])]
+    probe = sequences("abz", draw(st.integers(0, 4))) + [Sequence(tokens=[("z", "0")],
+                                                                  gold=tags[-1:])]
+    return train, draw(st.sampled_from(CELL_TEMPLATES)), draw(st.permutations(probe))
+
+
+def _reference_cells(cs, index):
+    """The update kernel's (bases, bins) of one sequence: its distinct raw ids in order,
+    then with transitions the K rows n_raw + prev, each feature's bin by searchsorted."""
+    K, rows = index.num_tags, sorted(set(cs.rids.tolist()))
+    if index.transitions:
+        rows.extend(range(index.n_raw, index.n_raw + K))
+    rows = np.array(rows, dtype=np.intp)
+    return rows * K, rows.searchsorted(cs.rids) * K
+
+
+@settings(max_examples=150, deadline=None)
+@given(cell_cases())
+def test_compile_time_cells_equal_per_sequence_formula(case):
+    train, templates, probe = case
+    compiled = []
+    model = build_model(train, templates, 2, compiled)
+    labeled = [compiled, compile_corpus(model, probe, labeled=True),
+               [compile_sequence(model, seq, labeled=True) for seq in probe]]
+    featureless = 0
+    for corpus in labeled:
+        for cs in corpus:
+            for got, want in zip((cs.bases, cs.bins), _reference_cells(cs, model.index)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            featureless += len(cs.rids) == 0
+    assert featureless >= 2  # the unseen ("z", "0") in both probe compiles
+    assert all(len(cs.counts) == 1 for cs in labeled[0][-1:])  # a single token
+    for cs in compile_corpus(model, probe) + [compile_sequence(model, probe[0])]:
+        assert cs.bases is None and cs.bins is None

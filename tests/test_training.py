@@ -560,3 +560,37 @@ class TestNonFiniteLocation:
         assert info.value.window == len(data)
         assert "after sample %d " % last in str(info.value)
         assert "10 samples" in str(info.value)
+
+    # Weights of +-1e308 are finite, but weight x value overflows every score.
+    OVERFLOWING = [Sequence(tokens=[("a", "1e308"), ("b", "1e308")], gold=["X", "Y"]),
+                   Sequence(tokens=[("b", "1e308"), ("a", "1e308")], gold=["Y", "X"])]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algo", ["perc", "perc-avg"])
+    def test_non_finite_objective_names_its_first_term(self, algo):
+        cfg = TrainConfig(algo, epochs=3, seed=3)
+        with pytest.raises(NonFiniteError) as info:
+            train(self.OVERFLOWING, None, cfg, "U00:%x[0,0]/%v[0,1]\nB\n")
+        assert str(info.value) == "non-finite objective term of sequence 0 in epoch 1"
+        assert (info.value.sample_index, info.value.epoch) == (0, 1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_regularizer_names_no_sequence(self):
+        # |w| = 1e154 keeps each score finite while ||w||^2 overflows.
+        data = [Sequence(tokens=[("a", "1e154")], gold=["X"]),
+                Sequence(tokens=[("b", "1e154")], gold=["Y"])]
+        with pytest.raises(NonFiniteError) as info:
+            train(data, None, TrainConfig("perc", epochs=2), "U00:%x[0,0]/%v[0,1]\n")
+        assert str(info.value) == "non-finite objective (its L2 term) in epoch 1"
+        assert info.value.sample_index is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algo", ["mira", "mira-avg", "mira-nbest", "mira-nbest-avg"])
+    def test_non_finite_mira_step_names_its_sequence(self, algo):
+        # Seed 3 visits sequence 1 first; its Gram matrix overflows before any update.
+        cfg = TrainConfig(algo, n=2, epochs=3, seed=3)
+        assert np.random.default_rng(3).permutation(2)[0] == 1
+        with pytest.raises(NonFiniteError) as info:
+            train(self.OVERFLOWING, None, cfg, "U00:%x[0,0]/%v[0,1]\nB\n")
+        assert str(info.value) == "non-finite MIRA margins or Gram matrix at sequence 1 in epoch 1"
+        assert (info.value.sample_index, info.value.epoch) == (1, 1)
