@@ -2,7 +2,7 @@
 
 Every flag is validated before any file I/O.  Exit codes: 0 success,
 1 validation failure, 2 I/O failure, 3 numeric failure (non-finite
-weights).  Each command prints a single human-readable summary line.
+weights or scores).  Each command prints a single human-readable summary line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .dataio import (
 from .evaluation import chunk_f1, token_accuracy
 from .features import Sequence, TemplateError, compile_corpus, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostic, topn_distribution
-from .lattice import astar_nbest, length_buckets, viterbi_tags
+from .lattice import astar_nbest, check_finite, length_buckets, viterbi_tags
 from .training import (
     _TRAINERS,
     ALGORITHMS,
@@ -182,7 +182,10 @@ def _read_for_model(path, model):
 def _write_nbest(corpus, compiled, model, n, path):
     nbest = [None] * len(compiled)
     for idx, lat in length_buckets(compiled, weight_views(model.weights, model.index), n):
-        for i, nb in zip(idx, astar_nbest(lat, n)):
+        check_finite(lat, idx=idx)
+        lists = astar_nbest(lat, n)
+        check_finite(lat, [nb.scores for nb in lists], n, idx)
+        for i, nb in zip(idx, lists):
             nbest[i] = topn_distribution(nb)
     tags, out = model.tagset.tags, []
     for si, (seq, nb) in enumerate(zip(corpus.sequences, nbest)):
@@ -241,7 +244,12 @@ def cmd_diagnose(args) -> int:
     model = load_model(args.model)
     corpus = read_conll(args.data, labeled=True)
     probes = corpus.sequences[: args.samples]
-    all_reports = [delta_diagnostic(model, z, n_list) for z in probes]
+    all_reports = []
+    for i, z in enumerate(probes):
+        try:
+            all_reports.append(delta_diagnostic(model, z, n_list))
+        except NonFiniteError:
+            raise NonFiniteError(i, None, what="scores of sequence %d" % i) from None
     rows = [r for reports in all_reports for r in reports]
     if len(all_reports) > 1:
         # averaged block appended, one row per n

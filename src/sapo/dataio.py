@@ -120,11 +120,19 @@ def read_conll(source, labeled: bool = True) -> Corpus:
     return Corpus(sequences=sequences, n_columns=n_columns)
 
 
+# What str.split, and so read_conll, splits a line at; ASCII text holds no others.
+_SPACE = re.compile(r"\s")
+_ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def write_conll(corpus: Corpus, path, predictions=None):
     """Write a corpus, optionally appending predicted tags as a final column.
 
     Original columns (observations, then the gold tag when present) are
-    preserved; output is tab-separated with LF line endings.
+    preserved; output is tab-separated with LF line endings.  A string holding
+    whitespace (anything ``str.split`` splits at) would not read back, so it
+    raises ValueError, naming the string and its sequence, before anything is
+    written.
     """
     if predictions is not None and len(predictions) != len(corpus.sequences):
         raise ValueError(
@@ -132,6 +140,7 @@ def write_conll(corpus: Corpus, path, predictions=None):
             % (len(predictions), len(corpus.sequences))
         )
     blocks = []
+    separators = len(corpus.sequences) - 1  # the blank lines' line ends
     for i, seq in enumerate(corpus.sequences):
         pred = None
         if predictions is not None:
@@ -149,7 +158,23 @@ def write_conll(corpus: Corpus, path, predictions=None):
                 cols.append(pred[t])
             lines.append("\t".join(cols))
         blocks.append("\n".join(lines))
-    write_text(path, "\n\n".join(blocks) + "\n")
+        # each token's tabs and line end, one per column
+        separators += len(seq) * (corpus.n_columns + (seq.gold is not None) + (pred is not None))
+    text = "\n\n".join(blocks) + "\n"
+    # One pass over the text: it holds more whitespace than its separators only
+    # where a string holds some.  Only then are the strings searched one by one.
+    if text.isascii():
+        spaces = len(text) - len(text.encode().translate(None, _ASCII_SPACE))
+    else:
+        spaces = len(text) - len("".join(text.split()))
+    if spaces != separators:
+        for i, seq in enumerate(corpus.sequences):
+            pred = () if predictions is None else predictions[i]
+            for string in chain(chain.from_iterable(seq.tokens), seq.gold or (), pred):
+                if _SPACE.search(string):
+                    raise ValueError("cannot write %r of sequence %d: it holds whitespace, "
+                                     "so the file would not read back" % (string, i))
+    write_text(path, text)
 
 
 # ---------------------------------------------------------------------------

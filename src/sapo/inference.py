@@ -34,6 +34,7 @@ from .lattice import (
     NBestList,
     astar_nbest,
     build_lattice,
+    check_finite,
     compiled_lattice,
     length_buckets,
     path_score,
@@ -200,8 +201,10 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
     nested prefixes of one n-best search, and the tail mass is accumulated
     with sequential log-add so it is non-increasing in n by construction.
     ``l2`` and ``dataset_size`` are unused: the decay terms they set cancel.
+    Non-finite emission or searched scores raise NonFiniteError.
     """
     l, cs = labeled_sample(m, z)
+    check_finite(l)
     K = m.num_tags
     marg = forward_backward(l)
     exact = expected_items(cs, marg, K, cs.gold)
@@ -210,6 +213,7 @@ def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
     if not n_list or n_list[0] < 1:
         raise ValueError("n values must be >= 1")
     nb = astar_nbest(l, n_list[-1])
+    check_finite(l, [nb.scores], n_list[-1])
 
     # Running log of Z_n over the ranked prefix; logaddexp never decreases.
     prefix_logz = np.logaddexp.accumulate(nb.scores)

@@ -11,17 +11,19 @@ too; otherwise paths differ only where the float accumulation makes a tie.
 Emission rows come from :func:`emission_scores`, one in-order ``np.bincount``
 over a sequence's (position, tag) cells, or a stack's.  An ``emit`` of shape
 (B, T, K) is a stack of B equal-length lattices sharing ``trans``, built by
-:func:`length_buckets`.  :func:`viterbi`, :func:`path_score` and
-:func:`astar_nbest` take stacks and return one result per lattice, for
-:func:`astar_nbest` one NBestList each.  Exact search runs a whole stack at
-once unless n*K^2 exceeds ``_DENSE_CELLS``: the ``g + h`` cut then leaves each
-lattice its own number of survivors, and the lattices are searched one at a
-time.  :func:`beam_nbest` takes no stack.  The search's n = 1 step treats one
-lattice as a stack of one.
+:func:`length_buckets`.  :func:`viterbi`, :func:`path_score`,
+:func:`backward_viterbi` and :func:`astar_nbest` take stacks and return one
+result per lattice, for :func:`astar_nbest` one NBestList each.  Exact search
+runs a whole stack at once.  Where n*K^2 exceeds ``_DENSE_CELLS`` the ``g + h``
+cut leaves each lattice its own number of survivors, padded to the stack's
+largest count.  :func:`beam_nbest` takes no stack.  The search's n = 1 step
+treats one lattice as a stack of one.  :func:`check_finite` is the read path's
+check that a bucket's scores are finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,28 @@ ENUMERATION_LIMIT = 10**6
 _DENSE_CELLS = 1024
 # Bound on B*K*max(n*K, T) for a stack: the cells of its tables and per-step temporaries.
 _STACK_CELLS = 2**18
+
+
+class NonFiniteError(RuntimeError):
+    """Weights, or a score computed from them, became non-finite.
+
+    ``sample_index`` is the sample the check names, for the weights the last one
+    visited before the failed check (None when no sample is to blame), ``epoch``
+    the training epoch (None outside training), and ``window`` the number of
+    samples visited since the last passing check.  ``what`` says what was not finite.
+    """
+
+    def __init__(self, sample_index, epoch, window=1, what=None):
+        self.what = what or "weights detected after sample %d" % sample_index
+        msg = "non-finite " + self.what
+        if epoch is not None:
+            msg += " in epoch %d" % epoch
+        if window > 1:
+            msg += " (within the %d samples visited since the last finite check)" % window
+        super().__init__(msg)
+        self.sample_index = sample_index
+        self.epoch = epoch
+        self.window = window
 
 
 @dataclass
@@ -94,13 +118,10 @@ def compiled_lattice(cs, views, scale=1.0) -> Lattice:
 def length_buckets(compiled, views, n=1):
     """(indices, stacked lattice) of each group of equal-length compiled
     sequences, split to keep within ``_STACK_CELLS`` both a stack's tables
-    (B*T*K cells) and the up to B*n*K^2 cells of its top-n search step.
-    Where the ``g + h`` cut applies, :func:`astar_nbest` searches the lattices
-    one at a time, so those buckets are sized as for n = 1."""
+    (B*T*K cells) and the up to B*n*K^2 cells of its top-n search step, with
+    or without the ``g + h`` cut: the cut keeps at most n survivors per tag."""
     emit_w, trans_w = views
     K = emit_w.shape[1]
-    if _cuts(n, K):
-        n = 1
     by_length = {}
     for i, cs in enumerate(compiled):
         by_length.setdefault(len(cs.counts), []).append(i)
@@ -141,21 +162,25 @@ def path_score(l: Lattice, path):
 
 
 def backward_viterbi(l: Lattice) -> np.ndarray:
-    """Best-suffix-completion scores h, excluding the current emission.
+    """Best-suffix-completion scores h, excluding the current emission, in the
+    shape of ``l.emit`` (a lattice or a stack).
 
     h[T-1][k] = 0 and h[t][k] = max_j (trans[k][j] + emit[t+1][j] + h[t+1][j]):
-    the exact bound of the search's ``g + h`` cut, up to rounding.
+    the exact bound of the search's ``g + h`` cut, up to rounding.  The max runs
+    over the rows of a (j, k) table, which NumPy takes faster than over its columns.
     """
-    T, K = l.T, l.K
-    h = np.zeros((T, K))
-    for t in range(T - 2, -1, -1):
-        h[t] = (l.trans + (l.emit[t + 1] + h[t + 1])[None, :]).max(axis=1)
-    return h
+    emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
+    trans = np.ascontiguousarray(l.trans.T)
+    h = np.zeros(emit.shape)
+    for t in range(l.T - 2, -1, -1):
+        h[t] = (trans + (emit[t + 1] + h[t + 1])[:, :, None]).max(axis=1)
+    return h.transpose(1, 0, 2).reshape(l.emit.shape)
 
 
 def _cuts(n, K):
     """Whether exact top-n search prunes by ``g + h``: its n*K^2 step cells
-    exceed ``_DENSE_CELLS``.  Lattices then keep ragged survivor counts."""
+    exceed ``_DENSE_CELLS``.  The lattices of a stack then keep their own
+    survivor counts."""
     return n > 1 and n * K * K > _DENSE_CELLS
 
 
@@ -169,28 +194,35 @@ def _search(l: Lattice, n: int, width=None):
     share, descending; rank ascending); float addition is monotone, so every
     prefix of a top-n tagging survives.  Beam keeps the ``width`` best, ties by key.
 
-    Exact search without the ``g + h`` cut also takes a stack of B lattices:
-    each then keeps the same number R of survivors, the (B*R, K) table holds
-    the lattices' tables in turn and a step selects within each lattice.
-    Returns (paths, scores), the lattices' top-n lists one after another.
+    Exact search also takes a stack of B lattices: the table holds the
+    lattices' tables in turn, each of the same number R of rows, and a step
+    selects within each lattice.  Without the ``g + h`` cut every lattice keeps
+    the same number of survivors.  With it each keeps its own: its real
+    survivors first, in key order, then -inf pads up to the stack's largest
+    count.  Pads are told by that count, never by their score, so a lattice's
+    keys are exactly its keys searched alone, non-finite scores included.
+    Returns (paths, scores, sizes): the lattices' top-n lists one after
+    another, and each list's length.
     """
     T, K, trans = l.T, l.K, l.trans
     B = l.emit.size // (T * K)
     cut = width is None and _cuts(n, K)
-    if l.emit.ndim == 3 and (cut or width is not None):
-        raise ValueError("beam search and the g + h cut take one lattice, not a stack")
+    if l.emit.ndim == 3 and width is not None:
+        raise ValueError("beam search takes one lattice, not a stack")
     emit = l.emit.reshape(B, T, K).transpose(1, 0, 2).reshape(T, B * K)
     offset = np.arange(K)  # key of (row 0, tag); at n = 1, plus each lattice's first key
     if B > 1 and n == 1:
         start = np.repeat(np.arange(0, B * K, K), K)  # first column of a survivor's lattice
         offset = offset + start[::K, None] * K
     if cut:
-        eh = backward_viterbi(l)
-        eh[1:] += emit[1:]  # from step 1 on, cand lacks the emission
+        eh = backward_viterbi(l).reshape(B, T, 1, K).transpose(1, 0, 2, 3)  # (T, B, 1, K)
+        eh[1:] += emit[1:].reshape(T - 1, B, 1, K)  # from step 1 on, cand lacks the emission
         # g + h and the float score of the completion it bounds each lie within
         # T*eps*span of the exact sum; the cut needs 4*T*eps*span, taken 4x over.
-        span = np.abs(emit).max(axis=1).sum() + (T - 1) * np.abs(trans).max()
-        margin = 16 * (T + 1) * np.finfo(float).eps * span
+        span = np.abs(l.emit.reshape(B, T, K)).max(axis=2).sum(axis=1)
+        span += (T - 1) * np.abs(trans).max()
+        margin = 16 * (T + 1) * np.finfo(float).eps * span[:, None]
+        real = None  # each lattice's survivor count, while the counts differ
     cand = emit[:1]
     history = []
     for t in range(T):
@@ -202,20 +234,32 @@ def _search(l: Lattice, n: int, width=None):
                 cand += emit[t]
         keys = None  # None keeps every extension
         if cut:
-            if cand.size > n:
-                # An extension whose best completion g + h is below the n-th largest
-                # such bound by more than the margin cannot reach the top n.
-                bound = cand + eh[t]
-                kth = bound.size - n
-                keep = bound >= np.partition(bound, kth, axis=None)[kth] - margin
-                if np.count_nonzero(keep) > n and keep.sum(0).max() > n:
-                    # Near-ties: keep each tag's n best, lowest ranks first.
-                    kept = np.where(keep, cand, -np.inf)
-                    nth = np.partition(kept, len(kept) - n, axis=0)[len(kept) - n]
-                    tied = (kept == nth) & keep
-                    keep = kept > nth
-                    keep |= tied & (tied.cumsum(0) <= n - keep.sum(0))
-                keys = np.flatnonzero(keep)
+            rows = cand.size // (B * K)  # per lattice, pads included
+            live = None if real is None else np.arange(rows * K) < real[:, None] * K
+            if rows * K > n:
+                # An extension whose best completion g + h is below its lattice's n-th
+                # largest such bound by more than the margin cannot reach the top n.
+                bound = (cand.reshape(B, rows, K) + eh[t]).reshape(B, -1)
+                kth = rows * K - n
+                nth = bound.copy()
+                nth.partition(kth)
+                keep = bound >= nth[:, kth, None] - margin
+                if live is not None:  # a lattice of at most n extensions keeps them all
+                    keep = np.where(real[:, None] * K > n, keep & live, live)
+                keys = keep.ravel().nonzero()[0]
+                if len(keys) > n and (B == 1 or np.bincount(keys // (rows * K)).max() > n):
+                    grid = keep.reshape(B, rows, K)
+                    near = (grid.sum(1).max(1) > n).nonzero()[0]
+                    if len(near):  # near-ties: keep each tag's n best, lowest ranks first
+                        kept = np.where(grid[near], cand.reshape(B, rows, K)[near], -np.inf)
+                        nth = np.partition(kept, rows - n, axis=1)[:, rows - n, None]
+                        tied = (kept == nth) & grid[near]
+                        best = kept > nth
+                        best |= tied & (tied.cumsum(1) <= n - best.sum(1, keepdims=True))
+                        grid[near] = best
+                        keys = keep.ravel().nonzero()[0]
+            elif live is not None:
+                keys = live.ravel().nonzero()[0]
         elif width is None:
             if n == 1 and len(cand) > 1:  # each tag's best row, per lattice
                 rows = cand.reshape(B, K, K).argmax(1)
@@ -237,18 +281,42 @@ def _search(l: Lattice, n: int, width=None):
             keys = np.arange(cand.size)
         g = cand.take(keys)
         tags = keys % K
+        if B > 1 and n > 1:
+            lattice = keys // (cand.size // B)
+            start = lattice * K
         if t and width is None:
-            if B > 1 and n > 1:  # survivors per lattice change from step to step
-                start = keys // (cand.size // B) * K
             g += emit[t].take(tags + start if B > 1 else tags)
+        if cut and B > 1:
+            counts = np.bincount(lattice, minlength=B)
+            R = counts.max()
+            real = None if counts.min() == R else counts
+            if real is not None:  # pad each lattice's survivors to R
+                at = np.repeat(np.arange(0, B * R, R) - counts.cumsum() + counts, counts)
+                at += np.arange(len(keys))
+                padded = np.full(B * R, -np.inf)
+                padded[at] = g
+                g, survivors = padded, keys
+                keys = np.zeros(B * R, keys.dtype)  # a pad's key is 0
+                keys[at] = survivors
+                tags = keys % K
         history.append(keys)
     if n == 1:  # argmax per lattice of a stack
         top = g.reshape(B, -1).argmax(1) + np.arange(B) * (g.size // B)
+        sizes = [1] * B
+    elif cut and real is not None:  # each lattice's n best among its real survivors
+        R = g.size // B
+        top = [(-g[b * R : b * R + r]).argsort(kind="stable")[:n] + b * R
+               for b, r in enumerate(real.tolist())]
+        sizes = [len(own) for own in top]
+        top = np.concatenate(top)
     elif B == 1:  # as below, without its overhead
         top = (-g).argsort(kind="stable")[:n]
+        sizes = [len(top)]
     else:  # each lattice's n best
-        top = (-g.reshape(B, -1)).argsort(1, kind="stable")[:, :n]
-        top = (top + np.arange(0, g.size, g.size // B)[:, None]).ravel()
+        R = g.size // B  # 0 when NaN bounds kept no survivor in any lattice
+        top = (-g.reshape(B, R)).argsort(1, kind="stable")[:, :n]
+        sizes = [top.shape[1]] * B
+        top = (top + np.arange(B)[:, None] * R).ravel()
     scores = g.take(top).tolist()
     history = [keys.tolist() for keys in history]
     paths = []
@@ -257,14 +325,14 @@ def _search(l: Lattice, n: int, width=None):
         for t in range(T - 1, -1, -1):
             i, path[t] = divmod(history[t][i], K)
         paths.append(tuple(path))
-    return paths, scores
+    return paths, scores, sizes
 
 
 def viterbi(l: Lattice):
     """Highest-scoring tagging and its exact score, the search's top 1; ties
     go to the lexicographically smallest (see the module note on rounding).
     For a stack of lattices, the list of their (path, score) pairs."""
-    paths, scores = _search(l, 1)
+    paths, scores, _ = _search(l, 1)
     return list(zip(paths, scores)) if l.emit.ndim == 3 else (list(paths[0]), scores[0])
 
 
@@ -272,9 +340,28 @@ def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
     """Best tagging of each compiled sequence under ``weights``, as tag strings."""
     tags, out = m.tagset.tags, [None] * len(compiled)
     for idx, lat in length_buckets(compiled, weight_views(weights, m.index)):
-        for i, (path, _) in zip(idx, viterbi(lat)):
+        check_finite(lat, idx=idx)
+        found = viterbi(lat)
+        check_finite(lat, [[score] for _, score in found], idx=idx)
+        for i, (path, _) in zip(idx, found):
             out[i] = [tags[t] for t in path]
     return out
+
+
+def check_finite(l: Lattice, scores=None, n=1, idx=None):
+    """Raises NonFiniteError when a lattice of ``l`` (one, or a stack) holds a
+    non-finite emission score or, given ``scores`` (each lattice's searched
+    scores), anything but min(n, K^T) finite scores: a list that NaN bounds cut
+    short counts too.  ``idx`` holds the lattices' sequence numbers, and the
+    error names the first failing one."""
+    if scores is None:
+        ok = np.isfinite(l.emit.reshape(-1, l.T * l.K)).all(axis=1).tolist()
+    else:
+        m = min(n, _count_at_most(l.K, l.T, n))
+        ok = [len(s) == m and all(map(math.isfinite, s)) for s in scores]
+    if not all(ok):
+        i = None if idx is None else idx[ok.index(False)]
+        raise NonFiniteError(i, None, what="scores" if i is None else "scores of sequence %d" % i)
 
 
 def _count_at_most(K, T, cap):
@@ -287,26 +374,23 @@ def _count_at_most(K, T, cap):
     return total
 
 
-def _nbest_lists(l: Lattice, n, paths, scores):
+def _nbest_lists(l: Lattice, n, paths, scores, sizes):
     """The search's output as the NBestList of a lattice, or a stack's list of them."""
-    m = len(paths) * l.T * l.K // l.emit.size  # entries per lattice
-    exhausted = _count_at_most(l.K, l.T, m) == m
-    if l.emit.ndim == 2:
-        return NBestList(paths, scores, None, n, exhausted)
-    return [NBestList(paths[i : i + m], scores[i : i + m], None, n, exhausted)
-            for i in range(0, len(paths), m)]
+    lists, lo = [], 0
+    for m in sizes:
+        exhausted = _count_at_most(l.K, l.T, m) == m
+        lists.append(NBestList(paths[lo : lo + m], scores[lo : lo + m], None, n, exhausted))
+        lo += m
+    return lists[0] if l.emit.ndim == 2 else lists
 
 
 def astar_nbest(l: Lattice, n: int) -> NBestList:
     """Exact top-n taggings (the ``--search astar`` mode), probabilities left
     unfilled.  Scores equal :func:`enumerate_all`'s first n; at n >= K^T so
-    do the paths.  For a stack of lattices, the list of their NBestLists: one
-    search of the whole stack, or one per lattice where the ``g + h`` cut applies."""
+    do the paths.  For a stack of lattices, the list of their NBestLists from
+    one search of the whole stack, with or without the ``g + h`` cut."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if l.emit.ndim == 3 and _cuts(n, l.K):
-        singles = (Lattice(emit, l.trans) for emit in l.emit)
-        return [_nbest_lists(one, n, *_search(one, n)) for one in singles]
     return _nbest_lists(l, n, *_search(l, n))
 
 

@@ -51,7 +51,14 @@ from .inference import (
     objective_terms,
     topn_distribution,
 )
-from .lattice import astar_nbest, beam_nbest, compiled_lattice, viterbi, viterbi_tags
+from .lattice import (
+    NonFiniteError,
+    astar_nbest,
+    beam_nbest,
+    compiled_lattice,
+    viterbi,
+    viterbi_tags,
+)
 
 SEARCH_MODES = ("astar", "beam")
 METRICS = ("accuracy", "chunk-f1")
@@ -63,26 +70,6 @@ SCALE_FLOOR = 1e-100
 
 class ConfigError(ValueError):
     """Invalid training configuration or training inputs."""
-
-
-class NonFiniteError(RuntimeError):
-    """Weights, or a score computed from them, became non-finite during training.
-
-    ``sample_index`` is the sample the check names, for the weights the last one
-    visited before the failed check (None when no sample is to blame), and ``window``
-    the number of samples visited since the last passing check.  ``what`` says what
-    was not finite.
-    """
-
-    def __init__(self, sample_index, epoch, window=1, what=None):
-        what = what or "weights detected after sample %d" % sample_index
-        msg = "non-finite %s in epoch %d" % (what, epoch)
-        if window > 1:
-            msg += " (within the %d samples visited since the last finite check)" % window
-        super().__init__(msg)
-        self.sample_index = sample_index
-        self.epoch = epoch
-        self.window = window
 
 
 @dataclass
@@ -316,7 +303,10 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
                                  else "objective term of sequence %d" % i)
         held_metric = None
         if held_compiled and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            preds = viterbi_tags(model, held_compiled, weights)
+            try:
+                preds = viterbi_tags(model, held_compiled, weights)
+            except NonFiniteError as e:
+                raise NonFiniteError(e.sample_index, epoch, what="held-out " + e.what) from None
             held_metric = _metric(cfg.metric, held_sequences, preds)
         curve.points.append(
             CurvePoint(

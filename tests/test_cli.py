@@ -54,6 +54,17 @@ class TestGenerate:
         assert not out.exists()
 
 
+def _overflowing_model(workdir):
+    # Every weight 1.7e308: each is finite, so the model saves and loads, but
+    # the emission scores overflow.
+    code, model, _ = _train(workdir)
+    assert code == 0
+    lines = [line.rsplit("\t", 1)[0] + "\t1.7e308" if line[:2] in ("E\t", "T\t") else line
+             for line in model.read_text().splitlines()]
+    model.write_text("\n".join(lines) + "\n")
+    return model
+
+
 class TestTrain:
     def test_smoke_run_writes_artifacts(self, workdir, capsys):
         code, model, curves = _train(workdir)
@@ -177,6 +188,20 @@ class TestTrain:
         assert re.fullmatch(r"error: non-finite [^\n]* sequence 0 in epoch 1\n",
                             capsys.readouterr().err)
         assert not model.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_heldout_scores_exit_3(self, tmp_path, capsys):
+        # Finite weights and training scores, but held-out emissions of +-1e308
+        # overflow when summed along a path.
+        data, held, tpl = tmp_path / "train.conll", tmp_path / "held.conll", tmp_path / "t.txt"
+        data.write_text("a 1 X\nb 1 Y\n\nb 1 Y\na 1 X\n\na 1 X\na 1 X\nb 1 Y\n")
+        held.write_text("a 1 X\n\na 1e308 X\nb 1e308 Y\n")
+        tpl.write_text("U00:%x[0,0]/%v[0,1]\nB\n")
+        code = main(["train", "--algo", "perc", "--train", str(data), "--heldout", str(held),
+                     "--templates", str(tpl), "--epochs", "3"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite held-out scores of sequence 1 in epoch 1\n")
 
     def test_corpus_without_features_rejected(self, tmp_path, capsys):
         data, curves = tmp_path / "train.conll", tmp_path / "curves.csv"
@@ -342,6 +367,29 @@ class TestDecode:
             ]) == 2
             assert "line %d: non-finite weight %r" % (i + 1, weight) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [(), ("--nbest", "3")])
+    def test_overflowing_scores_exit_3(self, workdir, capsys, extra):
+        model = _overflowing_model(workdir)
+        out = workdir / "out.conll"
+        capsys.readouterr()
+        assert main(["decode", "--model", str(model), "--input", str(workdir / "train.conll"),
+                     "--output", str(out), *extra]) == 3
+        assert capsys.readouterr().err == "error: non-finite scores of sequence 0\n"
+        assert not out.exists()
+
+    def test_tag_holding_a_space_rejected(self, workdir, capsys):
+        # The model file holds such a tag, but a decoded file would not read back.
+        code, model, _ = _train(workdir)
+        assert code == 0
+        model.write_text(re.sub(r"(?<=\t)t(\d)(?=[\t\n])", r"t \1", model.read_text()))
+        out = workdir / "out.conll"
+        capsys.readouterr()
+        assert main(["decode", "--model", str(model), "--input", str(workdir / "train.conll"),
+                     "--output", str(out)]) == 1
+        assert re.fullmatch(r"error: cannot write 't \d' of sequence 0: it holds whitespace, "
+                            r"so the file would not read back\n", capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new, message", [
         ("tags\t", "tags\tt1\t", "line 3: duplicate tag 't1'"),
         ("tags\t", "tags\t\t", "line 3: empty tag"),
@@ -466,6 +514,15 @@ class TestDiagnose:
                      "--n-list", "1,2", "--out", str(out)]) == 0
         rows = out.read_text().splitlines()  # header, two samples, their mean
         assert len(rows) == 7 and rows[3:5] == ["1,0.0,0.0,0.5", "2,0.0,0.0,0.0"]
+
+    def test_overflowing_scores_exit_3(self, workdir, capsys):
+        model = _overflowing_model(workdir)
+        out = workdir / "delta.csv"
+        capsys.readouterr()
+        assert main(["diagnose", "--model", str(model), "--data", str(workdir / "train.conll"),
+                     "--samples", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: non-finite scores of sequence 0\n"
+        assert not out.exists()
 
     def test_bad_n_list(self, tmp_path):
         assert main([

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sapo import (
+    Corpus,
     FormatError,
     ModelFileError,
     Sequence,
@@ -105,6 +106,34 @@ class TestWriteConll:
             write_conll(corpus, tmp_path / "x", predictions=[["X"]])
         with pytest.raises(ValueError):
             write_conll(corpus, tmp_path / "x", predictions=[["X", "Y"], ["Z"]])
+
+
+    @pytest.mark.parametrize("char", [" ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0",
+                                      "\u2028", "\u3000"])
+    @pytest.mark.parametrize("where", ["token", "gold", "prediction"])
+    def test_string_holding_whitespace_rejected(self, tmp_path, char, where):
+        # str.split splits a line there, so the file would not read back.
+        bad = "a%sb" % char
+        tokens, gold, pred = [("x",), ("y",)], ["X", "Y"], ["P", "Q"]
+        {"token": tokens, "gold": gold, "prediction": pred}[where][1] = (
+            (bad,) if where == "token" else bad)
+        corpus = Corpus([Sequence([("w",)], ["W"]), Sequence(tokens, gold)], 1)
+        out = tmp_path / "x.conll"
+        with pytest.raises(ValueError, match=r"^cannot write %s of sequence 1: it holds "
+                                             "whitespace" % re.escape(repr(bad))):
+            write_conll(corpus, out, predictions=[["V"], pred])
+        assert not out.exists()
+
+    def test_other_strings_round_trip(self, tmp_path):
+        # Non-ASCII text that holds no whitespace, a zero-width space among it.
+        tokens = [("\u00e9t\u00e9",), ("a\u200bb",), ("\u2603",)]
+        corpus = Corpus([Sequence(tokens, ["X", "\u00dc", "Y"]), Sequence([("b",)], ["X"])], 1)
+        out = tmp_path / "x.conll"
+        write_conll(corpus, out)
+        reread = read_conll(out)
+        assert [(s.tokens, s.gold) for s in reread.sequences] == [
+            (s.tokens, s.gold) for s in corpus.sequences
+        ]
 
 
 class TestSyntheticGenerator:

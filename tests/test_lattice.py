@@ -7,6 +7,7 @@ import pytest
 
 from sapo import (
     Lattice,
+    NonFiniteError,
     Sequence,
     astar_nbest,
     backward_viterbi,
@@ -19,7 +20,7 @@ from sapo import (
     viterbi,
 )
 from sapo.features import compile_corpus, weight_views
-from sapo.lattice import _STACK_CELLS, _search, length_buckets
+from sapo.lattice import _STACK_CELLS, _search, check_finite, length_buckets
 
 from conftest import random_lattice, random_word_model
 
@@ -173,47 +174,75 @@ class TestAstarNBest:
                 assert (nb.paths, nb.scores, nb.exhausted) == (own.paths, own.scores, own.exhausted)
                 assert nb.n_requested == n and nb.probs is None
 
-    def test_stack_splits_where_the_cut_applies(self, rng):
-        # n*K^2 > 1,024: the lattices keep ragged survivor counts, so the
-        # search itself refuses a stack, and astar_nbest searches each alone.
+    def test_stacked_cut_equals_single_lattices(self, rng):
+        # n*K^2 > 1,024: the g + h cut leaves each lattice its own survivor
+        # count, and the search still takes the stack in one pass.
         lat = random_lattice(rng, T=4, K=15)
-        stack = Lattice(np.stack([lat.emit, lat.emit[::-1]]), lat.trans)
-        with pytest.raises(ValueError, match="stack"):
-            _search(stack, 5)
-        own = [astar_nbest(Lattice(emit, lat.trans), 5) for emit in stack.emit]
-        assert [(nb.paths, nb.scores) for nb in astar_nbest(stack, 5)] == [
-            (nb.paths, nb.scores) for nb in own
-        ]
+        ties = np.round(lat.emit)  # integer-valued: exact ties in the cut
+        stack = Lattice(np.stack([lat.emit, lat.emit[::-1], ties, np.zeros_like(ties)]), lat.trans)
+        for n in (5, 16, 40):
+            paths, scores, sizes = _search(stack, n)
+            lo = 0
+            for emit, m in zip(stack.emit, sizes):
+                own = _search(Lattice(emit, lat.trans), n)
+                assert (paths[lo : lo + m], scores[lo : lo + m], [m]) == own
+                lo += m
+            found = astar_nbest(stack, n)
+            for nb, emit in zip(found, stack.emit):
+                own = astar_nbest(Lattice(emit, lat.trans), n)
+                assert (nb.paths, nb.scores, nb.exhausted) == (own.paths, own.scores, own.exhausted)
         with pytest.raises(ValueError, match="stack"):
             beam_nbest(stack, 1, 5)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stacked_cut_with_non_finite_scores_equals_single_lattices(self, rng):
+        # An infinite emission makes a lattice's margin infinite, so its cut keeps
+        # every extension: the lattices' survivor counts differ.  Pads are
+        # counted, not told by score, so each list is the lattice's own, NaN and
+        # infinite scores included.
+        lat = random_lattice(rng, T=4, K=15)
+        inf, nan = lat.emit.copy(), lat.emit.copy()
+        inf[2, :7] = np.inf
+        inf[3, 4] = -np.inf
+        nan[1, 3] = np.nan
+        # A NaN emission makes the lattice's margin NaN, so its cut keeps no
+        # survivor; in the last stack no lattice keeps one.
+        for emits in ([lat.emit, inf, nan, lat.emit[::-1]], [nan, nan[::-1]]):
+            stack = Lattice(np.stack(emits), lat.trans)
+            for n in (5, 30):
+                for nb, emit in zip(astar_nbest(stack, n), emits):
+                    own = astar_nbest(Lattice(emit, lat.trans), n)
+                    assert nb.paths == own.paths and nb.exhausted == own.exhausted
+                    assert np.array_equal(nb.scores, own.scores, equal_nan=True)
+
     def test_stack_of_a_large_n_stays_small(self, rng):
-        # K=2, n=256, T=10 makes no cut (n*K^2 = 1,024), so a bucket is searched
-        # as one stack; sized by K*max(K, T) alone it would hold all 1,024
-        # sequences, and its n-best step up to 1,024*n*K^2 cells.
+        # K=2, T=10: n=256 makes no cut (n*K^2 = 1,024) and n=257 makes it.
+        # Buckets are sized by K*max(n*K, T) either way: the cut keeps at most
+        # n survivors per tag, so its step too holds at most B*n*K^2 cells.
         seqs = [Sequence(tokens=[(w,) for w in rng.choice(list("abcdef"), 10)],
                          gold=list(rng.choice(["X", "Y"], 10))) for _ in range(1024)]
         model = build_model(seqs, "U00:%x[0,0]\nU01:%x[-1,0]\nB\n", 1)
         model.weights[:] = rng.normal(size=model.weights.shape)
         compiled = compile_corpus(model, seqs)
         views = weight_views(model.weights, model.index)
-        # At n = 257 the cut applies and each lattice is searched alone, so
-        # the bucket is sized as for n = 1.
-        assert [len(idx) for idx, _ in length_buckets(compiled, views, 257)] == [1024]
-        buckets = length_buckets(compiled, views, 256)
+        for n in (256, 257):
+            size = _STACK_CELLS // (2 * n * 2)
+            assert [len(idx) for idx, _ in length_buckets(compiled, views, n)] == (
+                [size] * (1024 // size) + [1024 % size] * (1024 % size > 0))
+        buckets = length_buckets(compiled, views, 257)
         tracemalloc.start()
         try:
             idx, stack = next(buckets)
-            found = astar_nbest(stack, 256)
+            found = astar_nbest(stack, 257)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(idx) * 256 * 2 * 2 <= _STACK_CELLS
+        assert len(idx) * 257 * 2 * 2 <= _STACK_CELLS
         # Beyond the lists it returns, the search holds a few float tables of
         # _STACK_CELLS cells (2 MB) at a time.
         assert peak - kept <= 16 * 8 * _STACK_CELLS
         for i in (0, len(idx) - 1):
-            own = astar_nbest(Lattice(stack.emit[i], stack.trans), 256)
+            own = astar_nbest(Lattice(stack.emit[i], stack.trans), 257)
             assert (found[i].paths, found[i].scores) == (own.paths, own.scores)
 
     def test_near_ties_stay_small(self):
@@ -304,3 +333,24 @@ class TestEnumerateAll:
         lat = Lattice(emit=np.zeros((11, 4)), trans=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="enumeration guard"):
             enumerate_all(lat)
+
+
+class TestCheckFinite:
+    def test_names_the_first_failing_sequence(self, rng):
+        lat = random_lattice(rng, T=3, K=4)
+        stack = Lattice(np.stack([lat.emit] * 3), lat.trans)
+        check_finite(stack, idx=[4, 7, 9])
+        check_finite(stack, [[1.0, 2.0]] * 3, 2, [4, 7, 9])
+        stack.emit[2, 1, 0] = np.inf
+        with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence 9$"):
+            check_finite(stack, idx=[4, 7, 9])
+        for scores, named in (([[1.0, 2.0], [1.0, math.nan], [-math.inf]], 7),
+                              ([[1.0, 2.0], [1.0, 2.0], [1.0]], 9)):  # a list cut short
+            with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$" % named):
+                check_finite(stack, scores, 2, [4, 7, 9])
+
+    def test_a_short_list_is_fine_when_every_tagging_is_in_it(self, rng):
+        lat = random_lattice(rng, T=2, K=2)
+        check_finite(lat, [astar_nbest(lat, 9).scores], 9)
+        with pytest.raises(NonFiniteError, match=r"^non-finite scores$"):
+            check_finite(lat, [[1.0, 0.5]], 9)

@@ -4,8 +4,9 @@ Random small corpora (a word column and a numeric ``%v`` column), random
 template sets and bounded weights (|w| <= 10), with K^T <= 500 so that
 every tagging can be enumerated.  Also: the exact and beam n-best searches
 and Viterbi against enumeration on tie-heavy lattices, stacks of lattices
-against the same lattices one at a time, and CoNLL and model-file round
-trips with arbitrary non-whitespace token and tag strings.  The feature
+(with and without the g + h cut) against the same lattices one at a time,
+and CoNLL and model-file round trips with arbitrary non-whitespace token and
+tag strings.  The feature
 expectation kernel and the sparse weight update against the per-item loops
 they replace, bit for bit, and the block-streaming model writer against the
 per-cell writer it replaces, byte for byte.  MIRA's box-constrained dual solve
@@ -69,7 +70,7 @@ from sapo.inference import (
     regularizer_value,
     subtract_oracle,
 )
-from sapo.lattice import length_buckets
+from sapo.lattice import _DENSE_CELLS, length_buckets
 from sapo.training import WeightState
 
 TAGS = ("X", "Y", "Z")
@@ -239,6 +240,48 @@ def test_stacked_nbest_scores_equal_enumeration(batch, n):
             assert nb.exhausted == (len(full.paths) <= n)
             if nb.exhausted:
                 assert nb.paths == full.paths
+
+
+def _cells(rng, kind, shape):
+    if kind == "float":
+        return rng.normal(size=shape)
+    if kind == "integer":  # exact ties among sums
+        return rng.integers(-2, 3, size=shape).astype(float)
+    if kind == "ties":
+        return rng.choice(TIE_VALUES, size=shape)
+    return np.zeros(shape)
+
+
+CELL_KINDS = ("float", "integer", "ties", "zero")
+
+
+@st.composite
+def cut_stacks(draw):
+    """(emission stack, transitions, n) with n*K^2 > 1,024, so that exact search
+    cuts by g + h: K 2-16, T 1-5, 1-6 lattices, each of its own cell kind.  Zero
+    and integer-valued lattices tie everywhere and take the near-tie branch, float
+    ones rarely; K = 2 needs n >= 257 > K^T, and T = 1 keeps a single step."""
+    K, T = draw(st.integers(2, 16)), draw(st.integers(1, 5))
+    least = max(2, _DENSE_CELLS // (K * K) + 1)
+    n = draw(st.integers(least, least + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(CELL_KINDS), min_size=1, max_size=6))
+    emit = np.stack([_cells(rng, kind, (T, K)) for kind in kinds])
+    return emit, _cells(rng, draw(st.sampled_from(CELL_KINDS)), (K, K)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_stacks())
+def test_stacked_cut_search_equals_single_lattices(case):
+    # The g + h cut leaves each lattice its own survivor count, yet one search
+    # of the stack finds each lattice's own list, bit for bit.
+    emit, trans, n = case
+    found = astar_nbest(Lattice(emit, trans), n)
+    assert len(found) == len(emit)
+    for nb, e in zip(found, emit):
+        own = astar_nbest(Lattice(e, trans), n)
+        assert (nb.paths, nb.exhausted, nb.n_requested) == (own.paths, own.exhausted, n)
+        assert np.array(nb.scores).tobytes() == np.array(own.scores).tobytes()
 
 
 FEATURELESS_TEMPLATES = (
