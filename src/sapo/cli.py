@@ -11,6 +11,8 @@ import argparse
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .dataio import (
     Corpus,
     FormatError,
@@ -24,7 +26,7 @@ from .dataio import (
 )
 from .evaluation import chunk_f1, token_accuracy
 from .features import Sequence, TemplateError, compile_corpus, weight_views
-from .inference import DeltaReport, delta_csv_lines, delta_diagnostic, topn_distribution
+from .inference import DeltaReport, delta_csv_lines, delta_diagnostics, topn_distribution
 from .lattice import astar_nbest, check_finite, length_buckets, viterbi_tags
 from .training import (
     _TRAINERS,
@@ -244,12 +246,7 @@ def cmd_diagnose(args) -> int:
     model = load_model(args.model)
     corpus = read_conll(args.data, labeled=True)
     probes = corpus.sequences[: args.samples]
-    all_reports = []
-    for i, z in enumerate(probes):
-        try:
-            all_reports.append(delta_diagnostic(model, z, n_list))
-        except NonFiniteError:
-            raise NonFiniteError(i, None, what="scores of sequence %d" % i) from None
+    all_reports = delta_diagnostics(model, probes, n_list)
     rows = [r for reports in all_reports for r in reports]
     if len(all_reports) > 1:
         # averaged block appended, one row per n
@@ -289,7 +286,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # The explicit finite checks turn overflow into exit 3, so NumPy's warnings
+        # would only repeat it on stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
     except UsageError as e:

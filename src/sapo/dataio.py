@@ -13,6 +13,7 @@ import json
 import math
 import re
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -129,10 +130,10 @@ def write_conll(corpus: Corpus, path, predictions=None):
     """Write a corpus, optionally appending predicted tags as a final column.
 
     Original columns (observations, then the gold tag when present) are
-    preserved; output is tab-separated with LF line endings.  A string holding
-    whitespace (anything ``str.split`` splits at) would not read back, so it
-    raises ValueError, naming the string and its sequence, before anything is
-    written.
+    preserved; output is tab-separated with LF line endings.  An empty string,
+    or one holding whitespace (anything ``str.split`` splits at), would not read
+    back, so it raises ValueError, naming the string and its sequence, before
+    anything is written.
     """
     if predictions is not None and len(predictions) != len(corpus.sequences):
         raise ValueError(
@@ -161,19 +162,25 @@ def write_conll(corpus: Corpus, path, predictions=None):
         # each token's tabs and line end, one per column
         separators += len(seq) * (corpus.n_columns + (seq.gold is not None) + (pred is not None))
     text = "\n\n".join(blocks) + "\n"
-    # One pass over the text: it holds more whitespace than its separators only
-    # where a string holds some.  Only then are the strings searched one by one.
+    # The text holds more whitespace than its separators only where a string holds
+    # some, and a separator starts it or follows another beyond the blank lines only
+    # where a string is empty.  Only then are the strings searched one by one.
+    data = text.encode()
     if text.isascii():
-        spaces = len(text) - len(text.encode().translate(None, _ASCII_SPACE))
+        spaces = len(data) - len(data.translate(None, _ASCII_SPACE))
     else:
         spaces = len(text) - len("".join(text.split()))
-    if spaces != separators:
+    sep = np.frombuffer(data, np.uint8)
+    sep = (sep == ord("\t")) | (sep == ord("\n"))  # no other UTF-8 byte is 9 or 10
+    adjacent = np.count_nonzero(sep[1:] & sep[:-1]) + sep[0]
+    if spaces != separators or adjacent != len(corpus.sequences) - 1:
         for i, seq in enumerate(corpus.sequences):
             pred = () if predictions is None else predictions[i]
             for string in chain(chain.from_iterable(seq.tokens), seq.gold or (), pred):
-                if _SPACE.search(string):
-                    raise ValueError("cannot write %r of sequence %d: it holds whitespace, "
-                                     "so the file would not read back" % (string, i))
+                if not string or _SPACE.search(string):
+                    raise ValueError("cannot write %r of sequence %d: it %s, so the file would "
+                                     "not read back" % (string, i, "holds whitespace"
+                                                        if string else "is empty"))
     write_text(path, text)
 
 
@@ -235,21 +242,22 @@ def generate_synthetic_hmm(
     width = len(str(V - 1))
     words = ["w%0*d" % (width, v) for v in range(V)]
     tags = ["t%d" % k for k in range(K)]
-    init_cum = np.cumsum(init)
-    trans_cum = np.cumsum(trans, axis=1)
-    emit_cum = np.cumsum(emit, axis=1)
+    # As lists, for bisect_left: np.searchsorted without its per-call overhead.
+    init_cum = np.cumsum(init).tolist()
+    trans_cum = np.cumsum(trans, axis=1).tolist()
+    emit_cum = np.cumsum(emit, axis=1).tolist()
     max_len = int(4 * T_mean)
     sequences = []
     for _ in range(count):
         T = int(min(max(rng.geometric(1.0 / T_mean), 1), max_len))
-        u = rng.random((T, 2))
+        u = rng.random((T, 2)).tolist()
         tokens = []
         gold = []
-        k = int(np.searchsorted(init_cum, u[0, 0]))
-        for t in range(T):
+        k = bisect_left(init_cum, u[0][0])
+        for t, (u_tag, u_word) in enumerate(u):
             if t > 0:
-                k = int(np.searchsorted(trans_cum[k], u[t, 0]))
-            v = int(np.searchsorted(emit_cum[k], u[t, 1]))
+                k = bisect_left(trans_cum[k], u_tag)
+            v = bisect_left(emit_cum[k], u_word)
             tokens.append((words[v],))
             gold.append(tags[k])
         sequences.append(Sequence(tokens=tokens, gold=gold))

@@ -470,32 +470,43 @@ def expected_features(cs: CompiledSequence, tag_mass, pairs, pair_mass, K, minus
     With transitions, ``pair_mass[i]`` is added to tag pair ``pairs[i]`` (prev * K + cur).
     Each id sums its terms in position order, and a pair's in the given order, from 0.0
     (``np.bincount`` adds in input order).  Given a tagging ``minus``, E[F] - F(x, minus):
-    F fills a second half of the bins, so each id is 0.0 + E + (-F) as in ``sparse_sum``."""
-    n = len(cs.bases) * K
+    F fills a second row of the bins, so each id is 0.0 + E + (-F) as in ``sparse_sum``."""
     masses = [(tag_mass, pairs, pair_mass)]
     if minus is not None:
-        y = np.array(minus, dtype=np.intp)
-        masses.append((y, y[:-1] * K + y[1:], np.ones(len(y) - 1)))
-    cells = []  # (bins, terms) per mass; the point mass on ``minus`` comes second, in n..2n-1
-    for half, (mass, pair_ids, pmass) in enumerate(masses):
-        if mass.ndim == 1:  # value * 1.0 is the value
-            cells.append((cs.bins + (mass.repeat(cs.counts) + half * n), cs.vals))
-        else:
-            cells.append(((cs.bins[:, None] + np.arange(K)).ravel(),
-                          (mass.repeat(cs.counts, 0) * cs.vals[:, None]).ravel()))
-        if cs.trans_base is not None:  # pairs are the bins of the last K rows
-            cells.append((pair_ids + (n - K * K + half * n), pmass))
-    ids, terms = map(np.concatenate, zip(*cells))
-    e, f = np.bincount(ids, terms, 2 * n).reshape(2, n)
-    sums = e - f  # without ``minus`` f is 0.0, and e - 0.0 is e
+        masses.append(point_mass(minus, K))
+    rows = mass_rows(cs, masses, K)
+    sums = rows[0] - rows[1] if minus is not None else rows[0]
     nz = (sums != 0.0).nonzero()[0]
     return sparse_vector(cs.bases[nz // K] + nz % K, sums[nz])
 
 
+def point_mass(path, K):
+    """The (tagging, tag pairs, pair masses) entry of the point mass on ``path``."""
+    y = np.array(path, dtype=np.intp)
+    return y, y[:-1] * K + y[1:], np.ones(len(y) - 1)
+
+
+def mass_rows(cs: CompiledSequence, masses, K):
+    """E[F(x, y)] under each (tag_mass, pairs, pair_mass) of ``masses``, as taken by
+    :func:`expected_features`, from one ``np.bincount``: row s over the kernel cells of
+    ``cs``, cell c the feature id ``cs.bases[c // K] + c % K``."""
+    n = len(cs.bases) * K
+    cells = []  # (bins, terms) per mass
+    for s, (mass, pair_ids, pmass) in enumerate(masses):
+        if mass.ndim == 1:  # value * 1.0 is the value
+            cells.append((cs.bins + (mass.repeat(cs.counts) + s * n), cs.vals))
+        else:
+            cells.append(((cs.bins[:, None] + np.arange(s * n, s * n + K)).ravel(),
+                          (mass.repeat(cs.counts, 0) * cs.vals[:, None]).ravel()))
+        if cs.trans_base is not None:  # pairs are the bins of the last K rows
+            cells.append((pair_ids + (n - K * K + s * n), pmass))
+    ids, terms = map(np.concatenate, zip(*cells))
+    return np.bincount(ids, terms, len(masses) * n).reshape(len(masses), n)
+
+
 def path_items(cs: CompiledSequence, path, K, minus=None):
     """Global feature vector F(x, y) of one tagging: E[F] under a point mass."""
-    y = np.array(path, dtype=np.intp)
-    return expected_features(cs, y, y[:-1] * K + y[1:], np.ones(len(y) - 1), K, minus)
+    return expected_features(cs, *point_mass(path, K), K, minus)
 
 
 def path_matrix(cs: CompiledSequence, paths, K, minus):

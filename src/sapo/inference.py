@@ -12,8 +12,8 @@ tag-pair mass and the gold tagging y* as ``minus``; ``path_items`` fills the
 masses with a point mass (perceptron), ``candidate_mixture`` with the
 top-n distribution (SAPO) and ``expected_items`` with the exact chain marginals
 (CRF); MIRA stacks its candidates' point masses with ``features.path_matrix``.
-``subtract_oracle`` is the diagnostic's difference of two sparse vectors
-(``features.SPARSE``).
+``subtract_oracle`` is the difference of two sparse vectors (``features.SPARSE``);
+the diagnostic takes it cell for cell from the rows of one ``features.mass_rows``.
 
 The forward recursion and :func:`forward_logz` also take a stack of lattices
 (``emit`` (B, T, K)): the objective pass runs one forward per length bucket.
@@ -28,10 +28,11 @@ import numpy as np
 
 # path_items is unused here: bench/layertrace.py looks it up in this module.
 from .features import (Model, Sequence, compile_corpus, compile_sequence, expected_features,
-                       path_items, sparse_sum, weight_views)
+                       mass_rows, path_items, point_mass, sparse_sum, weight_views)
 from .lattice import (
     Lattice,
     NBestList,
+    NonFiniteError,
     astar_nbest,
     build_lattice,
     check_finite,
@@ -193,51 +194,67 @@ def compiled_objective(compiled, weights, index, l2: float) -> float:
 
 
 def delta_diagnostic(m: Model, z: Sequence, n_list, l2=None, dataset_size=None):
-    """Deviation between the exact gradient and its top-n approximations.
+    """:func:`delta_diagnostics` of one probe.  ``l2`` and ``dataset_size`` are
+    unused: the decay terms they set cancel."""
+    return delta_diagnostics(m, [z], n_list)[0]
 
-    For each requested n, reports the norms of the sparse-coordinate
-    difference (the dense decay contributions cancel exactly) and the
-    probability mass outside the candidate set.  The candidate sets are
-    nested prefixes of one n-best search, and the tail mass is accumulated
-    with sequential log-add so it is non-increasing in n by construction.
-    ``l2`` and ``dataset_size`` are unused: the decay terms they set cancel.
-    Non-finite emission or searched scores raise NonFiniteError.
-    """
-    l, cs = labeled_sample(m, z)
-    check_finite(l)
-    K = m.num_tags
-    marg = forward_backward(l)
-    exact = expected_items(cs, marg, K, cs.gold)
 
+def delta_diagnostics(m: Model, probes, n_list):
+    """Deviation between the exact gradient and its top-n approximations: per probe,
+    one DeltaReport per n of ``n_list`` (sorted, duplicates dropped).
+
+    A report holds the norms of the sparse-coordinate difference (the dense decay
+    terms cancel exactly) and the probability mass outside the candidate set.  The
+    candidate sets are nested prefixes of one n-best search, and the tail mass comes
+    from a sequential log-add, so it is non-increasing in n by construction.  The
+    probes are compiled together, then searched once per length bucket, so a compile
+    (validation) error comes before any numeric one.  Non-finite emission or searched
+    scores raise NonFiniteError, naming the lowest-numbered such probe."""
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("n values must be >= 1")
-    nb = astar_nbest(l, n_list[-1])
-    check_finite(l, [nb.scores], n_list[-1])
-
-    # Running log of Z_n over the ranked prefix; logaddexp never decreases.
-    prefix_logz = np.logaddexp.accumulate(nb.scores)
-
-    reports = []
-    for n in n_list:
-        k = min(n, len(nb.paths))
-        sub = NBestList(
-            paths=nb.paths[:k],
-            scores=nb.scores[:k],
-            probs=None,
-            n_requested=n,
-            exhausted=nb.exhausted or k < n,
-        )
-        sub = topn_distribution(sub)
-        approx = candidate_mixture(cs, sub.paths, sub.probs, K, cs.gold)
-        diffs = subtract_oracle(exact, approx)["value"]
-        l2_delta = math.sqrt(math.fsum((diffs * diffs).tolist()))
-        linf_delta = float(np.abs(diffs).max(initial=0.0))
-        tail = 1.0 - math.exp(float(prefix_logz[k - 1]) - marg.logZ)
-        reports.append(
-            DeltaReport(n=n, l2_delta=l2_delta, linf_delta=linf_delta, tail_mass=max(tail, 0.0))
-        )
+    compiled = compile_corpus(m, list(probes), labeled=True)
+    top, reports, failed = n_list[-1], [None] * len(compiled), []
+    for idx, lat in length_buckets(compiled, weight_views(m.weights, m.index), top):
+        lists = astar_nbest(lat, top)
+        for scores in (None, [nb.scores for nb in lists]):
+            try:
+                check_finite(lat, scores, top, idx)
+            except NonFiniteError as e:
+                failed.append(e.sample_index)
+        for b, i in enumerate(() if failed else idx):  # after a failure, only the checks
+            reports[i] = _probe_reports(compiled[i], Lattice(lat.emit[b], lat.trans), lists[b],
+                                        n_list, m.num_tags)
+    if failed:
+        raise NonFiniteError(min(failed), None, what="scores of sequence %d" % min(failed))
     return reports
+
+
+def _probe_reports(cs, l: Lattice, nb: NBestList, n_list, K):
+    """One probe's reports from the rows of one ``mass_rows`` call: E[F] under the
+    chain, under each n's top-n distribution (tallied and paired in rank order, as
+    in :func:`candidate_mixture`) and under the gold tagging."""
+    marg = forward_backward(l)
+    sizes = [min(n, len(nb)) for n in n_list]
+    p = np.concatenate([topn_distribution(NBestList(nb.paths[:k], nb.scores[:k], None, k,
+                                                    False)).probs for k in sizes])
+    y = np.array(nb.paths, dtype=np.intp)[np.concatenate([np.arange(k) for k in sizes])]
+    T, S = l.T, len(sizes)
+    at = np.arange(0, S * T * K, T * K).repeat(sizes)[:, None] + np.arange(0, T * K, K)
+    tally = np.bincount((y + at).ravel(), p.repeat(T), S * T * K).reshape(S, T, K)
+    pairs, ends = y[:, :-1] * K + y[:, 1:], np.cumsum(sizes).tolist()
+    rows = mass_rows(cs, [(marg.node, np.arange(K * K), marg.edge.sum(0).ravel())]
+                     + [(tally[s], pairs[lo:hi].ravel(), p[lo:hi].repeat(T - 1))
+                        for s, (lo, hi) in enumerate(zip([0] + ends, ends))]
+                     + [point_mass(cs.gold, K)], K)
+    terms = rows[:-1] - rows[-1]  # E[F] - F(x, y*): the exact one, then each n's
+    # Cell for cell each n's subtract_oracle; zero cells add nothing to either norm.
+    diffs = terms[0] - terms[1:]
+    prefix_logz = np.logaddexp.accumulate(nb.scores)  # running log Z_n, never decreasing
+    return [DeltaReport(n=n, l2_delta=math.sqrt(math.fsum(sq)),
+                        linf_delta=float(np.abs(d).max(initial=0.0)),
+                        tail_mass=max(1.0 - math.exp(float(prefix_logz[k - 1]) - marg.logZ), 0.0))
+            for n, k, d, sq in zip(n_list, sizes, diffs, (diffs * diffs).tolist())]
 
 
 def delta_csv_lines(reports) -> list[str]:

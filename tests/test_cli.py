@@ -1,5 +1,7 @@
+import hashlib
 import math
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -42,6 +44,21 @@ class TestGenerate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args,sha256", [
+        ("--seed 1", "e898e4b6f3827523f86f94cda57a3d19f2f93556437a37769c3e6803ab8e493c"),
+        ("--seed 7 --count 200",
+         "9e40f85799a5400bdd4698593a340fca89289f6a33d3b60e6818037be54fa9f7"),
+        ("--seed 2024 --tags 45 --vocab 450 --count 60 --separability 0.9",
+         "bb736ef5e811f795395a072e9442e9479278af9e6d5b58b4bf90d36a9c91e1af"),
+        ("--seed 3 --tags 2 --vocab 3 --mean-length 1.5 --count 80 --separability 0",
+         "9e521d2c6266bac2a93199fa6adb3bf989d02080a4ca4c4b7c434c121cd71889"),
+    ])
+    def test_pinned_bytes(self, tmp_path, args, sha256):
+        # The corpus a seed gives must not change with the sampler's implementation.
+        out = tmp_path / "g.conll"
+        assert main(["generate", "--out", str(out), *args.split()]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_bad_parameters(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "x"), "--tags", "1"]) == 1
@@ -173,7 +190,6 @@ class TestTrain:
         assert code == 0
         assert np.isfinite(load_model(str(model)).weights).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("algo", ["perc", "mira", "mira-nbest"])
     def test_overflowing_scores_exit_3(self, tmp_path, capsys, algo):
         # Weights of +-1e308 are finite, but weight x value overflows: the perceptron's
@@ -189,7 +205,6 @@ class TestTrain:
                             capsys.readouterr().err)
         assert not model.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_heldout_scores_exit_3(self, tmp_path, capsys):
         # Finite weights and training scores, but held-out emissions of +-1e308
         # overflow when summed along a path.
@@ -536,6 +551,110 @@ class TestDiagnose:
             "diagnose", "--model", "x", "--data", "y", "--l2", "1",
             "--out", str(tmp_path / "o"),
         ]) == 1
+
+
+def _value_model(tmp_path):
+    # Weights of +-1 on a %v column: a value of 1e308 gives finite emission scores
+    # whose sums along a path overflow.
+    train, tpl, model = tmp_path / "train.conll", tmp_path / "t.txt", tmp_path / "m.txt"
+    train.write_text("a 1 X\nb 1 Y\n\nb 1 Y\na 1 X\n\na 1 X\na 1 X\nb 1 Y\n")
+    tpl.write_text("U00:%x[0,0]/%v[0,1]\nB\n")
+    assert main(["train", "--algo", "perc", "--train", str(train), "--templates", str(tpl),
+                 "--epochs", "1", "--model-out", str(model)]) == 0
+    return model
+
+
+class TestDiagnoseProbeOrder:
+    @pytest.fixture
+    def model(self, tmp_path):
+        return _value_model(tmp_path)
+
+    def test_first_failing_probe_named_across_length_buckets(self, tmp_path, capsys, model):
+        # Probe 0 (length 2) is finite; probes 1 (length 3) and 2 (length 2) overflow.
+        # The length-2 bucket holds probes 0 and 2 and is searched first.
+        data, out = tmp_path / "data.conll", tmp_path / "delta.csv"
+        data.write_text("a 1 X\nb 1 Y\n\na 1e308 X\nb 1e308 Y\na 1e308 X\n\n"
+                        "b 1e308 Y\na 1e308 X\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--model", str(model), "--data", str(data), "--samples", "3",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: non-finite scores of sequence 1\n"
+        assert not out.exists()
+
+    def test_non_finite_emission_off_the_searched_paths(self, tmp_path, capsys, model):
+        # A weight of 1.7e308 times a value of -2 puts -inf on tag X, which the top-1
+        # path avoids: its searched score is finite, its emission row is not.
+        text = model.read_text().replace("E\tU00=a\tX\t1.0\n", "E\tU00=a\tX\t1.7e308\n")
+        model.write_text(text)
+        data, out = tmp_path / "data.conll", tmp_path / "delta.csv"
+        data.write_text("a 1 X\n\na -2 X\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--model", str(model), "--data", str(data), "--samples", "2",
+                     "--n-list", "1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: non-finite scores of sequence 1\n"
+        assert not out.exists()
+
+    def test_validation_error_before_numeric_error(self, tmp_path, capsys, model):
+        # Probe 0 overflows, probe 1's gold tag is not in the model: the probes are
+        # compiled together, so the validation error comes first.
+        data, out = tmp_path / "data.conll", tmp_path / "delta.csv"
+        data.write_text("a 1e308 X\nb 1e308 Y\n\na 1 Z\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--model", str(model), "--data", str(data), "--samples", "2",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: tag 'Z' not in tagset\n"
+        assert not out.exists()
+
+
+def _strict_main(argv):
+    """``main`` with NumPy's RuntimeWarnings raised as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
+
+
+class TestNoRuntimeWarning:
+    """The overflow probes exit 3 with their one-line message and nothing else on
+    stderr: the explicit finite checks report what NumPy would warn about."""
+
+    @pytest.mark.parametrize("algo", ["perc", "mira", "mira-nbest"])
+    def test_train(self, tmp_path, capsys, algo):
+        data, tpl = tmp_path / "train.conll", tmp_path / "templates.txt"
+        data.write_text("a 1e308 X\nb 1e308 Y\n\nb 1e308 Y\na 1e308 X\n")
+        tpl.write_text("U00:%x[0,0]/%v[0,1]\nB\n")
+        assert _strict_main(["train", "--algo", algo, "--train", str(data), "--templates",
+                             str(tpl), "--epochs", "3"]) == 3
+        assert re.fullmatch(r"error: non-finite [^\n]* sequence 0 in epoch 1\n",
+                            capsys.readouterr().err)
+
+    def test_train_heldout(self, tmp_path, capsys):
+        data, held, tpl = tmp_path / "train.conll", tmp_path / "held.conll", tmp_path / "t.txt"
+        data.write_text("a 1 X\nb 1 Y\n\nb 1 Y\na 1 X\n\na 1 X\na 1 X\nb 1 Y\n")
+        held.write_text("a 1 X\n\na 1e308 X\nb 1e308 Y\n")
+        tpl.write_text("U00:%x[0,0]/%v[0,1]\nB\n")
+        assert _strict_main(["train", "--algo", "perc", "--train", str(data), "--heldout",
+                             str(held), "--templates", str(tpl), "--epochs", "3"]) == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite held-out scores of sequence 1 in epoch 1\n")
+
+    @pytest.mark.parametrize("command", [["decode", "--input"], ["decode", "--nbest", "3",
+                                                                  "--input"],
+                                         ["diagnose", "--samples", "3", "--data"]])
+    @pytest.mark.parametrize("overflow", ["weights", "values"])
+    def test_read_path(self, workdir, capsys, command, overflow):
+        # Weights of 1.7e308 overflow the emission scores; values of 1e308 the path sums.
+        data = workdir / "train.conll"
+        if overflow == "weights":
+            model = _overflowing_model(workdir)
+        else:
+            model, data = _value_model(workdir), workdir / "data.conll"
+            data.write_text("a 1e308 X\nb 1e308 Y\n\nb 1 Y\n")
+        out = workdir / "out.txt"
+        capsys.readouterr()
+        assert _strict_main([*command, str(data), "--model", str(model),
+                             "--output" if command[0] == "decode" else "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: non-finite scores of sequence 0\n"
+        assert not out.exists()
 
 
 class TestHelp:

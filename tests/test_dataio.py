@@ -124,6 +124,31 @@ class TestWriteConll:
             write_conll(corpus, out, predictions=[["V"], pred])
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["token", "gold", "prediction"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_empty_string_rejected(self, tmp_path, where, at, columns):
+        # An empty cell leaves two separators adjacent, or a blank line inside a
+        # sequence (or at its end, next to the blank line after it), so the file
+        # would not read back.
+        tokens = [("x", "1")[:columns], ("y", "2")[:columns], ("z", "3")[:columns]]
+        gold, pred = ["X", "Y", "Z"], ["P", "Q", "R"]
+        if where == "token":
+            tokens[at] = ("",) + tokens[at][1:]
+        else:
+            {"gold": gold, "prediction": pred}[where][at] = ""
+        for labeled in (True, False) if where == "token" else (True,):
+            for with_pred in (True, False) if where != "prediction" else (True,):
+                seqs = [Sequence([("w", "0")[:columns]], ["W"] if labeled else None),
+                        Sequence(tokens, gold if labeled else None),
+                        Sequence([("v", "0")[:columns]], ["V"] if labeled else None)]
+                out = tmp_path / "x.conll"
+                with pytest.raises(ValueError, match=r"^cannot write '' of sequence 1: it is "
+                                                     "empty, so the file would not read back"):
+                    write_conll(Corpus(seqs, columns), out,
+                                predictions=[["A"], pred, ["B"]] if with_pred else None)
+                assert not out.exists()
+
     def test_other_strings_round_trip(self, tmp_path):
         # Non-ASCII text that holds no whitespace, a zero-width space among it.
         tokens = [("\u00e9t\u00e9",), ("a\u200bb",), ("\u2603",)]

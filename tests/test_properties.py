@@ -10,7 +10,9 @@ tag strings.  The feature
 expectation kernel and the sparse weight update against the per-item loops
 they replace, bit for bit, and the block-streaming model writer against the
 per-cell writer it replaces, byte for byte.  MIRA's box-constrained dual solve
-against an enumeration of every (lower, free, upper) pattern.
+against an enumeration of every (lower, free, upper) pattern.  The batched
+gradient-deviation diagnostic against the per-probe composition it replaces,
+byte for byte.
 """
 
 import io
@@ -63,14 +65,19 @@ from sapo.features import (
     weight_views,
 )
 from sapo.inference import (
+    DeltaReport,
     candidate_mixture,
     compiled_objective,
+    delta_csv_lines,
+    delta_diagnostics,
     expected_items,
     forward_backward,
+    labeled_sample,
     regularizer_value,
     subtract_oracle,
+    topn_distribution,
 )
-from sapo.lattice import _DENSE_CELLS, length_buckets
+from sapo.lattice import _DENSE_CELLS, NBestList, length_buckets
 from sapo.training import WeightState
 
 TAGS = ("X", "Y", "Z")
@@ -894,3 +901,69 @@ def test_compile_time_cells_equal_per_sequence_formula(case):
     assert all(len(cs.counts) == 1 for cs in labeled[0][-1:])  # a single token
     for cs in compile_corpus(model, probe) + [compile_sequence(model, probe[0])]:
         assert cs.bases is None and cs.bins is None
+
+
+# With and without B; the last fires three features a position.
+DIAGNOSE_TEMPLATES = TEMPLATE_SETS[:3] + FEATURELESS_TEMPLATES[3:]
+
+
+@st.composite
+def diagnose_cases(draw):
+    """(model, labeled probes of mixed lengths, n-list) for the batched diagnostic.
+
+    K is 2, 3, 6 or 12 and T 1-6; the weights are float or tie-heavy.  The n-list
+    may repeat values and holds n from {1, 2, c, c + 1, K^2, 40}, c = 1,024 // K^2
+    the largest n that exact search runs without the g + h cut: K^T is at most
+    40 for the short probes at K = 2 and 3, and at K = 2 no n reaches the cut."""
+    K = draw(st.sampled_from((2, 3, 6, 12)))
+    tags = ["t%d" % k for k in range(K)]
+
+    def sequence(T):
+        tokens = zip(draw(st.lists(st.sampled_from("abz"), min_size=T, max_size=T)),
+                     draw(st.lists(st.sampled_from(KERNEL_VALUES), min_size=T, max_size=T)))
+        gold = draw(st.lists(st.sampled_from(tags), min_size=T, max_size=T))
+        return Sequence(tokens=list(tokens), gold=gold)
+
+    train = [sequence(4), Sequence(tokens=[("a", "1"), ("b", "-0.5")] * K, gold=tags * 2)]
+    model = build_model(train, draw(st.sampled_from(DIAGNOSE_TEMPLATES)), 2)
+    if draw(st.booleans()):
+        model.weights[:] = _ties(draw, model.weights.shape)
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        model.weights[:] = np.random.default_rng(seed).uniform(-3, 3, model.index.n_features)
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=7))
+    cut = _DENSE_CELLS // (K * K)
+    n_list = draw(st.lists(st.sampled_from((1, 2, cut, cut + 1, K * K, 40)), min_size=1,
+                           max_size=6))
+    return model, [sequence(T) for T in lengths], n_list
+
+
+def _former_delta_csv(model, probe, n_list):
+    """The per-probe composition the batched diagnostic replaces: one lattice and one
+    search per probe, then per n ``candidate_mixture`` and ``subtract_oracle``."""
+    lat, cs = labeled_sample(model, probe)
+    K, n_list = model.num_tags, sorted(set(n_list))
+    marg = forward_backward(lat)
+    exact = expected_items(cs, marg, K, cs.gold)
+    nb = astar_nbest(lat, n_list[-1])
+    prefix_logz = np.logaddexp.accumulate(nb.scores)
+    reports = []
+    for n in n_list:
+        k = min(n, len(nb.paths))
+        sub = topn_distribution(NBestList(nb.paths[:k], nb.scores[:k], None, n, k < n))
+        approx = candidate_mixture(cs, sub.paths, sub.probs, K, cs.gold)
+        diffs = subtract_oracle(exact, approx)["value"]
+        tail = 1.0 - math.exp(float(prefix_logz[k - 1]) - marg.logZ)
+        reports.append(DeltaReport(n, math.sqrt(math.fsum((diffs * diffs).tolist())),
+                                   float(np.abs(diffs).max(initial=0.0)), max(tail, 0.0)))
+    return delta_csv_lines(reports)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagnose_cases())
+def test_batched_diagnostic_equals_per_probe_composition(case):
+    model, probes, n_list = case
+    batched = delta_diagnostics(model, probes, n_list)
+    assert len(batched) == len(probes)
+    for reports, probe in zip(batched, probes):
+        assert delta_csv_lines(reports) == _former_delta_csv(model, probe, n_list)
