@@ -27,7 +27,7 @@ from .dataio import (
 from .evaluation import chunk_f1, token_accuracy
 from .features import Sequence, TemplateError, compile_corpus, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostics, topn_distribution
-from .lattice import astar_nbest, check_finite, length_buckets, viterbi_tags
+from .lattice import astar_nbest, searched, viterbi_tags
 from .training import (
     _TRAINERS,
     ALGORITHMS,
@@ -182,20 +182,14 @@ def _read_for_model(path, model):
 
 
 def _write_nbest(corpus, compiled, model, n, path):
-    nbest = [None] * len(compiled)
-    for idx, lat in length_buckets(compiled, weight_views(model.weights, model.index), n):
-        check_finite(lat, idx=idx)
-        lists = astar_nbest(lat, n)
-        check_finite(lat, [nb.scores for nb in lists], n, idx)
-        for i, nb in zip(idx, lists):
-            nbest[i] = topn_distribution(nb)
+    found = searched(compiled, weight_views(model.weights, model.index), astar_nbest, n)
     tags, out = model.tagset.tags, []
-    for si, (seq, nb) in enumerate(zip(corpus.sequences, nbest)):
+    for si, (seq, (_, nb)) in enumerate(zip(corpus.sequences, found)):
         # Each token's columns, built once per sequence rather than per candidate.
         prefixes = ["".join(col + "\t" for col in token) for token in seq.tokens]
         if seq.gold is not None:
             prefixes = [p + gold + "\t" for p, gold in zip(prefixes, seq.gold)]
-        for rank, (cand, score, prob) in enumerate(nb.entries, start=1):
+        for rank, (cand, score, prob) in enumerate(topn_distribution(nb).entries, start=1):
             out.append("# seq=%d rank=%d score=%r prob=%r\n" % (si, rank, score, prob))
             out.extend(p + tags[k] + "\n" for p, k in zip(prefixes, cand))
             out.append("\n")

@@ -16,7 +16,8 @@ top-n distribution (SAPO) and ``expected_items`` with the exact chain marginals
 the diagnostic takes it cell for cell from the rows of one ``features.mass_rows``.
 
 The forward recursion and :func:`forward_logz` also take a stack of lattices
-(``emit`` (B, T, K)): the objective pass runs one forward per length bucket.
+(``emit`` (B, T, K)): the objective pass runs one forward per length bucket.  The
+diagnostic searches and checks its probes with ``lattice.searched``, as decoding does.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from .lattice import (
     NonFiniteError,
     astar_nbest,
     build_lattice,
-    check_finite,
     compiled_lattice,
     length_buckets,
     path_score,
+    searched,
 )
 
 
@@ -207,31 +208,20 @@ def delta_diagnostics(m: Model, probes, n_list):
     terms cancel exactly) and the probability mass outside the candidate set.  The
     candidate sets are nested prefixes of one n-best search, and the tail mass comes
     from a sequential log-add, so it is non-increasing in n by construction.  The
-    probes are compiled together, then searched once per length bucket, so a compile
-    (validation) error comes before any numeric one.  Non-finite emission or searched
-    scores raise NonFiniteError, naming the lowest-numbered such probe."""
+    probes are compiled together, then searched by ``lattice.searched``, so a compile
+    (validation) error comes before any numeric one.  A probe with non-finite scores,
+    log Z, differences or norms raises NonFiniteError naming it."""
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 1:
         raise ValueError("n values must be >= 1")
     compiled = compile_corpus(m, list(probes), labeled=True)
-    top, reports, failed = n_list[-1], [None] * len(compiled), []
-    for idx, lat in length_buckets(compiled, weight_views(m.weights, m.index), top):
-        lists = astar_nbest(lat, top)
-        for scores in (None, [nb.scores for nb in lists]):
-            try:
-                check_finite(lat, scores, top, idx)
-            except NonFiniteError as e:
-                failed.append(e.sample_index)
-        for b, i in enumerate(() if failed else idx):  # after a failure, only the checks
-            reports[i] = _probe_reports(compiled[i], Lattice(lat.emit[b], lat.trans), lists[b],
-                                        n_list, m.num_tags)
-    if failed:
-        raise NonFiniteError(min(failed), None, what="scores of sequence %d" % min(failed))
-    return reports
+    found = searched(compiled, weight_views(m.weights, m.index), astar_nbest, n_list[-1])
+    return [_probe_reports(i, cs, l, nb, n_list, m.num_tags)
+            for i, (cs, (l, nb)) in enumerate(zip(compiled, found))]
 
 
-def _probe_reports(cs, l: Lattice, nb: NBestList, n_list, K):
-    """One probe's reports from the rows of one ``mass_rows`` call: E[F] under the
+def _probe_reports(i, cs, l: Lattice, nb: NBestList, n_list, K):
+    """Probe i's reports from the rows of one ``mass_rows`` call: E[F] under the
     chain, under each n's top-n distribution (tallied and paired in rank order, as
     in :func:`candidate_mixture`) and under the gold tagging."""
     marg = forward_backward(l)
@@ -250,11 +240,24 @@ def _probe_reports(cs, l: Lattice, nb: NBestList, n_list, K):
     terms = rows[:-1] - rows[-1]  # E[F] - F(x, y*): the exact one, then each n's
     # Cell for cell each n's subtract_oracle; zero cells add nothing to either norm.
     diffs = terms[0] - terms[1:]
+    linf = np.abs(diffs).max(axis=1, initial=0.0).astype(float).tolist()
+    l2 = [_l2_norm(d, sq) for d, sq in zip(diffs, (diffs * diffs).tolist())]
+    if not all(map(math.isfinite, [marg.logZ, *linf, *l2])):
+        raise NonFiniteError(i, None, what="gradient deviation of sequence %d" % i)
     prefix_logz = np.logaddexp.accumulate(nb.scores)  # running log Z_n, never decreasing
-    return [DeltaReport(n=n, l2_delta=math.sqrt(math.fsum(sq)),
-                        linf_delta=float(np.abs(d).max(initial=0.0)),
+    return [DeltaReport(n=n, l2_delta=norm, linf_delta=top,
                         tail_mass=max(1.0 - math.exp(float(prefix_logz[k - 1]) - marg.logZ), 0.0))
-            for n, k, d, sq in zip(n_list, sizes, diffs, (diffs * diffs).tolist())]
+            for n, k, norm, top in zip(n_list, sizes, l2, linf)]
+
+
+def _l2_norm(d, sq):
+    """sqrt(fsum(sq)), the L2 norm of ``d`` from its squares, or where that overflows,
+    ``math.hypot``'s, which scales by the largest magnitude first."""
+    try:
+        norm = math.sqrt(math.fsum(sq))
+    except OverflowError:  # fsum's partial sums overflowed
+        norm = math.inf
+    return math.hypot(*d.tolist()) if norm == math.inf else norm
 
 
 def delta_csv_lines(reports) -> list[str]:

@@ -17,8 +17,8 @@ result per lattice, for :func:`astar_nbest` one NBestList each.  Exact search
 runs a whole stack at once.  Where n*K^2 exceeds ``_DENSE_CELLS`` the ``g + h``
 cut leaves each lattice its own number of survivors, padded to the stack's
 largest count.  :func:`beam_nbest` takes no stack.  The search's n = 1 step
-treats one lattice as a stack of one.  :func:`check_finite` is the read path's
-check that a bucket's scores are finite.
+treats one lattice as a stack of one.  :func:`searched` is every read path's
+bucketed search, and its one check that the scores are finite.
 """
 
 from __future__ import annotations
@@ -338,30 +338,31 @@ def viterbi(l: Lattice):
 
 def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
     """Best tagging of each compiled sequence under ``weights``, as tag strings."""
-    tags, out = m.tagset.tags, [None] * len(compiled)
-    for idx, lat in length_buckets(compiled, weight_views(weights, m.index)):
-        check_finite(lat, idx=idx)
-        found = viterbi(lat)
-        check_finite(lat, [[score] for _, score in found], idx=idx)
-        for i, (path, _) in zip(idx, found):
-            out[i] = [tags[t] for t in path]
-    return out
+    tags = m.tagset.tags
+    found = searched(compiled, weight_views(weights, m.index), lambda lat, n: viterbi(lat))
+    return [[tags[t] for t in path] for _, (path, _) in found]
 
 
-def check_finite(l: Lattice, scores=None, n=1, idx=None):
-    """Raises NonFiniteError when a lattice of ``l`` (one, or a stack) holds a
-    non-finite emission score or, given ``scores`` (each lattice's searched
-    scores), anything but min(n, K^T) finite scores: a list that NaN bounds cut
-    short counts too.  ``idx`` holds the lattices' sequence numbers, and the
-    error names the first failing one."""
-    if scores is None:
-        ok = np.isfinite(l.emit.reshape(-1, l.T * l.K)).all(axis=1).tolist()
-    else:
-        m = min(n, _count_at_most(l.K, l.T, n))
-        ok = [len(s) == m and all(map(math.isfinite, s)) for s in scores]
-    if not all(ok):
-        i = None if idx is None else idx[ok.index(False)]
-        raise NonFiniteError(i, None, what="scores" if i is None else "scores of sequence %d" % i)
+def searched(compiled, views, search, n=1):
+    """(lattice, result) of each compiled sequence, in order, ``result`` its entry in
+    ``search(stack, n)`` over its stack of :func:`length_buckets`: an NBestList, or
+    a :func:`viterbi` (path, score) pair.  A sequence fails when its emission rows
+    or its searched scores are not all finite, or when NaN bounds cut its list below
+    min(n, K^T) scores.  Every bucket is checked before NonFiniteError is raised,
+    naming the lowest-numbered failing sequence."""
+    found, failed = [None] * len(compiled), []
+    for idx, lat in length_buckets(compiled, views, n):
+        m = min(n, _count_at_most(lat.K, lat.T, n))
+        rows_ok = np.isfinite(lat.emit.reshape(len(idx), -1)).all(axis=1).tolist()
+        for b, (i, r, ok) in enumerate(zip(idx, search(lat, n), rows_ok)):
+            scores = r.scores if isinstance(r, NBestList) else r[1:]
+            if ok and len(scores) == m and all(map(math.isfinite, scores)):
+                found[i] = Lattice(lat.emit[b], lat.trans), r
+            else:
+                failed.append(i)
+    if failed:
+        raise NonFiniteError(min(failed), None, what="scores of sequence %d" % min(failed))
+    return found
 
 
 def _count_at_most(K, T, cap):

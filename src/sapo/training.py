@@ -487,10 +487,11 @@ def _box_dual(G, b, C):
     cannot all hold, so the dual is unbounded), or the round does not raise the
     objective (rounding).  Neither changes D^T a.  Each other round raises the
     objective, so no (free list, bounds) state repeats and the solve ends.  One
-    variable gives min(C, max(0, b / G)).
+    variable with G > 0 gives min(C, max(0, b / G)); with G = 0 (a nonzero dF whose
+    squares underflow) the loop gives C if b > 0 and C is finite, else 0.
     """
     nc = len(b)
-    if nc == 1:
+    if nc == 1 and G[0][0] > 0.0:
         return [min(C, max(0.0, b[0] / G[0][0]))]
     a, free, held = [0.0] * nc, [], set()
     g, best = b[:], 0.0  # g = b - G.a, and the objective at a

@@ -190,6 +190,18 @@ class TestTrain:
         assert code == 0
         assert np.isfinite(load_model(str(model)).weights).all()
 
+    @pytest.mark.parametrize("clip", ["inf", "1"])
+    @pytest.mark.parametrize("algo", ["mira", "mira-nbest", "mira-avg"])
+    def test_subnormal_mira_difference_trains(self, tmp_path, capsys, algo, clip):
+        # dF = (1e-320, -1e-320) is nonzero, but its Gram diagonal underflows to 0.
+        data, model = tmp_path / "train.conll", tmp_path / "m.txt"
+        data.write_text("a 1e-320 X\n\na 1e-320 Y\n")
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%v[0,1]\n")
+        assert main(["train", "--algo", algo, "--mira-c", clip, "--train", str(data),
+                     "--templates", str(tpl), "--epochs", "2", "--model-out", str(model)]) == 0
+        assert np.isfinite(load_model(str(model)).weights).all()
+
     @pytest.mark.parametrize("algo", ["perc", "mira", "mira-nbest"])
     def test_overflowing_scores_exit_3(self, tmp_path, capsys, algo):
         # Weights of +-1e308 are finite, but weight x value overflows: the perceptron's
@@ -539,6 +551,37 @@ class TestDiagnose:
         assert capsys.readouterr().err == "error: non-finite scores of sequence 0\n"
         assert not out.exists()
 
+    @pytest.fixture
+    def tiny_weight_model(self, tmp_path):
+        # One weight of 1e-200 on a %v column: values of 1e200 give finite scores.
+        data, tpl, model = tmp_path / "train.conll", tmp_path / "t.txt", tmp_path / "m.txt"
+        data.write_text("a 1 X\n\nb 1 Y\n")
+        tpl.write_text("U00:%v[0,1]\n")
+        assert main(["train", "--algo", "perc", "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "1", "--model-out", str(model)]) == 0
+        text = model.read_text()
+        model.write_text(text[:text.index("E\t")] + "E\tU00=\tX\t1e-200\n")
+        return model
+
+    def test_overflowing_squares_keep_a_finite_norm(self, tmp_path, tiny_weight_model):
+        # Differences of about 2.7e199 are finite, their squares are not.
+        data, out = tmp_path / "data.conll", tmp_path / "delta.csv"
+        data.write_text("a 1e200 X\n")
+        assert main(["diagnose", "--model", str(tiny_weight_model), "--data", str(data),
+                     "--n-list", "1", "--out", str(out)]) == 0
+        n, l2, linf, tail = map(float, out.read_text().splitlines()[1].split(","))
+        assert linf > 1e199 and l2 == pytest.approx(math.sqrt(2) * linf, rel=1e-15)
+
+    def test_non_finite_deviation_exit_3(self, tmp_path, capsys, tiny_weight_model):
+        # Probe 1's scores are finite, but its gold features, 2 x 1.7e308, are not.
+        data, out = tmp_path / "data.conll", tmp_path / "delta.csv"
+        data.write_text("a 1 X\n\na 1.7e308 X\nb 1.7e308 X\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--model", str(tiny_weight_model), "--data", str(data),
+                     "--samples", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: non-finite gradient deviation of sequence 1\n"
+        assert not out.exists()
+
     def test_bad_n_list(self, tmp_path):
         assert main([
             "diagnose", "--model", "x", "--data", "y", "--n-list", "a,b",
@@ -569,16 +612,29 @@ class TestDiagnoseProbeOrder:
     def model(self, tmp_path):
         return _value_model(tmp_path)
 
-    def test_first_failing_probe_named_across_length_buckets(self, tmp_path, capsys, model):
+    @pytest.mark.parametrize("command", ["diagnose", "decode", "decode --nbest 3",
+                                         "train --heldout"])
+    def test_first_failing_probe_named_across_length_buckets(self, tmp_path, capsys, model,
+                                                             command):
         # Probe 0 (length 2) is finite; probes 1 (length 3) and 2 (length 2) overflow.
         # The length-2 bucket holds probes 0 and 2 and is searched first.
-        data, out = tmp_path / "data.conll", tmp_path / "delta.csv"
+        data, out = tmp_path / "data.conll", tmp_path / "out.txt"
         data.write_text("a 1 X\nb 1 Y\n\na 1e308 X\nb 1e308 Y\na 1e308 X\n\n"
                         "b 1e308 Y\na 1e308 X\n")
+        decode = ["--model", model, "--input", data, "--output", out]
+        flags = {
+            "diagnose": ["--model", model, "--data", data, "--samples", "3", "--out", out],
+            "decode": decode,
+            "decode --nbest 3": decode + ["--nbest", "3"],
+            "train --heldout": ["--algo", "perc", "--train", tmp_path / "train.conll",
+                                "--templates", tmp_path / "t.txt", "--heldout", data,
+                                "--epochs", "1", "--model-out", out],
+        }[command]
         capsys.readouterr()
-        assert main(["diagnose", "--model", str(model), "--data", str(data), "--samples", "3",
-                     "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "error: non-finite scores of sequence 1\n"
+        assert main([command.split()[0], *map(str, flags)]) == 3
+        named = "held-out scores" if command == "train --heldout" else "scores"
+        assert capsys.readouterr().err == "error: non-finite %s of sequence 1%s\n" % (
+            named, " in epoch 1" if command == "train --heldout" else "")
         assert not out.exists()
 
     def test_non_finite_emission_off_the_searched_paths(self, tmp_path, capsys, model):

@@ -20,9 +20,9 @@ from sapo import (
     viterbi,
 )
 from sapo.features import compile_corpus, weight_views
-from sapo.lattice import _STACK_CELLS, _search, check_finite, length_buckets
+from sapo.lattice import _STACK_CELLS, NBestList, _search, length_buckets, searched
 
-from conftest import random_lattice, random_word_model
+from conftest import random_lattice, random_word_model, word_corpus
 
 
 def brute_scores(l):
@@ -335,22 +335,53 @@ class TestEnumerateAll:
             enumerate_all(lat)
 
 
-class TestCheckFinite:
-    def test_names_the_first_failing_sequence(self, rng):
-        lat = random_lattice(rng, T=3, K=4)
-        stack = Lattice(np.stack([lat.emit] * 3), lat.trans)
-        check_finite(stack, idx=[4, 7, 9])
-        check_finite(stack, [[1.0, 2.0]] * 3, 2, [4, 7, 9])
-        stack.emit[2, 1, 0] = np.inf
-        with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence 9$"):
-            check_finite(stack, idx=[4, 7, 9])
-        for scores, named in (([[1.0, 2.0], [1.0, math.nan], [-math.inf]], 7),
-                              ([[1.0, 2.0], [1.0, 2.0], [1.0]], 9)):  # a list cut short
-            with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$" % named):
-                check_finite(stack, scores, 2, [4, 7, 9])
+def _scripted(*buckets):
+    """A search whose n-best lists carry the given scores, a list per lattice for
+    each bucket in the order ``length_buckets`` yields them."""
+    calls = iter(buckets)
 
-    def test_a_short_list_is_fine_when_every_tagging_is_in_it(self, rng):
-        lat = random_lattice(rng, T=2, K=2)
-        check_finite(lat, [astar_nbest(lat, 9).scores], 9)
-        with pytest.raises(NonFiniteError, match=r"^non-finite scores$"):
-            check_finite(lat, [[1.0, 0.5]], 9)
+    def search(lat, n):
+        return [NBestList([(0,) * lat.T] * len(s), s, None, n, False) for s in next(calls)]
+
+    return search
+
+
+class TestCheckFinite:
+    """``searched``'s check of each bucket's emission rows and searched scores."""
+
+    @pytest.fixture
+    def corpus(self):
+        # Sequences 0 (length 2), 1 (length 3) and 2 (length 2): the length-2 bucket,
+        # searched first, holds 0 and 2.
+        seqs = word_corpus([("a b", "X Y"), ("a b c", "X Y X"), ("b c", "Y X")])
+        model = build_model(seqs, "U00:%x[0,0]\nB\n", 1)
+        model.weights[:] = np.random.default_rng(3).normal(size=model.weights.shape)
+        return model, seqs
+
+    def test_names_the_first_failing_sequence(self, corpus):
+        model, seqs = corpus
+        compiled = compile_corpus(model, seqs)
+        views = weight_views(model.weights, model.index)
+        for (lat, nb), seq in zip(searched(compiled, views, astar_nbest, 2), seqs):
+            own = build_lattice(model, seq)
+            alone = astar_nbest(own, 2)
+            assert np.array_equal(lat.emit, own.emit)
+            assert (nb.paths, nb.scores) == (alone.paths, alone.scores)
+        emit_w = views[0].copy()
+        emit_w[compiled[2].rids[1]] = np.inf  # the word c: sequences 1 and 2
+        with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence 1$"):
+            searched(compiled, (emit_w, views[1]), astar_nbest, 2)
+        for buckets, named in (
+                (([[1.0, 2.0], [1.0, math.nan]], [[-math.inf, 1.0]]), 1),
+                (([[1.0, 2.0], [1.0]], [[1.0, 2.0]]), 2),  # a list cut short
+                (([[1.0, 2.0], [1.0, 2.0]], [[1.0]]), 1)):
+            with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$" % named):
+                searched(compiled, views, _scripted(*buckets), 2)
+
+    def test_a_short_list_is_fine_when_every_tagging_is_in_it(self, corpus):
+        model, _ = corpus
+        compiled = compile_corpus(model, word_corpus([("a", "X")]))  # K^T = 2 taggings
+        views = weight_views(model.weights, model.index)
+        assert [len(nb) for _, nb in searched(compiled, views, astar_nbest, 9)] == [2]
+        with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence 0$"):
+            searched(compiled, views, _scripted([[1.0]]), 9)

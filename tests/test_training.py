@@ -341,6 +341,13 @@ class TestMiraNbest:
                 assert g <= tol if a_k == 0.0 else g >= -tol if a_k == C else abs(g) <= tol
 
     @pytest.mark.parametrize("clip", [math.inf, 1.0])
+    def test_underflowing_gram_entry(self, clip):
+        # A nonzero dF whose squares underflow gives G = 0: the active-set loop's
+        # singular case, unbounded with C = inf (held at 0) and solved at C otherwise.
+        assert training._box_dual([[0.0]], [1.0], clip) == [0.0 if clip == math.inf else clip]
+        assert training._box_dual([[0.0]], [-1.0], clip) == [0.0]
+
+    @pytest.mark.parametrize("clip", [math.inf, 1.0])
     def test_contradictory_candidates(self, clip):
         # Candidates XX and YY of "a a"/"X Y" have dF_YY = -dF_XX, so G is singular and
         # both margins cannot hold.  With C = inf the dual is unbounded along (1, 1), a
