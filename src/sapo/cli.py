@@ -8,6 +8,7 @@ weights or scores).  Each command prints a single human-readable summary line.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
@@ -228,6 +229,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _mean(values):
+    """sum(values) / len(values) of finite values >= 0 where that sum is finite; else the
+    largest value times the fsum of each value over it, / len, which cannot overflow."""
+    total = sum(values)
+    if math.isfinite(total):
+        return total / len(values)
+    top = max(values)
+    return top * (math.fsum(v / top for v in values) / len(values))
+
+
 def cmd_diagnose(args) -> int:
     try:
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
@@ -242,18 +253,10 @@ def cmd_diagnose(args) -> int:
     probes = corpus.sequences[: args.samples]
     all_reports = delta_diagnostics(model, probes, n_list)
     rows = [r for reports in all_reports for r in reports]
-    if len(all_reports) > 1:
-        # averaged block appended, one row per n
+    if len(all_reports) > 1:  # averaged block appended, one row per n
         for i, n in enumerate(sorted(set(n_list))):
-            block = [reports[i] for reports in all_reports]
-            rows.append(
-                DeltaReport(
-                    n=n,
-                    l2_delta=sum(r.l2_delta for r in block) / len(block),
-                    linf_delta=sum(r.linf_delta for r in block) / len(block),
-                    tail_mass=sum(r.tail_mass for r in block) / len(block),
-                )
-            )
+            block = [(r[i].l2_delta, r[i].linf_delta, r[i].tail_mass) for r in all_reports]
+            rows.append(DeltaReport(n, *map(_mean, zip(*block))))
     write_text(args.out, "\n".join(delta_csv_lines(rows)) + "\n")
     print(
         "diagnose ok: %d samples, n in {%s} -> %s"

@@ -11,9 +11,9 @@ tag pair.  Feature ids are laid out in blocks:
     transition (prev, cur)    ->  n_raw * K + prev * K + cur
 
 which keeps the dense weight vector reshapeable into an (n_raw, K)
-emission table and a (K, K) transition table.  ``expected_features`` and
-``path_matrix`` build feature vectors in this layout and ``weight_views`` the
-tables; the one other user is ``dataio.load_model``, which computes flat ids
+emission table and a (K, K) transition table.  ``mass_rows``, the one builder of
+feature vectors from masses over taggings, works in this layout and ``weight_views``
+in the tables; the one other user is ``dataio.load_model``, which computes flat ids
 (``rid * K + col``, and transition ids after ``transition_base``) from a model
 file's lines.
 
@@ -454,81 +454,76 @@ def sparse_sum(terms):
     """sum_k c_k * v_k over (c_k, sparse vector v_k) pairs, zero sums kept; in order from 0.0."""
     ids = np.concatenate([v["id"] for _, v in terms])
     values = np.concatenate([c * v["value"] for c, v in terms])
-    if len(terms) == 1:
-        return sparse_vector(ids, values + 0.0)  # from 0.0: a -0.0 term sums to 0.0
     order = ids.argsort(kind="stable")  # equal ids adjacent, their terms still in order
     ids = ids[order]
     first = np.diff(ids, prepend=-1) != 0
     return sparse_vector(ids[first], np.bincount(first.cumsum() - 1, values[order]))
 
 
-def expected_features(cs: CompiledSequence, tag_mass, pairs, pair_mass, K, minus=None):
-    """E[F(x, y)] under a tag mass, as a sparse vector of its nonzero entries.
-
-    ``tag_mass`` is (T, K), each tag's mass at each position, or a tagging (T,) for the
-    point mass on it: a feature (raw_id, value) at t adds value * mass to (raw_id, tag).
-    With transitions, ``pair_mass[i]`` is added to tag pair ``pairs[i]`` (prev * K + cur).
-    Each id sums its terms in position order, and a pair's in the given order, from 0.0
-    (``np.bincount`` adds in input order).  Given a tagging ``minus``, E[F] - F(x, minus):
-    F fills a second row of the bins, so each id is 0.0 + E + (-F) as in ``sparse_sum``."""
-    masses = [(tag_mass, pairs, pair_mass)]
-    if minus is not None:
-        masses.append(point_mass(minus, K))
-    rows = mass_rows(cs, masses, K)
+def expected_features(cs: CompiledSequence, mass, K, minus=None):
+    """E[F(x, y)] under one mass, a one-row entry of :func:`mass_rows`, as a sparse vector
+    of its nonzero entries.  Given a tagging ``minus``, E[F] - F(x, minus): F fills a
+    second row, so each id is 0.0 + E + (-F) as in ``sparse_sum``."""
+    rows = mass_rows(cs, [mass] if minus is None else [mass, np.array(minus, np.intp)[None]], K)
     sums = rows[0] - rows[1] if minus is not None else rows[0]
     nz = (sums != 0.0).nonzero()[0]
-    return sparse_vector(cs.bases[nz // K] + nz % K, sums[nz])
+    return sparse_vector(_cell_ids(cs, nz, K), sums[nz])
 
 
-def point_mass(path, K):
-    """The (tagging, tag pairs, pair masses) entry of the point mass on ``path``."""
-    y = np.array(path, dtype=np.intp)
-    return y, y[:-1] * K + y[1:], np.ones(len(y) - 1)
+def mass_rows(cs: CompiledSequence, entries, K):
+    """E[F(x, y)] under every mass of ``entries``, one row each in order, from one
+    ``np.bincount`` over the kernel cells of ``cs`` (see :func:`_cell_ids`).
+
+    An entry is a stack of S masses: an integer (S, T) array of taggings, the point mass
+    on each, or a tally (tag_mass, pairs, pair_mass): each tag's mass at each position,
+    (S, T, K), and the mass (S, P) at each tag pair prev * K + cur of ``pairs`` (P,),
+    which the S sets share.  A feature (raw_id, value) at t adds value * mass to
+    (raw_id, tag), and with transitions a pair's mass goes to its cell in the last K
+    rows.  Each cell sums its terms in position order, and a pair's in the given order,
+    from 0.0 (``np.bincount`` adds in input order); emission and pair cells are disjoint."""
+    n, s, ids, terms = len(cs.bases) * K, 0, [], []
+    for e in entries:
+        S = len(e[0]) if isinstance(e, tuple) else len(e)
+        # Each row's first cell; one row takes scalars, as lean as one row can be.
+        at = s * n if S == 1 else s * n + n * np.arange(S)[:, None]
+        if isinstance(e, tuple):
+            mass, pairs, pair_mass = e
+            tags = np.arange(at, at + K) if S == 1 else (np.arange(K) + at)[:, None]
+            ids.append((cs.bins[:, None] + tags).ravel())
+            terms.append((mass.repeat(cs.counts, 1) * cs.vals[:, None]).ravel())
+        else:  # value * 1.0 is the value
+            ids.append((cs.bins + e.repeat(cs.counts, 1) + at).ravel())
+            terms += [cs.vals] * S
+            pairs = e[:, :-1] * K + e[:, 1:]
+            pair_mass = np.ones(pairs.shape)
+        if cs.trans_base is not None:  # pairs are the cells of the last K rows
+            ids.append((pairs + (at + n - K * K)).ravel())
+            terms.append(pair_mass.ravel())
+        s += S
+    return np.bincount(np.concatenate(ids), np.concatenate(terms), s * n).reshape(s, n)
 
 
-def mass_rows(cs: CompiledSequence, masses, K):
-    """E[F(x, y)] under each (tag_mass, pairs, pair_mass) of ``masses``, as taken by
-    :func:`expected_features`, from one ``np.bincount``: row s over the kernel cells of
-    ``cs``, cell c the feature id ``cs.bases[c // K] + c % K``."""
-    n = len(cs.bases) * K
-    cells = []  # (bins, terms) per mass
-    for s, (mass, pair_ids, pmass) in enumerate(masses):
-        if mass.ndim == 1:  # value * 1.0 is the value
-            cells.append((cs.bins + (mass.repeat(cs.counts) + s * n), cs.vals))
-        else:
-            cells.append(((cs.bins[:, None] + np.arange(s * n, s * n + K)).ravel(),
-                          (mass.repeat(cs.counts, 0) * cs.vals[:, None]).ravel()))
-        if cs.trans_base is not None:  # pairs are the bins of the last K rows
-            cells.append((pair_ids + (n - K * K + s * n), pmass))
-    ids, terms = map(np.concatenate, zip(*cells))
-    return np.bincount(ids, terms, len(masses) * n).reshape(len(masses), n)
+def _cell_ids(cs: CompiledSequence, cells, K):
+    """The feature id of each kernel cell c of ``cs``: K cells per row, the tag's."""
+    return cs.bases[cells // K] + cells % K
 
 
 def path_items(cs: CompiledSequence, path, K, minus=None):
-    """Global feature vector F(x, y) of one tagging: E[F] under a point mass."""
-    return expected_features(cs, *point_mass(path, K), K, minus)
+    """Global feature vector F(x, y) of one tagging: E[F] under the point mass on it."""
+    return expected_features(cs, np.array(path, np.intp)[None], K, minus)
 
 
 def path_matrix(cs: CompiledSequence, paths, K, minus):
     """Each tagging's F(x, y) - F(x, minus) as a row of one dense matrix.
 
-    Returns (matrix, ids): one row per path, and one column per kernel cell (row, tag)
-    of ``cs`` where some row is nonzero, ``ids`` the columns' feature ids in increasing
-    order.  One ``np.bincount`` fills every path's cells and,
-    last, the point mass on ``minus``; a row's nonzeros are ``path_items(cs, path, K,
-    minus)``, bit for bit."""
-    n = len(cs.bases) * K
-    y = np.vstack((paths, minus))  # (paths + 1, T)
-    offsets = np.arange(len(y))[:, None] * n
-    ids = [(cs.bins + y.repeat(cs.counts, 1) + offsets).ravel()]
-    terms = [np.tile(cs.vals, len(y))]
-    if cs.trans_base is not None:  # pairs are the bins of the last K rows
-        ids.append((y[:, :-1] * K + y[:, 1:] + (n - K * K) + offsets).ravel())
-        terms.append(np.ones(ids[-1].size))
-    f = np.bincount(np.concatenate(ids), np.concatenate(terms), len(y) * n).reshape(len(y), n)
-    diff = f[:-1] - f[-1]
+    Returns (matrix, ids): one row per path, and one column per kernel cell of ``cs``
+    where some row is nonzero, ``ids`` the columns' feature ids in increasing order.
+    One :func:`mass_rows` stack holds the paths and, last, ``minus``; a row's nonzeros
+    are ``path_items(cs, path, K, minus)``, bit for bit."""
+    rows = mass_rows(cs, [np.vstack((paths, minus))], K)
+    diff = rows[:-1] - rows[-1]
     cells = diff.any(axis=0).nonzero()[0]
-    return diff[:, cells], cs.bases[cells // K] + cells % K
+    return diff[:, cells], _cell_ids(cs, cells, K)
 
 
 def extract_features(x: Sequence, y, templates, index: FeatureIndex):

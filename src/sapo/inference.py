@@ -6,14 +6,13 @@ training objective, and the deviation diagnostic between the exact
 gradient and its top-n approximation.
 
 Every learner's update term is an expected feature vector E[F] under a
-distribution over taggings, minus the oracle features F(x, y*).  One kernel,
-``features.expected_features``, computes it from a tag mass per position and a
-tag-pair mass and the gold tagging y* as ``minus``; ``path_items`` fills the
-masses with a point mass (perceptron), ``candidate_mixture`` with the
-top-n distribution (SAPO) and ``expected_items`` with the exact chain marginals
-(CRF); MIRA stacks its candidates' point masses with ``features.path_matrix``.
-``subtract_oracle`` is the difference of two sparse vectors (``features.SPARSE``);
-the diagnostic takes it cell for cell from the rows of one ``features.mass_rows``.
+distribution over taggings, minus the oracle features F(x, y*).  Every such mass goes
+through the one builder ``features.mass_rows``: ``path_items`` passes a point mass
+(perceptron), ``candidate_mixture`` the top-n distribution (SAPO) and
+``expected_items`` the exact chain marginals (CRF) to ``features.expected_features``
+with y* as ``minus``; MIRA stacks its candidates with ``features.path_matrix``, and the
+diagnostic takes the chain, one top-n set per n and y* from one ``mass_rows`` call.
+``subtract_oracle``, the difference of two sparse vectors, is kept as a reference.
 
 The forward recursion and :func:`forward_logz` also take a stack of lattices
 (``emit`` (B, T, K)): the objective pass runs one forward per length bucket.  The
@@ -29,7 +28,7 @@ import numpy as np
 
 # path_items is unused here: bench/layertrace.py looks it up in this module.
 from .features import (Model, Sequence, compile_corpus, compile_sequence, expected_features,
-                       mass_rows, path_items, point_mass, sparse_sum, weight_views)
+                       mass_rows, path_items, sparse_sum, weight_views)
 from .lattice import (
     Lattice,
     NBestList,
@@ -126,29 +125,37 @@ def topn_distribution(nb: NBestList) -> NBestList:
 
 
 # ---------------------------------------------------------------------------
-# The tag masses of the update terms.  All of them go through the one kernel
-# ``expected_features``, so that equivalences between algorithms hold at float
+# The masses of the update terms, as entries of ``features.mass_rows``.  All of them
+# go through that one builder, so that equivalences between algorithms hold at float
 # precision.
 
 
 def candidate_mixture(cs, paths, probs, K, minus=None):
-    """E[F] under the top-n distribution: sum_k P_k F(x, y_k).
+    """E[F] under the top-n distribution: sum_k P_k F(x, y_k), from :func:`_tallies`."""
+    y = np.array(paths, dtype=np.intp).reshape(-1, len(cs.counts))
+    return expected_features(cs, _tallies(y, np.array(probs)[None], K), K, minus)
 
-    The tag mass tallies the candidates' probabilities per position and tag in
-    candidate order, so each feature is visited once per tag; the pair terms are
-    each candidate's P_k at each of its tag pairs.
-    """
-    T, p = len(cs.counts), np.array(probs)
-    y = np.array(paths, dtype=np.intp).reshape(-1, T)
-    tally = np.bincount((y + np.arange(0, T * K, K)).ravel(), p.repeat(T), T * K).reshape(T, K)
-    return expected_features(cs, tally, (y[:, :-1] * K + y[:, 1:]).ravel(), p.repeat(T - 1), K,
-                             minus)
+
+def _tallies(y, probs, K):
+    """The tally entry of S candidate sets over the taggings ``y``: set s gives row r
+    the probability ``probs[s, r]``, tallied per position and tag in row order by one
+    ``np.bincount``.  A row at 0.0 adds exact zeros, which leave every sum as it was."""
+    S, T = len(probs), y.shape[1]
+    cells = y + np.arange(0, T * K, K)
+    if S > 1:  # set s's cells start at s * T * K
+        cells = cells + T * K * np.arange(S)[:, None, None]
+    tally = np.bincount(cells.ravel(), probs.repeat(T, 1).ravel(), S * T * K)
+    return tally.reshape(S, T, K), (y[:, :-1] * K + y[:, 1:]).ravel(), probs.repeat(T - 1, 1)
+
+
+def _chain(marg: Marginals, K):
+    """The exact chain's entry: node marginals, and edge marginals summed over positions."""
+    return marg.node[None], np.arange(K * K), marg.edge.sum(0).reshape(1, K * K)
 
 
 def expected_items(cs, marg: Marginals, K, minus=None):
-    """E[F] under the exact chain: the tag mass is the node marginals, the pair
-    mass the edge marginals summed over positions."""
-    return expected_features(cs, marg.node, np.arange(K * K), marg.edge.sum(0).ravel(), K, minus)
+    """E[F] under the exact chain."""
+    return expected_features(cs, _chain(marg, K), K, minus)
 
 
 def subtract_oracle(mixture, oracle):
@@ -222,21 +229,15 @@ def delta_diagnostics(m: Model, probes, n_list):
 
 def _probe_reports(i, cs, l: Lattice, nb: NBestList, n_list, K):
     """Probe i's reports from the rows of one ``mass_rows`` call: E[F] under the
-    chain, under each n's top-n distribution (tallied and paired in rank order, as
-    in :func:`candidate_mixture`) and under the gold tagging."""
+    chain, under each n's top-n distribution (one :func:`_tallies` set each) and under
+    the gold tagging."""
     marg = forward_backward(l)
     sizes = [min(n, len(nb)) for n in n_list]
-    p = np.concatenate([topn_distribution(NBestList(nb.paths[:k], nb.scores[:k], None, k,
-                                                    False)).probs for k in sizes])
-    y = np.array(nb.paths, dtype=np.intp)[np.concatenate([np.arange(k) for k in sizes])]
-    T, S = l.T, len(sizes)
-    at = np.arange(0, S * T * K, T * K).repeat(sizes)[:, None] + np.arange(0, T * K, K)
-    tally = np.bincount((y + at).ravel(), p.repeat(T), S * T * K).reshape(S, T, K)
-    pairs, ends = y[:, :-1] * K + y[:, 1:], np.cumsum(sizes).tolist()
-    rows = mass_rows(cs, [(marg.node, np.arange(K * K), marg.edge.sum(0).ravel())]
-                     + [(tally[s], pairs[lo:hi].ravel(), p[lo:hi].repeat(T - 1))
-                        for s, (lo, hi) in enumerate(zip([0] + ends, ends))]
-                     + [point_mass(cs.gold, K)], K)
+    p = np.zeros((len(sizes), len(nb)))  # set s: the top sizes[s] paths, the rest at 0.0
+    for s, k in enumerate(sizes):
+        p[s, :k] = topn_distribution(NBestList(nb.paths[:k], nb.scores[:k], None, k, False)).probs
+    rows = mass_rows(cs, [_chain(marg, K), _tallies(np.array(nb.paths, np.intp), p, K),
+                          np.array(cs.gold, np.intp)[None]], K)
     terms = rows[:-1] - rows[-1]  # E[F] - F(x, y*): the exact one, then each n's
     # Cell for cell each n's subtract_oracle; zero cells add nothing to either norm.
     diffs = terms[0] - terms[1:]

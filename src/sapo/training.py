@@ -13,10 +13,10 @@ The update E[F] - F(x, y*), one sparse vector (``features.SPARSE``) from
 ``features.expected_features``, is applied by fancy indexing, and the per-sample
 decay is a deferred global scale factor, so a full pass costs O(touched
 features) per sample.  MIRA stacks its candidates' F(x, y_k) - F(x, y*) as the
-rows of one dense matrix D (``features.path_matrix``), solves the dual of its
-margin constraints, a box-constrained QP over at most n variables, exactly by an
-active set (``_box_dual``), and applies -D^T alpha as one sparse vector.  All
-trainers are deterministic given (data, config, seed).
+rows of one dense matrix D (``features.path_matrix``, one ``mass_rows`` stack),
+solves the dual of its margin constraints, a box-constrained QP over at most n
+variables, exactly by an active set (``_box_dual``), and applies -D^T alpha as one
+sparse vector.  All trainers are deterministic given (data, config, seed).
 """
 
 from __future__ import annotations
@@ -540,12 +540,12 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
     """1-best and n-best MIRA (McDonald, Crammer & Pereira 2005): the smallest weight
     change that lifts the gold y*'s margin over each candidate y_k to at least their
     Hamming distance, slack priced at C.  The candidates' dF_k = F(x, y_k) - F(x, y*)
-    are the rows of one matrix D over the sequence's kernel cells
-    (``features.path_matrix``); the dual max b.a - a.D.D^T.a / 2 over 0 <= a <= C,
-    with b = loss - margin, is solved exactly by ``_box_dual``, and w -= D^T a is one
-    sparse update.  Candidates with zero loss or dF = 0 give no constraint.  With one
-    candidate the step is the passive-aggressive closed form
-    min(C, max(0, (loss - margin) / ||dF||^2)).
+    are the rows of one matrix D over the sequence's kernel cells, from one
+    ``features.mass_rows`` stack of the candidates and y* (``features.path_matrix``);
+    the dual max b.a - a.D.D^T.a / 2 over 0 <= a <= C, with b = loss - margin, is solved
+    exactly by ``_box_dual``, and w -= D^T a is one sparse update.  Candidates with zero
+    loss or dF = 0 give no constraint.  With one candidate the step is the
+    passive-aggressive closed form min(C, max(0, (loss - margin) / ||dF||^2)).
     """
     K = model.num_tags
     n, search = (cfg.n, cfg.search) if "n" in _TRAINERS[cfg.algorithm][2] else (1, "astar")

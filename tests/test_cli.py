@@ -582,6 +582,20 @@ class TestDiagnose:
         assert capsys.readouterr().err == "error: non-finite gradient deviation of sequence 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("probes", [6, 7])
+    def test_averaged_rows_do_not_overflow(self, tmp_path, tiny_weight_model, probes):
+        # Each probe's norms are finite, about 3.7e307 and 2.6e307, but six (seven) of
+        # them sum past the largest float; their mean is each probe's value.
+        model, data, out = tmp_path / "m308.txt", tmp_path / "data.conll", tmp_path / "d.csv"
+        model.write_text(tiny_weight_model.read_text().replace("1e-200", "1e-308"))
+        data.write_text("\n".join(["a 1.7e308 X\n"] * probes))
+        assert main(["diagnose", "--model", str(model), "--data", str(data), "--samples",
+                     str(probes), "--n-list", "1", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == probes + 2 and len(set(rows[1:-1])) == 1
+        probe, mean = (list(map(float, row.split(",")[1:3])) for row in (rows[1], rows[-1]))
+        assert all(math.isfinite(v) for v in mean) and mean == pytest.approx(probe, rel=1e-15)
+
     def test_bad_n_list(self, tmp_path):
         assert main([
             "diagnose", "--model", "x", "--data", "y", "--n-list", "a,b",

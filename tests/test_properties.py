@@ -23,6 +23,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,7 @@ from sapo.features import (
     SPARSE,
     compile_corpus,
     compile_sequence,
+    mass_rows,
     path_items,
     path_matrix,
     position_features,
@@ -463,6 +465,44 @@ def test_expectation_kernel_equals_sequential_loop(case, data):
                         candidate_mixture(cs, paths, probs, K)),
                        (expected_items(cs, marg, K, cs.gold), expected_items(cs, marg, K))):
         assert term.tobytes() == subtract_oracle(mass, oracle).tobytes()
+
+
+def _assert_stacks_equal_one_row_calls(cs, K, T, rng):
+    """``mass_rows`` on an S-row stack of taggings, then on a tally of S sets, gives
+    byte for byte the rows of S calls that each take one row of both."""
+    S, P = int(rng.integers(1, 5)), int(rng.integers(0, 6))
+    y = rng.integers(0, K, (S, T))
+    mass = rng.uniform(-1.0, 1.0, (S, T, K))
+    pairs, pair_mass = rng.integers(0, K * K, P), rng.uniform(-1.0, 1.0, (S, P))
+    stacked = mass_rows(cs, [y, (mass, pairs, pair_mass)], K)
+    assert stacked.shape == (2 * S, len(cs.bases) * K)
+    for s in range(S):
+        one = mass_rows(cs, [y[s:s + 1], (mass[s:s + 1], pairs, pair_mass[s:s + 1])], K)
+        assert one[0].tobytes() == stacked[s].tobytes()
+        assert one[1].tobytes() == stacked[S + s].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases(), st.integers(0, 2**32 - 1))
+def test_mass_rows_stack_equals_one_row_calls(case, seed):
+    model, probe, cs = case
+    _assert_stacks_equal_one_row_calls(cs, model.num_tags, len(probe),
+                                       np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("K, T", [(1, 1), (1, 4), (3, 1), (2, 5)])
+@pytest.mark.parametrize("template", KERNEL_TEMPLATES)  # with and without B
+@pytest.mark.parametrize("seen", [True, False])  # unseen words of value 0 fire nothing
+def test_mass_rows_stack_at_one_tag_and_one_position(K, T, template, seen):
+    tags = ["t%d" % k for k in range(K)]
+    train = [Sequence(tokens=[("a", "1"), ("b", "-0.5")], gold=[tags[0], tags[-1]]),
+             Sequence(tokens=[("a", "1")] * K, gold=tags)]
+    model = build_model(train, template, 2)
+    probe = Sequence(tokens=[("ab"[t % 2], KERNEL_VALUES[t]) if seen else ("z", "0")
+                             for t in range(T)], gold=[tags[t % K] for t in range(T)])
+    cs = compile_sequence(model, probe, labeled=True)
+    for seed in range(20):
+        _assert_stacks_equal_one_row_calls(cs, K, T, np.random.default_rng(seed))
 
 
 @st.composite
