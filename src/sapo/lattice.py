@@ -44,23 +44,19 @@ _STACK_CELLS = 2**18
 class NonFiniteError(RuntimeError):
     """Weights, or a score computed from them, became non-finite.
 
-    ``sample_index`` is the sample the check names, for the weights the last one
-    visited before the failed check (None when no sample is to blame), ``epoch``
-    the training epoch (None outside training), and ``window`` the number of
-    samples visited since the last passing check.  ``what`` says what was not finite.
+    ``sample_index`` is the sample the check names, for the weights the one whose
+    update made them non-finite (None when no sample is to blame), and ``epoch``
+    the training epoch (None outside training).  ``what`` says what was not finite.
     """
 
-    def __init__(self, sample_index, epoch, window=1, what=None):
+    def __init__(self, sample_index, epoch, what=None):
         self.what = what or "weights detected after sample %d" % sample_index
         msg = "non-finite " + self.what
         if epoch is not None:
             msg += " in epoch %d" % epoch
-        if window > 1:
-            msg += " (within the %d samples visited since the last finite check)" % window
         super().__init__(msg)
         self.sample_index = sample_index
         self.epoch = epoch
-        self.window = window
 
 
 @dataclass

@@ -22,6 +22,7 @@ sparse vector.  All trainers are deterministic given (data, config, seed).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass, field
@@ -62,7 +63,6 @@ from .lattice import (
 
 SEARCH_MODES = ("astar", "beam")
 METRICS = ("accuracy", "chunk-f1")
-FINITE_CHECK_INTERVAL = 1000
 # A positive weight scale below this is folded into the weights (see
 # WeightState.decay), long before it could underflow to 0.
 SCALE_FLOOR = 1e-100
@@ -97,20 +97,24 @@ class TrainConfig:
                 setattr(self, name, operator.index(value))
             except TypeError:
                 raise ConfigError("%s must be an integer, got %r" % (name, value)) from None
-        for name in ("learning_rate", "l2"):
+        for name in ("learning_rate", "l2", "lr_decay", "mira_clip"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError("%s must be finite, got %r" % (name, value))
+            if not isinstance(value, numbers.Real):
+                raise ConfigError("%s must be a real number, got %r" % (name, value))
+            try:
+                float(value)  # an int or Fraction past the float range overflows
+            except OverflowError:
+                raise ConfigError("%s must be within float range, got %r" % (name, value)) from None
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning rate must be > 0")
-        if self.l2 < 0:
-            raise ConfigError("l2 strength must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning rate must be finite and > 0, got %r" % self.learning_rate)
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError("l2 strength must be finite and >= 0, got %r" % self.l2)
         if self.beam_width < 1:
             raise ConfigError("beam width must be >= 1")
         if self.search not in SEARCH_MODES:
@@ -166,6 +170,8 @@ class WeightState:
 
     True weights are ``scale * v``.  Sparse updates touch only their own
     coordinates; the per-sample L2 decay multiplies ``scale`` in O(1).
+    Each sparse update checks the weights it writes, the only place one can turn
+    non-finite (a fold multiplies by a scale in (0, 1)), so ``finite()`` is O(1).
     With averaging enabled, the running sum of post-update weight
     snapshots is maintained lazily per coordinate via prefix sums of the
     scale, so averaging also costs O(touched) per sample.
@@ -174,6 +180,7 @@ class WeightState:
     def __init__(self, n_features: int, averaging: bool = False):
         self.v = np.zeros(n_features)
         self.scale = 1.0
+        self.written_finite = True  # every weight a sparse update wrote was finite
         self.samples = 0  # completed per-sample updates U
         self.cum_scale = 0.0  # sum of scale over completed samples
         self.averaging = averaging
@@ -182,13 +189,16 @@ class WeightState:
             self.last_cum = np.zeros(n_features)
 
     def sparse_add(self, items, coeff: float):
-        """w[fid] += coeff * value per item of a sparse vector or distinct-id (id, value) list."""
+        """w[fid] += coeff * value per item of a sparse vector or distinct-id (id, value)
+        list, recording whether every weight it writes is finite."""
         items = np.asarray(items, SPARSE)
         fid = items["id"]
         if self.averaging:
             self.acc[fid] += self.v[fid] * (self.cum_scale - self.last_cum[fid])
             self.last_cum[fid] = self.cum_scale
-        self.v[fid] += coeff * items["value"] / self.scale
+        w = self.v[fid] + coeff * items["value"] / self.scale
+        self.v[fid] = w
+        self.written_finite &= bool(np.isfinite(w).all())
 
     def decay(self, factor: float):
         if factor != 1.0:
@@ -211,7 +221,8 @@ class WeightState:
         self.cum_scale += self.scale
 
     def finite(self) -> bool:
-        return math.isfinite(self.scale) and bool(np.isfinite(self.v).all())
+        """Whether the weights are finite: every sparse write was, and so is ``scale``."""
+        return self.written_finite and math.isfinite(self.scale)
 
     def current_weights(self) -> np.ndarray:
         return self.v * self.scale
@@ -276,24 +287,15 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
 
     rng = np.random.default_rng(cfg.seed)
     curve = TrainCurve()
-    since_check = [0]
 
     def checked_step(i, epoch):
         step(i, epoch)
         state.end_sample()
-        if not math.isfinite(state.scale):
+        if not state.finite():
             raise NonFiniteError(i, epoch)
-        since_check[0] += 1
-        if since_check[0] >= FINITE_CHECK_INTERVAL:
-            if not state.finite():
-                raise NonFiniteError(i, epoch, since_check[0])
-            since_check[0] = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        order, seconds = run_epoch(lambda i: checked_step(i, epoch), compiled, rng)
-        if not state.finite():
-            raise NonFiniteError(int(order[-1]), epoch, since_check[0])
-        since_check[0] = 0
+        _, seconds = run_epoch(lambda i: checked_step(i, epoch), compiled, rng)
         weights = model.weights = state.averaged_weights() if averaged else state.current_weights()
         objective = compiled_objective(compiled, weights, model.index, cfg.l2)
         if not math.isfinite(objective):  # name its first non-finite term

@@ -217,6 +217,22 @@ class TestTrain:
                             capsys.readouterr().err)
         assert not model.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("algo", ["sapo", "crf-sgd"])
+    def test_overflowing_update_names_its_sample(self, tmp_path, capsys, algo):
+        # Seed 1 visits sequence 0 and then 1; the update of sequence 1 overflows a weight.
+        data, model = tmp_path / "train.conll", tmp_path / "m.txt"
+        data.write_text("a 1e308 X\nb 1e308 Y\n\nb 1e308 Y\na 1e308 X\n\n"
+                        "a 1 X\nb 1 Y\n\nb 1 Y\na 1 X\n")
+        tpl = tmp_path / "templates.txt"
+        tpl.write_text("U00:%x[0,0]/%v[0,1]\nB\n")
+        code = main(["train", "--algo", algo, "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "3", "--seed", "1", "--model-out", str(model)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite weights detected after sample 1 in epoch 1\n")
+        assert not model.exists()
+
     def test_overflowing_heldout_scores_exit_3(self, tmp_path, capsys):
         # Finite weights and training scores, but held-out emissions of +-1e308
         # overflow when summed along a path.

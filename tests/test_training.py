@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", "0.1"), ("l2", None), ("lr_decay", "1"), ("mira_clip", None),
+        ("l2", 1j), ("learning_rate", Decimal("0.1")), ("lr_decay", np.array(1.0)),
+        ("learning_rate", 10**400), ("mira_clip", 10**400)],
+        ids=["learning_rate-str", "l2-None", "lr_decay-str", "mira_clip-None", "l2-complex",
+             "learning_rate-Decimal", "lr_decay-array", "learning_rate-10**400",
+             "mira_clip-10**400"])
+    def test_float_field_of_wrong_type_names_the_field(self, name, value):
+        with pytest.raises(ConfigError,
+                           match="^%s must be (a real number|within float range)" % name):
+            TrainConfig("mira", **{name: value}).validate()
+
+    def test_float_fields_are_not_coerced(self):
+        cfg = TrainConfig("sapo", learning_rate=1, l2=0, lr_decay=1, mira_clip=2).validate()
+        assert [type(getattr(cfg, name)) for name in ("learning_rate", "l2", "lr_decay",
+                                                      "mira_clip")] == [int] * 4
 
     def test_empty_dataset_rejected(self):
         cfg = TrainConfig(algorithm="sapo", epochs=1)
@@ -550,23 +568,37 @@ class TestShrinkFactor:
 
 
 class TestNonFiniteLocation:
+    # Values near the float limit overflow a weight within a few updates.
+    PAIRS = [Sequence(tokens=[("a", "1e308"), ("b", "-1e308")], gold=["X", "Y"]),
+             Sequence(tokens=[("b", "1e308"), ("a", "1e308")], gold=["Y", "X"])] * 5
+    MIXED = [Sequence(tokens=[("a", "1e308"), ("b", "1e308")], gold=["X", "Y"]),
+             Sequence(tokens=[("b", "1e308"), ("a", "1e308")], gold=["Y", "X"]),
+             Sequence(tokens=[("a", "1"), ("b", "1")], gold=["X", "Y"]),
+             Sequence(tokens=[("b", "1"), ("a", "1")], gold=["Y", "X"])]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_epoch_end_check_names_last_sample(self):
-        # values near the float limit overflow the weights within a few
-        # updates; with fewer samples than the check interval only the
-        # end-of-epoch check sees it
-        data = [
-            Sequence(tokens=[("a", "1e308"), ("b", "-1e308")], gold=["X", "Y"]),
-            Sequence(tokens=[("b", "1e308"), ("a", "1e308")], gold=["Y", "X"]),
-        ] * 5
-        cfg = TrainConfig("perc", epochs=1, seed=4)
-        with pytest.raises(NonFiniteError, match="epoch 1") as info:
-            train(data, None, cfg, "U00:%x[0,0]/%v[0,1]\nB\n")
-        last = int(np.random.default_rng(4).permutation(len(data))[-1])
-        assert info.value.sample_index == last
-        assert info.value.window == len(data)
-        assert "after sample %d " % last in str(info.value)
-        assert "10 samples" in str(info.value)
+    @pytest.mark.parametrize("algo, data, seed, culprit, visit", [
+        ("perc", PAIRS, 4, 9, 5), ("perc-avg", PAIRS, 4, 9, 5),
+        ("sapo", MIXED, 1, 1, 2), ("crf-sgd", MIXED, 1, 1, 2)],
+        ids=["perc", "perc-avg", "sapo", "crf-sgd"])
+    def test_non_finite_weights_name_the_update_that_made_them(
+            self, monkeypatch, algo, data, seed, culprit, visit):
+        # A full scan of the weights after every step first fails after the culprit's
+        # update, the visit-th of the epoch, and training stops right there.
+        scans = []
+        end_sample = WeightState.end_sample
+
+        def scanned(state):
+            end_sample(state)
+            scans.append(math.isfinite(state.scale) and bool(np.isfinite(state.v).all()))
+
+        monkeypatch.setattr(WeightState, "end_sample", scanned)
+        with pytest.raises(NonFiniteError) as info:
+            train(data, None, TrainConfig(algo, epochs=1, seed=seed), "U00:%x[0,0]/%v[0,1]\nB\n")
+        assert scans == [True] * (visit - 1) + [False]
+        assert np.random.default_rng(seed).permutation(len(data))[visit - 1] == culprit
+        assert str(info.value) == "non-finite weights detected after sample %d in epoch 1" % culprit
+        assert (info.value.sample_index, info.value.epoch) == (culprit, 1)
 
     # Weights of +-1e308 are finite, but weight x value overflows every score.
     OVERFLOWING = [Sequence(tokens=[("a", "1e308"), ("b", "1e308")], gold=["X", "Y"]),
