@@ -18,6 +18,7 @@ from .dataio import (
     Corpus,
     FormatError,
     ModelFileError,
+    check_writable,
     generate_synthetic_hmm,
     load_model,
     read_conll,
@@ -25,7 +26,7 @@ from .dataio import (
     write_conll,
     write_text,
 )
-from .evaluation import chunk_f1, token_accuracy
+from .evaluation import SCORERS
 from .features import Sequence, TemplateError, compile_corpus, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostics, topn_distribution
 from .lattice import astar_nbest, searched, viterbi_tags
@@ -185,6 +186,11 @@ def _read_for_model(path, model):
 def _write_nbest(corpus, compiled, model, n, path):
     found = searched(compiled, weight_views(model.weights, model.index), astar_nbest, n)
     tags, out = model.tagset.tags, []
+    try:  # O(K): the candidates are scanned only when some tag would not read back
+        check_writable(tags, 0)
+    except ValueError:  # name the first such tag written, and its sequence
+        for si, (_, nb) in enumerate(found):
+            check_writable((tags[k] for cand in nb.paths for k in cand), si)
     for si, (seq, (_, nb)) in enumerate(zip(corpus.sequences, found)):
         # Each token's columns, built once per sequence rather than per candidate.
         prefixes = ["".join(col + "\t" for col in token) for token in seq.tokens]
@@ -219,10 +225,7 @@ def cmd_eval(args) -> int:
     gold = read_conll(args.gold, labeled=True)
     pred = read_conll(args.pred, labeled=True)
     predictions = [seq.gold for seq in pred.sequences]
-    if args.metric == "chunk-f1":
-        report = chunk_f1(gold, predictions)
-    else:
-        report = token_accuracy(gold, predictions)
+    report = SCORERS[args.metric](gold, predictions)
     if args.per_tag:
         write_text(args.per_tag, "\n".join(report.per_tag_csv_lines()) + "\n")
     print(report.summary())

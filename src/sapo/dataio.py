@@ -28,6 +28,7 @@ from .features import (
     TemplateError,
     compile_templates,
     has_transitions,
+    split_lines,
     weight_views,
 )
 
@@ -77,8 +78,8 @@ def read_conll(source, labeled: bool = True) -> Corpus:
     """Parse CoNLL-format text into a corpus.
 
     ``labeled`` treats the final column as the gold tag.  Column counts
-    are inferred from the first token and enforced; a line ends at a newline,
-    a CRLF or a lone carriage return, and trailing blank lines are tolerated.
+    are inferred from the first token and enforced; lines end as in
+    ``features.split_lines``, and trailing blank lines are tolerated.
     """
     with _opened(source) as stream:
         sequences = []
@@ -176,12 +177,18 @@ def write_conll(corpus: Corpus, path, predictions=None):
     if spaces != separators or adjacent != len(corpus.sequences) - 1:
         for i, seq in enumerate(corpus.sequences):
             pred = () if predictions is None else predictions[i]
-            for string in chain(chain.from_iterable(seq.tokens), seq.gold or (), pred):
-                if not string or _SPACE.search(string):
-                    raise ValueError("cannot write %r of sequence %d: it %s, so the file would "
-                                     "not read back" % (string, i, "holds whitespace"
-                                                        if string else "is empty"))
+            check_writable(chain(chain.from_iterable(seq.tokens), seq.gold or (), pred), i)
     write_text(path, text)
+
+
+def check_writable(strings, i):
+    """Raise ValueError naming the first of ``strings``, written for sequence ``i``, that
+    would not read back: an empty one, or one holding whitespace."""
+    for string in strings:
+        if not string or _SPACE.search(string):
+            raise ValueError("cannot write %r of sequence %d: it %s, so the file would "
+                             "not read back" % (string, i, "holds whitespace"
+                                                if string else "is empty"))
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +322,15 @@ def save_model(m: Model, path):
 def _line_blocks(stream):
     """The remaining lines of ``stream`` without their ends, one list per read of
     ``_READ_CHARS`` characters; a line that a read cuts goes whole into the next list.
-    A line ends at a newline, a CRLF or a lone carriage return, as in
-    ``compile_templates`` and in a file read with universal newlines, whether the
-    stream translated them or not, and at no other line break."""
+    Lines end as in ``split_lines``, whether the stream translated its line ends or not."""
     carry = ""
     for chunk in iter(lambda: stream.read(_READ_CHARS), ""):
         text = carry + chunk
         cut = len(text) - text.endswith("\r")  # the next read may hold its "\n"
-        lines = text[:cut].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        lines = split_lines(text[:cut])
         carry = lines.pop() + text[cut:]
         yield lines
-    lines = carry.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = split_lines(carry)
     yield lines if lines[-1] else lines[:-1]
 
 

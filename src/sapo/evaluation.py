@@ -137,6 +137,12 @@ def chunk_f1(gold_corpus, predictions) -> EvalReport:
     )
 
 
+# Scorers by ``--metric`` name, each looked up when called, so that a rebound module
+# name (bench/layertrace.py wraps token_accuracy) is the one that runs.
+SCORERS = {"accuracy": lambda gold, pred: token_accuracy(gold, pred),
+           "chunk-f1": lambda gold, pred: chunk_f1(gold, pred)}
+
+
 def w_complexity(m: Model) -> float:
     """Mean absolute value over all indexed weights, including zeros."""
     if len(m.weights) == 0:

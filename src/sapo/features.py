@@ -138,19 +138,24 @@ _ATOM_RE = re.compile(r"^%([xv])\[(-?\d+),(\d+)\]$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, by the one line-end rule of templates, corpora and model files:
+    a newline, a CRLF or a lone carriage return ends a line, and no other line break does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def compile_templates(spec_text: str) -> list[FeatureTemplate]:
     """Parse template text into a deterministic template list.
 
     Grammar, one template per line: ``<id>:%x[<row>,<col>]`` atoms joined
     by ``/``, with |row| < 2**31; ``%v[<row>,<col>]`` reads a numeric feature
     value from a cell (at most one per template); lines starting with ``#``
-    are comments; a bare ``B`` line enables tag-bigram transition features.  A line
-    ends at a newline, a CRLF or a lone carriage return, as in a file read with
-    universal newlines, and at no other line break; line numbers count those ends.
+    are comments; a bare ``B`` line enables tag-bigram transition features.  Lines
+    end as in ``split_lines``; line numbers count those ends.
     """
     templates = []
     names = set()
-    for lineno, rawline in enumerate(re.split(r"\r\n?|\n", spec_text), start=1):
+    for lineno, rawline in enumerate(split_lines(spec_text), start=1):
         line = rawline.rstrip()
         if not line or line.lstrip().startswith("#"):
             continue

@@ -31,7 +31,7 @@ from operator import add, mul
 import numpy as np
 
 from .dataio import write_text
-from .evaluation import chunk_f1, token_accuracy, w_complexity
+from .evaluation import SCORERS, token_accuracy, w_complexity
 from .features import (
     SPARSE,
     Model,
@@ -61,8 +61,11 @@ from .lattice import (
     viterbi_tags,
 )
 
-SEARCH_MODES = ("astar", "beam")
-METRICS = ("accuracy", "chunk-f1")
+# Top-n searches by ``--search`` name, each looked up when called, as in ``SCORERS``.
+_SEARCHES = {"astar": lambda lat, n, beam: astar_nbest(lat, n),
+             "beam": lambda lat, n, beam: beam_nbest(lat, n, beam)}
+SEARCH_MODES = tuple(_SEARCHES)
+METRICS = tuple(SCORERS)
 # A positive weight scale below this is folded into the weights (see
 # WeightState.decay), long before it could underflow to 0.
 SCALE_FLOOR = 1e-100
@@ -88,7 +91,9 @@ class TrainConfig:
     metric: str = "accuracy"
 
     def validate(self):
-        """Check every field, raising ConfigError; integer fields are stored as int."""
+        """Check every field, raising ConfigError; integer fields are stored as int, and a
+        float field that is neither an int nor a float (say, a NumPy scalar or a Fraction)
+        as float, so that a saved model's config JSON can hold it."""
         if self.algorithm not in ALGORITHMS:
             raise ConfigError("unknown algorithm %r" % self.algorithm)
         for name in ("n", "epochs", "seed", "beam_width", "eval_every"):
@@ -102,9 +107,11 @@ class TrainConfig:
             if not isinstance(value, numbers.Real):
                 raise ConfigError("%s must be a real number, got %r" % (name, value))
             try:
-                float(value)  # an int or Fraction past the float range overflows
+                as_float = float(value)  # an int or Fraction past the float range overflows
             except OverflowError:
                 raise ConfigError("%s must be within float range, got %r" % (name, value)) from None
+            if not isinstance(value, (int, float)):
+                setattr(self, name, as_float)
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.n < 1:
@@ -253,10 +260,6 @@ def run_epoch(step_fn, data, rng):
     return order, time.perf_counter() - t0
 
 
-def _metric(metric, sequences, predictions):
-    return (chunk_f1 if metric == "chunk-f1" else token_accuracy)(sequences, predictions).value
-
-
 def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     """Train with the algorithm selected by ``cfg.algorithm``."""
     factory, averaged, _ = _TRAINERS[cfg.validate().algorithm]
@@ -309,7 +312,7 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
                 preds = viterbi_tags(model, held_compiled, weights)
             except NonFiniteError as e:
                 raise NonFiniteError(e.sample_index, epoch, what="held-out " + e.what) from None
-            held_metric = _metric(cfg.metric, held_sequences, preds)
+            held_metric = SCORERS[cfg.metric](held_sequences, preds).value
         curve.points.append(
             CurvePoint(
                 epoch=epoch,
@@ -322,7 +325,7 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
         if on_epoch_end is not None:
             on_epoch_end(epoch, weights)
 
-    train_acc = _metric("accuracy", sequences, viterbi_tags(model, compiled, model.weights))
+    train_acc = token_accuracy(sequences, viterbi_tags(model, compiled, model.weights)).value
     model.meta = {
         "config": cfg.snapshot(),
         "train_accuracy": train_acc,
@@ -350,18 +353,9 @@ class UpdateTerm:
     decay: float
 
 
-def _nbest(lat, n, search, beam):
-    """Top-n candidates by the exact search or by its width-limited beam."""
-    if search == "astar":
-        return astar_nbest(lat, n)
-    if search == "beam":
-        return beam_nbest(lat, n, beam)
-    raise ValueError("search must be 'astar' or 'beam'")
-
-
 def _sapo_items(lat, cs, n, search, beam):
     """Top-n probability-weighted candidate features minus the oracle's."""
-    nb = topn_distribution(_nbest(lat, n, search, beam))
+    nb = topn_distribution(_SEARCHES[search](lat, n, beam))
     return candidate_mixture(cs, nb.paths, nb.probs, lat.K, cs.gold)
 
 
@@ -393,6 +387,8 @@ def sapo_update_term(
     The candidate set is exactly the n-best search output; the gold
     tagging is neither forced in nor excluded.
     """
+    if search not in _SEARCHES:
+        raise ValueError("search must be %s" % " or ".join(map(repr, _SEARCHES)))
     items = _sapo_items(*labeled_sample(m, z), n, search, beam)
     return UpdateTerm(items.tolist(), l2 / dataset_size)
 
@@ -554,7 +550,7 @@ def _mira_factory(model, samples, state, cfg, lattice_for):
 
     def step(i, epoch):
         cs = samples[i]
-        paths = np.array(_nbest(lattice_for(cs), n, search, cfg.beam_width).paths)
+        paths = np.array(_SEARCHES[search](lattice_for(cs), n, cfg.beam_width).paths)
         loss = (paths != cs.gold).sum(axis=1)
         dF, ids = path_matrix(cs, paths, K, cs.gold)
         keep = (loss > 0) & dF.any(axis=1)

@@ -433,7 +433,27 @@ class TestDecode:
                             r"so the file would not read back\n", capsys.readouterr().err)
         assert not out.exists()
 
+    def test_nbest_tag_holding_a_space_rejected(self, tmp_path, capsys):
+        # Sequence 0's two best candidates tag it C and D; sequence 1's first is 'A B'.
+        model, data, out = tmp_path / "m.txt", tmp_path / "in.conll", tmp_path / "out.conll"
+        model.write_text("version\t1\ncolumns\t1\ntags\tC\tD\tA B\nconfig\t{}\n"
+                         "templates-begin\nU00:%x[0,0]\ntemplates-end\nE\tU00=w\tC\t2\n"
+                         "E\tU00=w\tD\t1\nE\tU00=v\tA B\t3\n")
+        data.write_text("w\n\nv\n")
+        for extra in ((), ("--nbest", "2")):
+            assert main(["decode", "--model", str(model), "--input", str(data),
+                         "--output", str(out), *extra]) == 1
+            assert capsys.readouterr().err == ("error: cannot write 'A B' of sequence 1: it "
+                                               "holds whitespace, so the file would not read back\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("old, new, message", [
+        ("version\t", "versio\t", "line 1: expected 'version' header"),
+        ("columns\t1\n", "columns\tx\n", "line 2: malformed columns header"),
+        ("columns\t1\n", "columns\n", "line 2: malformed columns header"),
+        ("tags\tt2\tt1\tt0\n", "tags\n", "line 3: empty tagset"),
+        ("config\t{", "config\t{{", "line 4: malformed config JSON"),
+        ("templates-begin", "templates-begun", "line 5: expected 'templates-begin'"),
         ("tags\t", "tags\tt1\t", "line 3: duplicate tag 't1'"),
         ("tags\t", "tags\t\t", "line 3: empty tag"),
         ("U01:%x[-1,0]", "U01:%x[-1]", "line 7, column 5: malformed atom '%x[-1]'"),
@@ -447,6 +467,14 @@ class TestDecode:
             "--output", str(workdir / "out.conll"),
         ]) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
+
+    def test_nbest_below_one_rejected(self, workdir, capsys):
+        out = workdir / "out.conll"
+        capsys.readouterr()
+        assert main(["decode", "--model", str(workdir / "none.model"), "--input",
+                     str(workdir / "train.conll"), "--output", str(out), "--nbest", "0"]) == 1
+        assert capsys.readouterr().err == "error: --nbest must be >= 1\n"
+        assert not out.exists()
 
     def test_missing_model(self, workdir):
         assert main([
@@ -611,6 +639,24 @@ class TestDiagnose:
         assert len(rows) == probes + 2 and len(set(rows[1:-1])) == 1
         probe, mean = (list(map(float, row.split(",")[1:3])) for row in (rows[1], rows[-1]))
         assert all(math.isfinite(v) for v in mean) and mean == pytest.approx(probe, rel=1e-15)
+
+    def test_overflowing_sum_of_squares_keeps_a_finite_norm(self, tmp_path, tiny_weight_model):
+        # Each squared difference, about 1.7e308, is finite, but their fsum is not.
+        model, data, out = tmp_path / "m308.txt", tmp_path / "data.conll", tmp_path / "d.csv"
+        model.write_text(tiny_weight_model.read_text().replace("1e-200", "1e-308"))
+        data.write_text("a 2.6e154 X\n")
+        assert main(["diagnose", "--model", str(model), "--data", str(data),
+                     "--n-list", "1", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "1,1.8384776310850235e+154,1.3e+154,0.5"
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--n-list", "0,1"), "--n-list values must be >= 1"),
+        (("--samples", "0"), "--samples must be >= 1")])
+    def test_counts_below_one_rejected(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        assert main(["diagnose", "--model", "x", "--data", "y", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
 
     def test_bad_n_list(self, tmp_path):
         assert main([

@@ -13,7 +13,7 @@ from sapo import (
     extract_features,
     score_sequence,
 )
-from sapo.features import build_feature_index, position_features
+from sapo.features import build_feature_index, compile_corpus, position_features
 
 from conftest import random_word_model, word_corpus
 
@@ -179,6 +179,13 @@ class TestExtractFeatures:
             extract_features(seqs[0], [0], model.templates, model.index)
         with pytest.raises(ExtractionError):
             extract_features(seqs[0], [0, 9], model.templates, model.index)
+
+    def test_token_of_another_width_rejected(self):
+        model, _ = _single_template_model([("a", "A")])
+        seqs = [Sequence([("a",)]), Sequence([("a",), ("b", "c")])]
+        with pytest.raises(ExtractionError,
+                           match=r"^sequence 1 has a token of 2 columns, expected 1$"):
+            compile_corpus(model, seqs)
 
     def test_unseen_features_silently_dropped(self):
         model, _ = _single_template_model([("a", "A")])

@@ -243,6 +243,11 @@ class TestSapoUpdateTerm:
         b = sapo_update_term(model, seq, 4, 1.0, 3, search="beam", beam=200)
         assert dict(a.items) == pytest.approx(dict(b.items))
 
+    def test_unknown_search_mode_rejected(self, rng):
+        model, seqs = random_word_model(rng)
+        with pytest.raises(ValueError, match=r"^search must be 'astar' or 'beam'$"):
+            sapo_update_term(model, seqs[0], 4, 1.0, 3, search="bogus")
+
 
 class TestObjectiveValue:
     def test_zero_weights_uniform(self, rng):

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from sapo import (
     WeightState,
     build_lattice,
     build_model,
+    chunk_f1,
     extract_features,
     generate_synthetic_hmm,
+    load_model,
     run_epoch,
+    save_model,
+    score_sequence,
     token_accuracy,
     train,
     train_crf_sgd,
@@ -25,6 +30,8 @@ from sapo import (
     viterbi,
 )
 from sapo import training
+from sapo.features import compile_corpus
+from sapo.lattice import viterbi_tags
 
 from conftest import word_corpus
 
@@ -98,6 +105,22 @@ class TestTrainConfig:
         cfg = TrainConfig("sapo", learning_rate=1, l2=0, lr_decay=1, mira_clip=2).validate()
         assert [type(getattr(cfg, name)) for name in ("learning_rate", "l2", "lr_decay",
                                                       "mira_clip")] == [int] * 4
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", np.float32(0.1)), ("l2", np.int64(1)), ("learning_rate", Fraction(1, 10))],
+        ids=["learning_rate-float32", "l2-int64", "learning_rate-Fraction"])
+    def test_float_field_of_another_real_type_saves_as_float(self, tmp_path, name, value):
+        corpus = small_corpus(count=10)
+        cfg = TrainConfig("sapo", epochs=1, **{name: value})
+        model, _ = train(corpus, None, cfg, TEMPLATES)
+        save_model(model, tmp_path / "model.txt")
+        loaded = load_model(tmp_path / "model.txt")
+        assert type(getattr(cfg, name)) is float
+        assert loaded.meta["config"][name] == float(value)
+        assert loaded.meta == model.meta
+        for seq in corpus:
+            gold = model.tagset.ids(seq.gold)
+            assert score_sequence(loaded, seq, gold) == score_sequence(model, seq, gold)
 
     def test_empty_dataset_rejected(self):
         cfg = TrainConfig(algorithm="sapo", epochs=1)
@@ -472,6 +495,16 @@ class TestOrchestration:
         corpus = small_corpus(count=10)
         _, curve = train_sapo(corpus, None, TrainConfig("sapo", epochs=1), TEMPLATES)
         assert curve[0].epoch_seconds > 0.0
+
+    def test_chunk_f1_heldout_metric(self):
+        rows = [("a b c d", "B-N I-N O B-V"), ("c a b", "O B-N I-N"), ("d b a", "B-V B-N O")]
+        data, held = word_corpus(rows), word_corpus([("a b d c", "B-N I-N B-V O"),
+                                                     ("b a d", "I-N B-N O")])
+        cfg = TrainConfig("perc", epochs=1, seed=2, metric="chunk-f1")
+        model, curve = train(data, held, cfg, TEMPLATES)
+        preds = viterbi_tags(model, compile_corpus(model, held), model.weights)
+        assert curve[-1].heldout_metric == chunk_f1(held, preds).value
+        assert curve[-1].heldout_metric != token_accuracy(held, preds).value
 
     def test_permutations_redrawn_each_epoch(self):
         orders = []
