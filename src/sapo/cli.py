@@ -20,6 +20,7 @@ from .dataio import (
     ModelFileError,
     check_writable,
     generate_synthetic_hmm,
+    gold_split,
     load_model,
     read_conll,
     save_model,
@@ -27,7 +28,7 @@ from .dataio import (
     write_text,
 )
 from .evaluation import SCORERS
-from .features import Sequence, TemplateError, compile_corpus, weight_views
+from .features import compile_corpus, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostics, topn_distribution
 from .lattice import astar_nbest, searched, viterbi_tags
 from .training import (
@@ -35,7 +36,6 @@ from .training import (
     ALGORITHMS,
     METRICS,
     SEARCH_MODES,
-    ConfigError,
     NonFiniteError,
     TrainConfig,
     train,
@@ -172,10 +172,7 @@ def _read_for_model(path, model):
     if corpus.n_columns == model.n_columns:
         return corpus
     if corpus.n_columns == model.n_columns + 1:
-        seqs = [
-            Sequence(tokens=[tok[:-1] for tok in s.tokens], gold=[tok[-1] for tok in s.tokens])
-            for s in corpus.sequences
-        ]
+        seqs = [gold_split(s.tokens) for s in corpus.sequences]
         return Corpus(sequences=seqs, n_columns=model.n_columns, note=corpus.note)
     raise UsageError(
         "input has %d columns but the model expects %d observation columns"
@@ -257,9 +254,9 @@ def cmd_diagnose(args) -> int:
     all_reports = delta_diagnostics(model, probes, n_list)
     rows = [r for reports in all_reports for r in reports]
     if len(all_reports) > 1:  # averaged block appended, one row per n
-        for i, n in enumerate(sorted(set(n_list))):
-            block = [(r[i].l2_delta, r[i].linf_delta, r[i].tail_mass) for r in all_reports]
-            rows.append(DeltaReport(n, *map(_mean, zip(*block))))
+        for column in zip(*all_reports):  # one n's reports, one per probe
+            block = [(r.l2_delta, r.linf_delta, r.tail_mass) for r in column]
+            rows.append(DeltaReport(column[0].n, *map(_mean, zip(*block))))
     write_text(args.out, "\n".join(delta_csv_lines(rows)) + "\n")
     print(
         "diagnose ok: %d samples, n in {%s} -> %s"
@@ -292,16 +289,13 @@ def main(argv=None) -> int:
             return args.func(args)
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
     except NonFiniteError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3
     except (FormatError, ModelFileError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (ConfigError, TemplateError, ValueError) as e:
+    except ValueError as e:  # UsageError, ConfigError, TemplateError and the rest
         print("error: %s" % e, file=sys.stderr)
         return 1
 

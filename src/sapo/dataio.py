@@ -26,6 +26,7 @@ from .features import (
     Sequence,
     Tagset,
     TemplateError,
+    check_taggings,
     compile_templates,
     has_transitions,
     split_lines,
@@ -90,12 +91,9 @@ def read_conll(source, labeled: bool = True) -> Corpus:
             if not rows:
                 return
             if labeled:
-                tokens = [tuple(r[:-1]) for r in rows]
-                gold = [r[-1] for r in rows]
+                sequences.append(gold_split(rows))
             else:
-                tokens = [tuple(r) for r in rows]
-                gold = None
-            sequences.append(Sequence(tokens=tokens, gold=gold))
+                sequences.append(Sequence(tokens=[tuple(r) for r in rows]))
             rows.clear()
 
         for lineno, line in enumerate(chain.from_iterable(_line_blocks(stream)), start=1):
@@ -122,6 +120,12 @@ def read_conll(source, labeled: bool = True) -> Corpus:
     return Corpus(sequences=sequences, n_columns=n_columns)
 
 
+def gold_split(rows) -> Sequence:
+    """A labeled sequence of token rows (sequences of column strings): the last column
+    of each row is its gold tag, the others its observation columns."""
+    return Sequence(tokens=[tuple(r[:-1]) for r in rows], gold=[r[-1] for r in rows])
+
+
 # What str.split, and so read_conll, splits a line at; ASCII text holds no others.
 _SPACE = re.compile(r"\s")
 _ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
@@ -136,21 +140,12 @@ def write_conll(corpus: Corpus, path, predictions=None):
     back, so it raises ValueError, naming the string and its sequence, before
     anything is written.
     """
-    if predictions is not None and len(predictions) != len(corpus.sequences):
-        raise ValueError(
-            "got predictions for %d sequences, corpus has %d"
-            % (len(predictions), len(corpus.sequences))
-        )
+    if predictions is not None:
+        check_taggings(corpus.sequences, predictions)
     blocks = []
     separators = len(corpus.sequences) - 1  # the blank lines' line ends
     for i, seq in enumerate(corpus.sequences):
-        pred = None
-        if predictions is not None:
-            pred = predictions[i]
-            if len(pred) != len(seq):
-                raise ValueError(
-                    "sequence %d: %d predictions for %d tokens" % (i, len(pred), len(seq))
-                )
+        pred = None if predictions is None else predictions[i]
         lines = []
         for t, token in enumerate(seq.tokens):
             cols = list(token)

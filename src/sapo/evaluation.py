@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Model
+from .features import Model, check_taggings, sequences_of
 
 _BIO_RE = re.compile(r"^([BI])-(.+)$")
 
@@ -29,7 +29,7 @@ class EvalReport:
         if self.metric == "accuracy":
             lines = ["gold,pred,count"]
             for (g, p), c in sorted(self.per_tag.items()):
-                lines.append("%s,%s,%d" % (g, p, c))
+                lines.append("%s,%s,%d" % (_csv_field(g), _csv_field(p), c))
         else:
             lines = ["type,matched,predicted,gold"]
             types = sorted({t for _, t in self.per_tag})
@@ -37,7 +37,7 @@ class EvalReport:
                 lines.append(
                     "%s,%d,%d,%d"
                     % (
-                        t,
+                        _csv_field(t),
                         self.per_tag[("matched", t)],
                         self.per_tag[("predicted", t)],
                         self.per_tag[("gold", t)],
@@ -46,21 +46,20 @@ class EvalReport:
         return lines
 
 
+def _csv_field(tag):
+    """``tag`` as a CSV field: ``str(tag)``, quoted with its quotes doubled if it holds a
+    comma or a quote (the only CSV specials a whitespace-free tag can hold)."""
+    text = str(tag)
+    return '"%s"' % text.replace('"', '""') if "," in text or '"' in text else text
+
+
 def _gold_sequences(gold_corpus, predictions):
     """The gold sequences of a corpus or a sequence list, checked against predictions."""
-    sequences = list(getattr(gold_corpus, "sequences", gold_corpus))
-    if len(predictions) != len(sequences):
-        raise ValueError(
-            "got predictions for %d sequences, corpus has %d"
-            % (len(predictions), len(sequences))
-        )
-    for i, (seq, pred) in enumerate(zip(sequences, predictions)):
+    sequences = sequences_of(gold_corpus)
+    check_taggings(sequences, predictions)
+    for i, seq in enumerate(sequences):
         if seq.gold is None:
             raise ValueError("sequence %d has no gold tags" % i)
-        if len(pred) != len(seq):
-            raise ValueError(
-                "sequence %d: %d predictions for %d tokens" % (i, len(pred), len(seq))
-            )
     return sequences
 
 

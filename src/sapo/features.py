@@ -92,6 +92,24 @@ class Sequence:
         return len(self.tokens)
 
 
+def sequences_of(data) -> list[Sequence]:
+    """The sequences of a corpus (anything with ``.sequences``) or of a sequence list."""
+    return list(getattr(data, "sequences", data))
+
+
+def check_taggings(sequences, taggings):
+    """Raise ValueError unless there is one tagging per sequence, as long as it."""
+    if len(taggings) != len(sequences):
+        raise ValueError(
+            "got predictions for %d sequences, corpus has %d" % (len(taggings), len(sequences))
+        )
+    for i, (seq, tags) in enumerate(zip(sequences, taggings)):
+        if len(tags) != len(seq):
+            raise ValueError(
+                "sequence %d: %d predictions for %d tokens" % (i, len(tags), len(seq))
+            )
+
+
 class Tagset:
     """Ordered bijection between tag strings and dense ids 0..K-1."""
 

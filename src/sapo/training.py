@@ -26,12 +26,12 @@ import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass, field
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 
 from .dataio import write_text
-from .evaluation import SCORERS, token_accuracy, w_complexity
+from .evaluation import SCORERS, extract_chunks, token_accuracy, w_complexity
 from .features import (
     SPARSE,
     Model,
@@ -40,6 +40,7 @@ from .features import (
     compile_corpus,
     path_items,
     path_matrix,
+    sequences_of,
     sparse_vector,
     weight_views,
 )
@@ -243,10 +244,6 @@ class WeightState:
         return (self.acc + pending) / self.samples
 
 
-def _as_sequences(data):
-    return list(getattr(data, "sequences", data))
-
-
 def run_epoch(step_fn, data, rng):
     """Visit every sample once in a fresh seeded permutation.
 
@@ -263,11 +260,13 @@ def run_epoch(step_fn, data, rng):
 def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     """Train with the algorithm selected by ``cfg.algorithm``."""
     factory, averaged, _ = _TRAINERS[cfg.validate().algorithm]
-    sequences = _as_sequences(data)
+    sequences = sequences_of(data)
     if not sequences:
         raise ConfigError("training set is empty")
-    held_sequences = _as_sequences(heldout) if heldout is not None else []
+    held_sequences = sequences_of(heldout) if heldout is not None else []
     n_columns = len(sequences[0].tokens[0])
+    # The model can predict any training tag, so chunk-f1 needs BIO tags there too.
+    chunks = cfg.metric == "chunk-f1" and bool(held_sequences)
     for name, seqs in (("training", sequences), ("held-out", held_sequences)):
         for i, seq in enumerate(seqs):
             if seq.gold is None:
@@ -276,6 +275,12 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
             if widths:
                 raise ConfigError("%s sequence %d has a token of %d columns; the training "
                                   "corpus has %d" % (name, i, min(widths), n_columns))
+            if chunks:
+                try:
+                    extract_chunks(seq.gold)
+                except ValueError as e:
+                    raise ConfigError("metric chunk-f1 needs O, B-TYPE and I-TYPE tags; %s "
+                                      "sequence %d has a %s" % (name, i, e)) from None
     compiled = []
     model = build_model(sequences, template_text, n_columns, compiled)
     held_compiled = compile_corpus(model, held_sequences)  # golds compare as strings
@@ -480,11 +485,15 @@ def _box_dual(G, b, C):
     set; the round ends when the optimum lies inside the box.  If freeing makes the
     subsystem singular, a null direction d of G = D.D^T (so D^T a does not change
     along it) raises the objective linearly, and the move follows d to the first
-    bound instead.  Two cases keep the freed variable at its bound for the rest of
-    the solve: no bound stops the move along d (C = inf and the candidates' margins
-    cannot all hold, so the dual is unbounded), or the round does not raise the
-    objective (rounding).  Neither changes D^T a.  Each other round raises the
-    objective, so no (free list, bounds) state repeats and the solve ends.  One
+    bound instead.  Two cases undo the round and keep the freed variable at its bound
+    for the rest of the solve: no bound stops the move along d (C = inf and the
+    candidates' margins cannot all hold, so the dual is unbounded), or the round ends
+    without a positive gain or in the (free set, at-C set) state of an earlier round's
+    end (rounding).  Neither changes D^T a.  The objective is quadratic, so a round's
+    gain is exactly (g_old + g_new).(a_new - a_old) / 2, which does not round away
+    beside the objective's value as a difference of two values can.  A rounded gain
+    could still be positive around a cycle of states, hence the state test: there are
+    finitely many states and at most nc undone rounds, so the solve ends.  One
     variable with G > 0 gives min(C, max(0, b / G)); with G = 0 (a nonzero dF whose
     squares underflow) the loop gives C if b > 0 and C is finite, else 0.
     """
@@ -492,7 +501,8 @@ def _box_dual(G, b, C):
     if nc == 1 and G[0][0] > 0.0:
         return [min(C, max(0.0, b[0] / G[0][0]))]
     a, free, held = [0.0] * nc, [], set()
-    g, best = b[:], 0.0  # g = b - G.a, and the objective at a
+    g = b[:]  # b - G.a
+    ends = {(frozenset(), frozenset())}  # the (free set, at-C set) states rounds ended in
     while True:
         i, viol = None, 0.0
         for k, g_k in enumerate(g):
@@ -502,7 +512,7 @@ def _box_dual(G, b, C):
                 i, viol = k, v
         if i is None:
             return a
-        saved = a[:], free[:], g, best
+        saved = a[:], free[:], g
         sign = 1.0 if a[i] == 0.0 else -1.0
         free.append(i)
         while free:
@@ -526,11 +536,12 @@ def _box_dual(G, b, C):
                 a[k] += t * u_k
             a[free.pop(stop)] = 0.0 if u[stop] < 0 else C
         g = [b_k - sum(map(mul, G_k, a)) for b_k, G_k in zip(b, G)]
-        value = sum(map(mul, a, map(add, b, g))) / 2
-        if value > best:
-            best = value
+        gain = sum(map(mul, map(add, saved[2], g), map(sub, a, saved[0]))) / 2
+        end = (frozenset(free), frozenset(k for k, a_k in enumerate(a) if a_k == C))
+        if gain > 0.0 and end not in ends:
+            ends.add(end)
         else:
-            a, free, g, best = saved
+            a, free, g = saved
             held.add(i)
 
 

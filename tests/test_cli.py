@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import math
 import re
 import warnings
@@ -281,6 +283,35 @@ class TestTrain:
         assert "heldout=0.5000" in capsys.readouterr().out
         assert curves.read_text().splitlines()[1].split(",")[2] == "0.5"
 
+    @pytest.mark.parametrize("train, held, named", [
+        ("a X\nb Y\n", "a X\nb Y\n", "training sequence 0 has a malformed BIO tag 'X' at "
+                                         "position 0"),
+        # The model can predict any training tag, even where the held-out golds are BIO.
+        ("a B-N\nb O\n\nb O\na B-N\nc Q\n", "a B-N\nb O\n",
+         "training sequence 1 has a malformed BIO tag 'Q' at position 2"),
+        ("a B-N\nb O\n", "a B-N\n\nb O\na Z\n",
+         "held-out sequence 1 has a malformed BIO tag 'Z' at position 1"),
+    ])
+    def test_chunk_metric_needs_bio_tags(self, tmp_path, capsys, train, held, named):
+        data, heldout, tpl = tmp_path / "train.conll", tmp_path / "held.conll", tmp_path / "t"
+        data.write_text(train)
+        heldout.write_text(held)
+        tpl.write_text("U00:%x[0,0]\n")
+        curves = tmp_path / "curves.csv"
+        assert main(["train", "--algo", "perc", "--train", str(data), "--heldout", str(heldout),
+                     "--templates", str(tpl), "--metric", "chunk-f1", "--curves",
+                     str(curves)]) == 1
+        assert capsys.readouterr().err == (
+            "error: metric chunk-f1 needs O, B-TYPE and I-TYPE tags; %s\n" % named)
+        assert not curves.exists()
+
+    def test_chunk_metric_without_heldout_needs_no_bio_tags(self, tmp_path):
+        data, tpl = tmp_path / "train.conll", tmp_path / "t"
+        data.write_text("a X\nb Y\n")
+        tpl.write_text("U00:%x[0,0]\n")
+        assert main(["train", "--algo", "perc", "--train", str(data), "--templates", str(tpl),
+                     "--metric", "chunk-f1", "--epochs", "1"]) == 0
+
     @pytest.mark.parametrize("text", ["U00:%x[0,0]\rU01:%x[-1,0]\rB\r",
                                       "# a\rU01:%x[0,0]\nU00:%x[0,0]\nB\n",
                                       "# note\rsecond half\nU00:%x[0,0]\n"])
@@ -527,6 +558,18 @@ class TestDecode:
             "--output", str(tmp_path / "x"),
         ]) == 1
 
+    def test_trailing_gold_column_kept_before_the_prediction(self, tmp_path):
+        data, tpl, model = tmp_path / "train.conll", tmp_path / "t", tmp_path / "m.txt"
+        data.write_text("a X\nb Y\n\nb Y\na X\n")
+        tpl.write_text("U00:%x[0,0]\n")
+        assert main(["train", "--algo", "perc", "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "2", "--model-out", str(model)]) == 0
+        probe, out = tmp_path / "probe.conll", tmp_path / "out.conll"
+        probe.write_text("a Y\nb X\n\nb Y\n")  # gold tags that the model does not predict
+        assert main(["decode", "--model", str(model), "--input", str(probe),
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == b"a\tY\tX\nb\tX\tY\n\nb\tY\tY\n"
+
 
 class TestEval:
     def test_identical_files(self, workdir, capsys):
@@ -546,6 +589,23 @@ class TestEval:
         ]) == 0
         assert "chunk_f1=1.0000" in capsys.readouterr().out
         assert per_tag.read_text().splitlines()[0] == "type,matched,predicted,gold"
+
+    @pytest.mark.parametrize("metric, text", [
+        ("accuracy", 'gold,pred,count\n"B-q""r","B-q""r",1\n"B-x,y","B-x,y",1\nO,"B-x,y",1\n'),
+        ("chunk-f1", 'type,matched,predicted,gold\n"q""r",1,1,1\n"x,y",1,2,1\n'),
+    ])
+    def test_per_tag_csv_reads_back(self, tmp_path, metric, text):
+        # A tag can hold a comma or a double quote, but no whitespace.
+        gold, pred, per_tag = tmp_path / "gold", tmp_path / "pred", tmp_path / "per_tag.csv"
+        gold.write_text('a B-x,y\nb O\n\nc B-q"r\n')
+        pred.write_text('a B-x,y\nb B-x,y\n\nc B-q"r\n')
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--metric", metric,
+                     "--per-tag", str(per_tag)]) == 0
+        assert per_tag.read_text() == text
+        header, *rows = csv.reader(io.StringIO(per_tag.read_text()))
+        assert all(len(row) == len(header) for row in rows)
+        tags = {"B-x,y", 'B-q"r', "O"} if metric == "accuracy" else {"x,y", 'q"r'}
+        assert {field for row in rows for field in row[:-1]} >= tags
 
 
 class TestDiagnose:
@@ -657,6 +717,21 @@ class TestDiagnose:
         assert main(["diagnose", "--model", "x", "--data", "y", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: %s\n" % message
         assert not out.exists()
+
+    def test_averaged_block_has_one_row_per_distinct_n(self, tmp_path):
+        data, tpl, model = tmp_path / "data.conll", tmp_path / "t", tmp_path / "m.txt"
+        data.write_text("a X\nb Y\n\nb Y\na X\nb X\n")
+        tpl.write_text(TEMPLATES)
+        assert main(["train", "--algo", "crf-sgd", "--train", str(data), "--templates",
+                     str(tpl), "--epochs", "1", "--model-out", str(model)]) == 0
+        out = tmp_path / "delta.csv"
+        assert main(["diagnose", "--model", str(model), "--data", str(data), "--samples", "2",
+                     "--n-list", "5,1,5", "--out", str(out)]) == 0
+        header, *rows = [row.split(",") for row in out.read_text().splitlines()]
+        assert [row[0] for row in rows] == ["1", "5"] * 3  # two probes, then their mean
+        for probes, mean in zip(zip(rows[0:2], rows[2:4]), rows[4:]):
+            assert [float(v) for v in mean[1:]] == pytest.approx(
+                [(float(x) + float(y)) / 2 for x, y in zip(*(p[1:] for p in probes))])
 
     def test_bad_n_list(self, tmp_path):
         assert main([

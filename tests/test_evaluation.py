@@ -1,12 +1,16 @@
+import io
+
 import numpy as np
 import pytest
 
 from sapo import (
+    Corpus,
     build_model,
     chunk_f1,
     extract_chunks,
     token_accuracy,
     w_complexity,
+    write_conll,
 )
 
 from conftest import word_corpus
@@ -102,6 +106,30 @@ class TestChunkF1:
         assert report.per_tag[("matched", "NP")] == 1
         lines = report.per_tag_csv_lines()
         assert lines[0] == "type,matched,predicted,gold"
+
+
+def _write_conll(corpus, predictions):
+    out = io.StringIO()
+    write_conll(Corpus(corpus.sequences, n_columns=1), out, predictions)
+    assert out.getvalue() == ""  # the check comes before anything is written
+
+
+class TestTaggingShape:
+    """Predictions must give one tagging per sequence, as long as it: the same rule and
+    messages for the writer and both scorers."""
+
+    @pytest.mark.parametrize("consumer", [token_accuracy, chunk_f1, _write_conll])
+    @pytest.mark.parametrize("predictions, message", [
+        ([["B-NP", "O"]], "got predictions for 1 sequences, corpus has 2"),
+        ([["B-NP", "O"], ["O"], ["O"]], "got predictions for 3 sequences, corpus has 2"),
+        ([["B-NP", "O"], ["O"]], "sequence 1: 1 predictions for 3 tokens"),
+        ([["B-NP"], ["O", "O", "O", "O"]], "sequence 0: 1 predictions for 2 tokens"),
+    ])
+    def test_count_and_length_faults(self, consumer, predictions, message):
+        c = corpus_of([("a b", "B-NP O"), ("c d e", "O B-VP I-VP")])
+        with pytest.raises(ValueError) as e:
+            consumer(c, predictions)
+        assert str(e.value) == message
 
 
 class TestWComplexity:

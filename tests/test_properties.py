@@ -24,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sapo import (
@@ -545,6 +545,9 @@ def _best_vertex_objective(G, b, C):
 
 @settings(max_examples=200, deadline=None)
 @given(box_duals())
+# A round whose true gain, about 1.9e-8, rounds away beside the objective's value of 0.5.
+@example(([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 4.0, -8.0],
+           [0.0, 0.0, -8.0, 16.0]], [0.0, 1.0, 0.0, 3.867127429401609e-08], 1.0))
 def test_box_dual_solve_equals_vertex_enumeration(case):
     G, b, C = case
     alpha = training._box_dual(G, b, C)

@@ -506,6 +506,14 @@ class TestOrchestration:
         assert curve[-1].heldout_metric == chunk_f1(held, preds).value
         assert curve[-1].heldout_metric != token_accuracy(held, preds).value
 
+    def test_chunk_f1_heldout_metric_rejects_non_bio_tags_before_training(self):
+        data, held = word_corpus([("a b", "B-N O"), ("c a", "X B-N")]), word_corpus([("a", "B-N")])
+        epochs = []
+        with pytest.raises(ConfigError, match="training sequence 1 has a malformed BIO tag 'X'"):
+            train(data, held, TrainConfig("perc", epochs=1, metric="chunk-f1"), TEMPLATES,
+                  on_epoch_end=lambda epoch, weights: epochs.append(epoch))
+        assert epochs == []
+
     def test_permutations_redrawn_each_epoch(self):
         orders = []
         rng = np.random.default_rng(0)
