@@ -27,7 +27,7 @@ from .dataio import (
     write_conll,
     write_text,
 )
-from .evaluation import SCORERS
+from .evaluation import SCORERS, ChunkTagError
 from .features import compile_corpus, weight_views
 from .inference import DeltaReport, delta_csv_lines, delta_diagnostics, topn_distribution
 from .lattice import astar_nbest, searched, viterbi_tags
@@ -222,7 +222,10 @@ def cmd_eval(args) -> int:
     gold = read_conll(args.gold, labeled=True)
     pred = read_conll(args.pred, labeled=True)
     predictions = [seq.gold for seq in pred.sequences]
-    report = SCORERS[args.metric](gold, predictions)
+    try:
+        report = SCORERS[args.metric](gold, predictions)
+    except ChunkTagError as e:  # name the file that holds the tag
+        raise UsageError("%s: %s" % (args.gold if e.which == "gold" else args.pred, e)) from None
     if args.per_tag:
         write_text(args.per_tag, "\n".join(report.per_tag_csv_lines()) + "\n")
     print(report.summary())

@@ -108,13 +108,32 @@ def extract_chunks(tags):
     return chunks
 
 
+class ChunkTagError(ValueError):
+    """A tag that is neither O nor B-/I-TYPE, in sequence ``index`` of the taggings
+    named ``which`` (such as "gold" or "predicted")."""
+
+    def __init__(self, which, index, error):
+        super().__init__("metric chunk-f1 needs O, B-TYPE and I-TYPE tags; %s sequence %d "
+                         "has a %s" % (which, index, error))
+        self.which = which
+
+
+def sequence_chunks(tags, which, index):
+    """:func:`extract_chunks` of sequence ``index`` of the taggings named ``which``;
+    a tag that is not BIO raises ChunkTagError naming them."""
+    try:
+        return extract_chunks(tags)
+    except ValueError as e:
+        raise ChunkTagError(which, index, e) from None
+
+
 def chunk_f1(gold_corpus, predictions) -> EvalReport:
     """Balanced F-score over exactly-matched BIO (start, end, type) chunks."""
     matched = n_pred = n_gold = 0
     per_tag = Counter()
-    for seq, pred in zip(_gold_sequences(gold_corpus, predictions), predictions):
-        gold_chunks = extract_chunks(seq.gold)
-        pred_chunks = extract_chunks(pred)
+    for i, (seq, pred) in enumerate(zip(_gold_sequences(gold_corpus, predictions), predictions)):
+        gold_chunks = sequence_chunks(seq.gold, "gold", i)
+        pred_chunks = sequence_chunks(pred, "predicted", i)
         both = gold_chunks & pred_chunks
         matched += len(both)
         n_pred += len(pred_chunks)

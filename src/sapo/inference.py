@@ -14,9 +14,12 @@ with y* as ``minus``; MIRA stacks its candidates with ``features.path_matrix``, 
 diagnostic takes the chain, one top-n set per n and y* from one ``mass_rows`` call.
 ``subtract_oracle``, the difference of two sparse vectors, is kept as a reference.
 
-The forward recursion and :func:`forward_logz` also take a stack of lattices
-(``emit`` (B, T, K)): the objective pass runs one forward per length bucket.  The
-diagnostic searches and checks its probes with ``lattice.searched``, as decoding does.
+The forward recursion, :func:`forward_logz` and :func:`forward_backward` also take
+a stack of lattices of mixed lengths (``emit`` (B, T, K) and ``lengths``), each
+step running only the lattices still active: the objective pass runs one forward
+per stack of ``lattice.length_buckets``.  The diagnostic searches and checks its
+probes with ``lattice.searched``, as decoding does, and takes their marginals from
+one forward-backward per stack.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 from .features import (Model, Sequence, compile_corpus, compile_sequence, expected_features,
                        mass_rows, path_items, sparse_sum, weight_views)
 from .lattice import (
+    _STACK_CELLS,
     Lattice,
     NBestList,
     NonFiniteError,
@@ -68,13 +72,20 @@ def logsumexp(a, axis):
 
 
 def _forward(l: Lattice):
-    """Log-space forward scores alpha[..., t, k] (the prefixes ending in tag k)
-    of a lattice or a stack, and each lattice's log Z, finished as m + log(s)."""
-    alpha = np.empty(l.emit.shape)
-    alpha[..., 0, :] = l.emit[..., 0, :]
-    for t in range(1, l.T):
-        alpha[..., t, :] = l.emit[..., t, :] + logsumexp(alpha[..., t - 1, :, None] + l.trans, -2)
-    last = alpha[..., -1, :].reshape(-1, l.K)
+    """Log-space forward scores alpha[t, b, k] (the prefixes of lattice b ending in
+    tag k) of a stack, a lattice being a stack of one, and each lattice's log Z,
+    finished as m + log(s).  Each step runs only the lattices still active."""
+    emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
+    alpha = np.empty(emit.shape)
+    alpha[0] = emit[0]
+    for t0, t1, a in l.runs():
+        alpha_a, emit_a = alpha[:, :a], emit[:, :a]
+        for t in range(max(t0, 1), t1):
+            alpha_a[t] = emit_a[t] + logsumexp(alpha_a[t - 1, :, :, None] + l.trans, -2)
+    if l.lengths is None:
+        last = alpha[-1]
+    else:
+        last = alpha[np.subtract(l.lengths, 1), np.arange(len(l.lengths))]
     m = last.max(axis=1)
     s = np.exp(last - m[:, None]).sum(axis=1)
     return alpha, [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
@@ -88,18 +99,29 @@ def forward_logz(l: Lattice):
 
 
 def forward_backward(l: Lattice) -> Marginals:
-    T, K = l.T, l.K
-    alpha, (logZ,) = _forward(l)
-    beta = np.zeros((T, K))
-    for t in range(T - 2, -1, -1):
-        beta[t] = logsumexp(l.trans + (l.emit[t + 1] + beta[t + 1])[None, :], axis=1)
-    node = np.exp(alpha + beta - logZ)
-    edge = np.empty((max(T - 1, 0), K, K))
-    for t in range(T - 1):
-        edge[t] = np.exp(
-            alpha[t][:, None] + l.trans + (l.emit[t + 1] + beta[t + 1])[None, :] - logZ
-        )
-    return Marginals(logZ=logZ, node=node, edge=edge)
+    """Log Z and the node and edge marginals of a lattice; for a stack, the list
+    of each lattice's, from one pass over the stack.  Each step runs only the
+    lattices still active."""
+    emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
+    T, B, K = emit.shape
+    alpha, logz = _forward(l)
+    z = np.array(logz)[:, None, None]
+    beta = np.zeros(emit.shape)
+    node = np.empty(emit.shape)
+    edge = np.empty((max(T - 1, 0), B, K, K))
+    for t0, t1, a in reversed(l.runs()):  # beta[t] and edge[t] take those active at t + 1
+        alpha_a, beta_a, emit_a, z_a = alpha[:, :a], beta[:, :a], emit[:, :a], z[:a]
+        edge_a = edge[:, :a]
+        for t in range(t1 - 2, max(t0 - 1, 0) - 1, -1):
+            ahead = (emit_a[t + 1] + beta_a[t + 1])[:, None]
+            beta_a[t] = logsumexp(l.trans + ahead, axis=2)
+            edge_a[t] = np.exp(alpha_a[t, :, :, None] + l.trans + ahead - z_a)
+        node[t0:t1, :a] = np.exp(alpha_a[t0:t1] + beta_a[t0:t1] - z_a[:, 0])
+    if l.emit.ndim == 2:
+        return Marginals(logz[0], node[:, 0], edge[:, 0])
+    own = np.ascontiguousarray
+    return [Marginals(logZ, own(node[:T, b]), own(edge[: T - 1, b]))
+            for b, (logZ, T) in enumerate(zip(logz, l.lengths or [T] * B))]
 
 
 def sequence_log_prob(m: Model, x: Sequence, y) -> float:
@@ -183,7 +205,7 @@ def objective_value(m: Model, data, l2: float) -> float:
 
 def objective_terms(compiled, weights, index) -> list[float]:
     """Each compiled labeled sequence's log Z - score of its gold tagging under
-    ``weights``, one forward per length bucket."""
+    ``weights``, one forward per stack of :func:`lattice.length_buckets`."""
     terms = [0.0] * len(compiled)
     for idx, l in length_buckets(compiled, weight_views(weights, index)):
         gold = path_score(l, [compiled[i].gold for i in idx])
@@ -222,16 +244,28 @@ def delta_diagnostics(m: Model, probes, n_list):
     if not n_list or n_list[0] < 1:
         raise ValueError("n values must be >= 1")
     compiled = compile_corpus(m, list(probes), labeled=True)
-    found = searched(compiled, weight_views(m.weights, m.index), astar_nbest, n_list[-1])
-    return [_probe_reports(i, cs, l, nb, n_list, m.num_tags)
-            for i, (cs, (l, nb)) in enumerate(zip(compiled, found))]
+    found = searched(compiled, weight_views(m.weights, m.index), _nbest_and_marginals,
+                     n_list[-1])
+    return [_probe_reports(i, cs, nb, marg, n_list, m.num_tags)
+            for i, (cs, (_, (nb, marg))) in enumerate(zip(compiled, found))]
 
 
-def _probe_reports(i, cs, l: Lattice, nb: NBestList, n_list, K):
+def _nbest_and_marginals(stack: Lattice, n):
+    """(NBestList, Marginals) of each lattice of a stack: one search, and one
+    forward-backward per part of the stack that holds at most ``_STACK_CELLS``
+    edge cells."""
+    size = max(1, _STACK_CELLS // (stack.T * stack.K**2))
+    margs = []
+    for lo in range(0, len(stack.emit), size):
+        T, part = stack.lengths[lo], stack.lengths[lo : lo + size]
+        margs += forward_backward(Lattice(stack.emit[lo : lo + size, :T], stack.trans, part))
+    return list(zip(astar_nbest(stack, n), margs))
+
+
+def _probe_reports(i, cs, nb: NBestList, marg: Marginals, n_list, K):
     """Probe i's reports from the rows of one ``mass_rows`` call: E[F] under the
     chain, under each n's top-n distribution (one :func:`_tallies` set each) and under
     the gold tagging."""
-    marg = forward_backward(l)
     sizes = [min(n, len(nb)) for n in n_list]
     p = np.zeros((len(sizes), len(nb)))  # set s: the top sizes[s] paths, the rest at 0.0
     for s, k in enumerate(sizes):

@@ -10,15 +10,19 @@ too; otherwise paths differ only where the float accumulation makes a tie.
 
 Emission rows come from :func:`emission_scores`, one in-order ``np.bincount``
 over a sequence's (position, tag) cells, or a stack's.  An ``emit`` of shape
-(B, T, K) is a stack of B equal-length lattices sharing ``trans``, built by
-:func:`length_buckets`.  :func:`viterbi`, :func:`path_score`,
+(B, T, K) is a stack of B lattices sharing ``trans``, built by
+:func:`length_buckets`; its ``lengths`` are the lattices' own lengths, longest
+first, each zero-padded to T.  :func:`viterbi`, :func:`path_score`,
 :func:`backward_viterbi` and :func:`astar_nbest` take stacks and return one
-result per lattice, for :func:`astar_nbest` one NBestList each.  Exact search
-runs a whole stack at once.  Where n*K^2 exceeds ``_DENSE_CELLS`` the ``g + h``
-cut leaves each lattice its own number of survivors, padded to the stack's
-largest count.  :func:`beam_nbest` takes no stack.  The search's n = 1 step
-treats one lattice as a stack of one.  :func:`searched` is every read path's
-bucketed search, and its one check that the scores are finite.
+result per lattice, for :func:`astar_nbest` one NBestList each.  Each step of
+a stacked pass runs only the lattices still active, the stack's first ones, so
+no pad cell is computed and every result is bit for bit the lattice's own.
+Exact search runs a whole stack at once and finishes each lattice at its own
+last step.  Where n*K^2 exceeds ``_DENSE_CELLS`` the ``g + h`` cut leaves each
+lattice its own number of survivors, padded to the stack's largest count.
+:func:`beam_nbest` takes no stack.  The search's n = 1 step treats one lattice
+as a stack of one.  :func:`searched` is every read path's stacked search, and
+its one check that the scores are finite.
 """
 
 from __future__ import annotations
@@ -61,10 +65,32 @@ class NonFiniteError(RuntimeError):
 
 @dataclass
 class Lattice:
-    """Per-position emission scores and tag-transition scores."""
+    """Per-position emission scores and tag-transition scores.
+
+    A stack's ``lengths`` are its lattices' own lengths, longest first: lattice b
+    holds ``emit[b, :lengths[b]]`` and zeros after it.  None means every lattice
+    has length T."""
 
     emit: np.ndarray  # (T, K), or (B, T, K) for a stack of lattices
     trans: np.ndarray  # (K, K)
+    lengths: list | None = None
+
+    def __post_init__(self):
+        if self.lengths is None:
+            return
+        B = len(self.emit) if self.emit.ndim == 3 else None
+        self.lengths = [int(L) for L in self.lengths]
+        if len(self.lengths) != B:
+            raise ValueError("lengths: %d lengths for %s" % (
+                len(self.lengths), "a single lattice" if B is None else "a stack of %d" % B))
+        for b, L in enumerate(self.lengths):
+            if not 1 <= L <= self.T:
+                raise ValueError("lengths: lattice %d has length %d, outside 1..%d"
+                                 % (b, L, self.T))
+            if b and L > self.lengths[b - 1]:
+                raise ValueError("lengths: lattice %d (length %d) is longer than lattice %d"
+                                 " (length %d); a stack holds its longest first" % (
+                                     b, L, b - 1, self.lengths[b - 1]))
 
     @property
     def T(self):
@@ -73,6 +99,18 @@ class Lattice:
     @property
     def K(self):
         return self.emit.shape[-1]
+
+    def runs(self):
+        """(t0, t1, a) for each run of steps t0 <= t < t1 in which the same lattices
+        are active: the first a, as the longest come first."""
+        if self.lengths is None:
+            return [(0, self.T, 1 if self.emit.ndim == 2 else len(self.emit))]
+        runs, t0 = [], 0
+        for b in range(len(self.lengths) - 1, -1, -1):  # shortest first
+            if self.lengths[b] > t0:
+                runs.append((t0, self.lengths[b], b + 1))
+                t0 = self.lengths[b]
+        return runs
 
 
 @dataclass
@@ -112,20 +150,26 @@ def compiled_lattice(cs, views, scale=1.0) -> Lattice:
 
 
 def length_buckets(compiled, views, n=1):
-    """(indices, stacked lattice) of each group of equal-length compiled
-    sequences, split to keep within ``_STACK_CELLS`` both a stack's tables
-    (B*T*K cells) and the up to B*n*K^2 cells of its top-n search step, with
-    or without the ``g + h`` cut: the cut keeps at most n survivors per tag."""
+    """(indices, stacked lattice) of each group of compiled sequences.  The
+    sequences are sorted longest first (a stable sort) and split to keep within
+    ``_STACK_CELLS`` both a stack's tables (B*T*K cells, T its first and longest
+    length) and the up to B*n*K^2 cells of its top-n search step, with or without
+    the ``g + h`` cut: the cut keeps at most n survivors per tag.  Each stack's
+    emission rows are zero-padded to (B, T, K), with the sequences' own lengths."""
     emit_w, trans_w = views
     K = emit_w.shape[1]
-    by_length = {}
-    for i, cs in enumerate(compiled):
-        by_length.setdefault(len(cs.counts), []).append(i)
-    for T, members in by_length.items():
-        size = max(1, _STACK_CELLS // (K * max(n * K, T)))
-        for idx in (members[lo : lo + size] for lo in range(0, len(members), size)):
-            emit = emission_scores([compiled[i] for i in idx], emit_w)
-            yield idx, Lattice(emit=emit.reshape(len(idx), T, K), trans=trans_w)
+    lengths = [len(cs.counts) for cs in compiled]
+    order = sorted(range(len(compiled)), key=lengths.__getitem__, reverse=True)
+    lo = 0
+    while lo < len(order):
+        T = lengths[order[lo]]
+        idx = order[lo : lo + max(1, _STACK_CELLS // (K * max(n * K, T)))]
+        lo += len(idx)
+        own = [lengths[i] for i in idx]
+        emit = np.zeros((len(idx), T, K))
+        emit[np.arange(T) < np.array(own)[:, None]] = emission_scores(
+            [compiled[i] for i in idx], emit_w)
+        yield idx, Lattice(emit, trans_w, own)
 
 
 def emission_scores(compiled, emission_weights) -> np.ndarray:
@@ -146,20 +190,28 @@ def emission_scores(compiled, emission_weights) -> np.ndarray:
 
 def path_score(l: Lattice, path):
     """Score of one tagging, accumulated in the canonical order.  For a stack
-    of lattices, ``path`` holds B taggings and the result is a list of B scores."""
+    of lattices, ``path`` holds B taggings, each of its lattice's own length,
+    and the result is a list of B scores."""
     emit = l.emit.reshape(-1, l.T, l.K)
-    paths = np.reshape(path, (len(emit), l.T))
+    if l.lengths is None:
+        paths = np.reshape(path, (len(emit), l.T))
+    else:
+        paths = np.zeros((len(emit), l.T), np.intp)
+        for row, p, T in zip(paths, path, l.lengths):
+            row[:T] = p
     rows = np.arange(len(emit))
     s = emit[rows, 0, paths[:, 0]]
-    for t in range(1, l.T):
-        s = s + l.trans[paths[:, t - 1], paths[:, t]]
-        s = s + emit[rows, t, paths[:, t]]
+    for t0, t1, a in l.runs():
+        own, at, sum_a = paths[:a], rows[:a], s[:a]
+        for t in range(max(t0, 1), t1):
+            sum_a += l.trans[own[:, t - 1], own[:, t]]
+            sum_a += emit[at, t, own[:, t]]
     return float(s[0]) if l.emit.ndim == 2 else s.tolist()
 
 
 def backward_viterbi(l: Lattice) -> np.ndarray:
     """Best-suffix-completion scores h, excluding the current emission, in the
-    shape of ``l.emit`` (a lattice or a stack).
+    shape of ``l.emit`` (a lattice or a stack), 0 from each lattice's last step on.
 
     h[T-1][k] = 0 and h[t][k] = max_j (trans[k][j] + emit[t+1][j] + h[t+1][j]):
     the exact bound of the search's ``g + h`` cut, up to rounding.  The max runs
@@ -168,8 +220,10 @@ def backward_viterbi(l: Lattice) -> np.ndarray:
     emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
     trans = np.ascontiguousarray(l.trans.T)
     h = np.zeros(emit.shape)
-    for t in range(l.T - 2, -1, -1):
-        h[t] = (trans + (emit[t + 1] + h[t + 1])[:, :, None]).max(axis=1)
+    for t0, t1, a in reversed(l.runs()):  # step t takes the lattices active at t + 1
+        h_a, emit_a = h[:, :a], emit[:, :a]
+        for t in range(t1 - 2, max(t0 - 1, 0) - 1, -1):
+            h_a[t] = (trans + (emit_a[t + 1] + h_a[t + 1])[:, :, None]).max(axis=1)
     return h.transpose(1, 0, 2).reshape(l.emit.shape)
 
 
@@ -197,6 +251,9 @@ def _search(l: Lattice, n: int, width=None):
     survivors first, in key order, then -inf pads up to the stack's largest
     count.  Pads are told by that count, never by their score, so a lattice's
     keys are exactly its keys searched alone, non-finite scores included.
+    Step t runs only the lattices still active, the stack's first ones; a
+    lattice is finished at its own last step, by the final top-n rule over its
+    own survivors, and its paths are walked back from there.
     Returns (paths, scores, sizes): the lattices' top-n lists one after
     another, and each list's length.
     """
@@ -206,6 +263,9 @@ def _search(l: Lattice, n: int, width=None):
     if l.emit.ndim == 3 and width is not None:
         raise ValueError("beam search takes one lattice, not a stack")
     emit = l.emit.reshape(B, T, K).transpose(1, 0, 2).reshape(T, B * K)
+    runs = l.runs()
+    ends = {t0: a for t0, _, a in runs[1:]}  # step: the lattices still active, where some end
+    ends[runs[-1][1]] = 0
     offset = np.arange(K)  # key of (row 0, tag); at n = 1, plus each lattice's first key
     if B > 1 and n == 1:
         start = np.repeat(np.arange(0, B * K, K), K)  # first column of a survivor's lattice
@@ -215,13 +275,50 @@ def _search(l: Lattice, n: int, width=None):
         eh[1:] += emit[1:].reshape(T - 1, B, 1, K)  # from step 1 on, cand lacks the emission
         # g + h and the float score of the completion it bounds each lie within
         # T*eps*span of the exact sum; the cut needs 4*T*eps*span, taken 4x over.
-        span = np.abs(l.emit.reshape(B, T, K)).max(axis=2).sum(axis=1)
-        span += (T - 1) * np.abs(trans).max()
-        margin = 16 * (T + 1) * np.finfo(float).eps * span[:, None]
+        span = np.abs(l.emit.reshape(B, T, K)).max(axis=2)
+        if l.lengths is None:
+            lengths, span = T, span.sum(axis=1)
+        else:  # each lattice's own sum: zeros after its end would change the pairwise sum
+            lengths = np.array(l.lengths)
+            span = np.array([row[:L].sum() for row, L in zip(span, l.lengths)])
+        span += (lengths - 1) * np.abs(trans).max()
+        margin = (16 * (lengths + 1) * np.finfo(float).eps * span)[:, None]
         real = None  # each lattice's survivor count, while the counts differ
     cand = emit[:1]
-    history = []
-    for t in range(T):
+    history, ended = [], []
+    for t in range(T + 1):
+        if t in ends:  # lattices a .. B-1 end here: keep their top n
+            a, R = ends[t], g.size // B
+            rest = g[a * R :] if a else g
+            if n == 1:  # argmax per lattice of a stack
+                top = rest.reshape(B - a, R).argmax(1) + np.arange(B - a) * R
+                sizes = [1] * (B - a)
+            elif cut and real is not None:  # each lattice's n best among its real survivors
+                top = [(-rest[b * R : b * R + r]).argsort(kind="stable")[:n] + b * R
+                       for b, r in enumerate(real.tolist()[a:])]
+                sizes = [len(own) for own in top]
+                top = np.concatenate(top)
+            elif B - a == 1:  # as below, without its overhead
+                top = (-rest).argsort(kind="stable")[:n]
+                sizes = [len(top)]
+            else:  # each lattice's n best; R is 0 when NaN bounds kept no survivor
+                top = (-rest.reshape(B - a, R)).argsort(1, kind="stable")[:, :n]
+                sizes = [top.shape[1]] * (B - a)
+                top = (top + np.arange(B - a)[:, None] * R).ravel()
+            if a:
+                top += a * R
+            ended.append((t, top.tolist(), g.take(top).tolist(), sizes))
+            if not a:
+                break
+            B, g, tags = a, g[: a * R], tags[: a * R]
+            if offset.ndim == 2:
+                offset, start = offset[:a], start[: a * K]
+            if cut:
+                eh, margin = eh[:, :a], margin[:a]
+            if cut and real is not None:
+                if a == 1:  # alone, lattice 0 keeps its real survivors, which lead its rows
+                    g, tags = g[: real[0]], tags[: real[0]]
+                real = real[:a] if a > 1 else None
         if t:
             # g + trans.  Exact search adds the emission after selecting.
             cand = trans.take(tags, 0)
@@ -296,31 +393,16 @@ def _search(l: Lattice, n: int, width=None):
                 keys[at] = survivors
                 tags = keys % K
         history.append(keys)
-    if n == 1:  # argmax per lattice of a stack
-        top = g.reshape(B, -1).argmax(1) + np.arange(B) * (g.size // B)
-        sizes = [1] * B
-    elif cut and real is not None:  # each lattice's n best among its real survivors
-        R = g.size // B
-        top = [(-g[b * R : b * R + r]).argsort(kind="stable")[:n] + b * R
-               for b, r in enumerate(real.tolist())]
-        sizes = [len(own) for own in top]
-        top = np.concatenate(top)
-    elif B == 1:  # as below, without its overhead
-        top = (-g).argsort(kind="stable")[:n]
-        sizes = [len(top)]
-    else:  # each lattice's n best
-        R = g.size // B  # 0 when NaN bounds kept no survivor in any lattice
-        top = (-g.reshape(B, R)).argsort(1, kind="stable")[:, :n]
-        sizes = [top.shape[1]] * B
-        top = (top + np.arange(B)[:, None] * R).ravel()
-    scores = g.take(top).tolist()
     history = [keys.tolist() for keys in history]
-    paths = []
-    for i in top.tolist():
-        path = [0] * T
-        for t in range(T - 1, -1, -1):
-            i, path[t] = divmod(history[t][i], K)
-        paths.append(tuple(path))
+    paths, scores, sizes = [], [], []
+    for end, top, own_scores, own_sizes in reversed(ended):  # the first lattices end last
+        for i in top:
+            path = [0] * end
+            for t in range(end - 1, -1, -1):
+                i, path[t] = divmod(history[t][i], K)
+            paths.append(tuple(path))
+        scores += own_scores
+        sizes += own_sizes
     return paths, scores, sizes
 
 
@@ -341,19 +423,21 @@ def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
 
 def searched(compiled, views, search, n=1):
     """(lattice, result) of each compiled sequence, in order, ``result`` its entry in
-    ``search(stack, n)`` over its stack of :func:`length_buckets`: an NBestList, or
-    a :func:`viterbi` (path, score) pair.  A sequence fails when its emission rows
-    or its searched scores are not all finite, or when NaN bounds cut its list below
-    min(n, K^T) scores.  Every bucket is checked before NonFiniteError is raised,
-    naming the lowest-numbered failing sequence."""
+    ``search(stack, n)`` over its stack of :func:`length_buckets`: an NBestList, a
+    :func:`viterbi` (path, score) pair, or a pair whose first item is an NBestList.
+    A sequence fails when its emission rows or its searched scores are not all
+    finite, or when NaN bounds cut its list below min(n, K^T) scores.  Every stack
+    is checked before NonFiniteError is raised, naming the lowest-numbered failing
+    sequence."""
     found, failed = [None] * len(compiled), []
     for idx, lat in length_buckets(compiled, views, n):
-        m = min(n, _count_at_most(lat.K, lat.T, n))
         rows_ok = np.isfinite(lat.emit.reshape(len(idx), -1)).all(axis=1).tolist()
-        for b, (i, r, ok) in enumerate(zip(idx, search(lat, n), rows_ok)):
-            scores = r.scores if isinstance(r, NBestList) else r[1:]
+        for b, (i, r, ok, T) in enumerate(zip(idx, search(lat, n), rows_ok, lat.lengths)):
+            head = r[0] if isinstance(r, tuple) else r
+            scores = head.scores if isinstance(head, NBestList) else r[1:]
+            m = min(n, _count_at_most(lat.K, T, n))
             if ok and len(scores) == m and all(map(math.isfinite, scores)):
-                found[i] = Lattice(lat.emit[b], lat.trans), r
+                found[i] = Lattice(lat.emit[b, :T], lat.trans), r
             else:
                 failed.append(i)
     if failed:
@@ -374,8 +458,8 @@ def _count_at_most(K, T, cap):
 def _nbest_lists(l: Lattice, n, paths, scores, sizes):
     """The search's output as the NBestList of a lattice, or a stack's list of them."""
     lists, lo = [], 0
-    for m in sizes:
-        exhausted = _count_at_most(l.K, l.T, m) == m
+    for m, T in zip(sizes, l.lengths or [l.T] * len(sizes)):
+        exhausted = _count_at_most(l.K, T, m) == m
         lists.append(NBestList(paths[lo : lo + m], scores[lo : lo + m], None, n, exhausted))
         lo += m
     return lists[0] if l.emit.ndim == 2 else lists

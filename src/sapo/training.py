@@ -31,7 +31,7 @@ from operator import add, mul, sub
 import numpy as np
 
 from .dataio import write_text
-from .evaluation import SCORERS, extract_chunks, token_accuracy, w_complexity
+from .evaluation import SCORERS, ChunkTagError, sequence_chunks, token_accuracy, w_complexity
 from .features import (
     SPARSE,
     Model,
@@ -277,10 +277,9 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
                                   "corpus has %d" % (name, i, min(widths), n_columns))
             if chunks:
                 try:
-                    extract_chunks(seq.gold)
-                except ValueError as e:
-                    raise ConfigError("metric chunk-f1 needs O, B-TYPE and I-TYPE tags; %s "
-                                      "sequence %d has a %s" % (name, i, e)) from None
+                    sequence_chunks(seq.gold, name, i)
+                except ChunkTagError as e:
+                    raise ConfigError(str(e)) from None
     compiled = []
     model = build_model(sequences, template_text, n_columns, compiled)
     held_compiled = compile_corpus(model, held_sequences)  # golds compare as strings

@@ -590,6 +590,23 @@ class TestEval:
         assert "chunk_f1=1.0000" in capsys.readouterr().out
         assert per_tag.read_text().splitlines()[0] == "type,matched,predicted,gold"
 
+    @pytest.mark.parametrize("gold_text, pred_text, named", [
+        ("a B-N\nb O\n\nb O\n", "a B-N\nb O\n\nb X\n",
+         "pred: metric chunk-f1 needs O, B-TYPE and I-TYPE tags; predicted sequence 1 has a "
+         "malformed BIO tag 'X' at position 0"),
+        ("a B-N\nb O\n\nb Y\n", "a B-N\nb O\n\nb X\n",  # the gold tag comes first
+         "gold: metric chunk-f1 needs O, B-TYPE and I-TYPE tags; gold sequence 1 has a "
+         "malformed BIO tag 'Y' at position 0"),
+    ])
+    def test_chunk_metric_names_a_non_bio_tag(self, tmp_path, capsys, gold_text, pred_text,
+                                              named):
+        gold, pred = tmp_path / "gold", tmp_path / "pred"
+        gold.write_text(gold_text)
+        pred.write_text(pred_text)
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred),
+                     "--metric", "chunk-f1"]) == 1
+        assert capsys.readouterr().err == "error: %s/%s\n" % (tmp_path, named)
+
     @pytest.mark.parametrize("metric, text", [
         ("accuracy", 'gold,pred,count\n"B-q""r","B-q""r",1\n"B-x,y","B-x,y",1\nO,"B-x,y",1\n'),
         ("chunk-f1", 'type,matched,predicted,gold\n"q""r",1,1,1\n"x,y",1,2,1\n'),

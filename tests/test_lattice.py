@@ -65,6 +65,28 @@ class TestBuildLattice:
             )
 
 
+class TestLengths:
+    """A stack's ``lengths``: one per lattice, each in 1..T, longest first."""
+
+    def test_a_stack_of_its_own_lengths(self, rng):
+        lat = Lattice(rng.normal(size=(3, 4, 2)), rng.normal(size=(2, 2)), (4, 4, 1))
+        assert lat.lengths == [4, 4, 1] and lat.runs() == [(0, 1, 3), (1, 4, 2)]
+        assert Lattice(lat.emit, lat.trans).runs() == [(0, 4, 3)]
+
+    @pytest.mark.parametrize("shape, lengths, message", [
+        ((3, 4, 2), [4, 0, 0], "lattice 1 has length 0, outside 1..4"),
+        ((3, 4, 2), [5, 4, 1], "lattice 0 has length 5, outside 1..4"),
+        ((3, 4, 2), [4, 4], "2 lengths for a stack of 3"),
+        ((3, 4, 2), [4, 3, 2, 1], "4 lengths for a stack of 3"),
+        ((4, 2), [4], "1 lengths for a single lattice"),
+        ((3, 4, 2), [4, 2, 3], r"lattice 2 \(length 3\) is longer than lattice 1 \(length 2\); "
+                               "a stack holds its longest first"),
+    ])
+    def test_invalid_lengths(self, shape, lengths, message):
+        with pytest.raises(ValueError, match=r"^lengths: %s$" % message):
+            Lattice(np.zeros(shape), np.zeros((2, 2)), lengths)
+
+
 class TestViterbi:
     def test_all_zero_lattice_tie_break(self):
         lat = Lattice(emit=np.zeros((3, 3)), trans=np.zeros((3, 3)))
@@ -245,6 +267,38 @@ class TestAstarNBest:
             own = astar_nbest(Lattice(stack.emit[i], stack.trans), 257)
             assert (found[i].paths, found[i].scores) == (own.paths, own.scores)
 
+    def test_ragged_stacks_stay_small(self, rng):
+        # Lengths 1-80 in one corpus: each stack holds the next sequences, longest
+        # first, as many as B*K*max(n*K, T) <= _STACK_CELLS allows, T its first length.
+        lengths = rng.integers(1, 81, 300)
+        seqs = [Sequence(tokens=[(w,) for w in rng.choice(list("abcdef"), T)],
+                         gold=list(rng.choice(["X", "Y"], T))) for T in lengths]
+        model = build_model(seqs, "U00:%x[0,0]\nU01:%x[-1,0]\nB\n", 1)
+        model.weights[:] = rng.normal(size=model.weights.shape)
+        compiled = compile_corpus(model, seqs)
+        views = weight_views(model.weights, model.index)
+        order = sorted(range(len(seqs)), key=lambda i: -lengths[i])
+        for n in (1, 5, 257):
+            stacks = list(length_buckets(compiled, views, n))
+            assert [i for idx, _ in stacks for i in idx] == order
+            for idx, stack in stacks:
+                assert stack.lengths == [lengths[i] for i in idx] and stack.T == lengths[idx[0]]
+                assert len(idx) * 2 * max(n * 2, stack.T) <= _STACK_CELLS
+                if idx[-1] != order[-1]:  # a full stack: one more would break the rule
+                    assert (len(idx) + 1) * 2 * max(n * 2, stack.T) > _STACK_CELLS
+        _, stack = next(length_buckets(compiled, views, 5))
+        assert stack.lengths[0] == 80 and stack.lengths[-1] == 1
+        tracemalloc.start()
+        try:
+            found = astar_nbest(stack, 5)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 16 * 8 * _STACK_CELLS
+        for b in (0, len(found) // 2, len(found) - 1):
+            own = astar_nbest(Lattice(stack.emit[b, : stack.lengths[b]], stack.trans), 5)
+            assert (found[b].paths, found[b].scores) == (own.paths, own.scores)
+
     def test_near_ties_stay_small(self):
         # Many paths share the top score 3.5 (every transition 0.7), and
         # rounding spreads their g + h bounds apart: a near-tie regression.
@@ -351,8 +405,8 @@ class TestCheckFinite:
 
     @pytest.fixture
     def corpus(self):
-        # Sequences 0 (length 2), 1 (length 3) and 2 (length 2): the length-2 bucket,
-        # searched first, holds 0 and 2.
+        # Sequences 0 (length 2), 1 (length 3) and 2 (length 2): one stack, longest
+        # first, holds 1, 0 and 2.
         seqs = word_corpus([("a b", "X Y"), ("a b c", "X Y X"), ("b c", "Y X")])
         model = build_model(seqs, "U00:%x[0,0]\nB\n", 1)
         model.weights[:] = np.random.default_rng(3).normal(size=model.weights.shape)
@@ -372,9 +426,9 @@ class TestCheckFinite:
         with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence 1$"):
             searched(compiled, (emit_w, views[1]), astar_nbest, 2)
         for buckets, named in (
-                (([[1.0, 2.0], [1.0, math.nan]], [[-math.inf, 1.0]]), 1),
-                (([[1.0, 2.0], [1.0]], [[1.0, 2.0]]), 2),  # a list cut short
-                (([[1.0, 2.0], [1.0, 2.0]], [[1.0]]), 1)):
+                (([[-math.inf, 1.0], [1.0, 2.0], [1.0, math.nan]],), 1),
+                (([[1.0, 2.0], [1.0, 2.0], [1.0]],), 2),  # a list cut short
+                (([[1.0], [1.0, 2.0], [1.0, 2.0]],), 1)):
             with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$" % named):
                 searched(compiled, views, _scripted(*buckets), 2)
 

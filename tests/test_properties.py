@@ -79,7 +79,7 @@ from sapo.inference import (
     subtract_oracle,
     topn_distribution,
 )
-from sapo.lattice import _DENSE_CELLS, NBestList, length_buckets
+from sapo.lattice import _DENSE_CELLS, NBestList, NonFiniteError, length_buckets, searched
 from sapo.training import WeightState
 
 TAGS = ("X", "Y", "Z")
@@ -293,6 +293,91 @@ def test_stacked_cut_search_equals_single_lattices(case):
         assert np.array(nb.scores).tobytes() == np.array(own.scores).tobytes()
 
 
+RAGGED_KINDS = CELL_KINDS + ("-inf", "nan")
+
+
+def _ragged_cells(rng, kind, shape):
+    """``_cells``, or integer cells (exact ties) with one -inf or NaN cell."""
+    if kind not in ("-inf", "nan"):
+        return _cells(rng, kind, shape)
+    cells = _cells(rng, "integer", shape)
+    cells[tuple(rng.integers(0, d) for d in shape)] = -np.inf if kind == "-inf" else np.nan
+    return cells
+
+
+@st.composite
+def ragged_stacks(draw):
+    """(stack of lattices of mixed lengths, n): 1-8 lattices of lengths 1-12,
+    longest first, K 2, 3 or 5, each lattice of its own cell kind, and n from
+    {1, 2, 7, 60}: at K = 5, n = 60 makes the g + h cut, the other n the dense step."""
+    K, n = draw(st.sampled_from((2, 3, 5))), draw(st.sampled_from((1, 2, 7, 60)))
+    lengths = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=8)), reverse=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    emit = np.zeros((len(lengths), lengths[0], K))
+    for row, T in zip(emit, lengths):
+        row[:T] = _ragged_cells(rng, draw(st.sampled_from(RAGGED_KINDS)), (T, K))
+    trans = _cells(rng, draw(st.sampled_from(CELL_KINDS)), (K, K))
+    return Lattice(emit, trans, lengths), n
+
+
+def _same(a, b):
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ragged_stacks())
+# NaN bounds cut every survivor: two lattices end together with none left.
+@example((Lattice(np.full((3, 5, 5), np.nan), np.zeros((5, 5)), [5, 3, 3]), 60))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ragged_stack_equals_single_lattices(case):
+    # One pass over a stack of mixed lengths gives each lattice what it gives alone.
+    stack, n = case
+    singles = [Lattice(e[:T], stack.trans) for e, T in zip(stack.emit, stack.lengths)]
+    found = viterbi(stack)
+    for (path, score), single in zip(found, singles):
+        own_path, own_score = viterbi(single)
+        assert list(path) == own_path and _same(score, own_score)
+    paths = [path for path, _ in found]
+    assert _same(path_score(stack, paths), [path_score(l, p) for l, p in zip(singles, paths)])
+    for nb, single in zip(astar_nbest(stack, n), singles):
+        own = astar_nbest(single, n)
+        assert (nb.paths, nb.exhausted, nb.n_requested) == (own.paths, own.exhausted, n)
+        assert _same(nb.scores, own.scores)
+    assert _same(forward_logz(stack), [forward_logz(l) for l in singles])
+    for marg, single in zip(forward_backward(stack), singles):
+        own = forward_backward(single)
+        assert _same(marg.logZ, own.logZ)
+        assert marg.node.shape == own.node.shape and _same(marg.node, own.node)
+        assert marg.edge.shape == own.edge.shape and _same(marg.edge, own.edge)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=2, max_size=8))
+def test_searched_names_the_first_failing_sequence_of_a_ragged_stack(rows):
+    # Sequences with the word "z" score -inf.  All share one stack, longest first,
+    # yet the check names the lowest-numbered failing one.
+    seqs = [Sequence(tokens=[("a",)] * (T - 1) + [("z" if bad else "b",)], gold=["X"] * T)
+            for T, bad in rows]
+    model = build_model(seqs + [Sequence(tokens=[("a",), ("z",)], gold=["X", "Y"])],
+                        "U00:%x[0,0]\nB\n", 1)
+    model.weights[:] = np.random.default_rng(len(rows)).normal(size=model.weights.shape)
+    emit_w, trans_w = weight_views(model.weights, model.index)
+    emit_w, z = emit_w.copy(), model.index.lookup_raw("U00=z")
+    assert z is not None
+    emit_w[z] = -np.inf
+    compiled = compile_corpus(model, seqs)
+    stacks = list(length_buckets(compiled, (emit_w, trans_w)))
+    assert len(stacks) == 1 and stacks[0][1].lengths == sorted((T for T, _ in rows), reverse=True)
+    failing = [i for i, (_, bad) in enumerate(rows) if bad]
+    for n, search in ((1, lambda lat, n: viterbi(lat)), (3, astar_nbest)):
+        if failing:
+            with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$"
+                               % failing[0]):
+                searched(compiled, (emit_w, trans_w), search, n)
+        else:
+            assert len(searched(compiled, (emit_w, trans_w), search, n)) == len(rows)
+
+
 FEATURELESS_TEMPLATES = (
     "U00:%x[0,0]/%v[0,1]\nB\n",
     "U00:%x[0,0]\nU01:%x[-1,0]/%v[0,1]\nB\n",
@@ -358,11 +443,16 @@ def test_stacked_objective_and_emission_rows(case):
     assert featureless
     for row in featureless:
         assert row.tolist() == [0.0] * model.num_tags and not np.signbit(row).any()
-    # Every length bucket's stacked rows are the single lattices' rows, byte for byte.
+    # Every stack's rows are the single lattices' rows, byte for byte, each
+    # zero-padded to the stack's longest length.
     views, seen = weight_views(model.weights, model.index), []
     for n in (1, 5):
         for idx, stack in length_buckets(compiled, views, n):
-            assert stack.emit.tobytes() == np.stack([lattices[i].emit for i in idx]).tobytes()
+            padded = np.zeros(stack.emit.shape)
+            for row, i in zip(padded, idx):
+                row[: lattices[i].T] = lattices[i].emit
+            assert stack.emit.tobytes() == padded.tobytes()
+            assert stack.lengths == [lattices[i].T for i in idx]
             seen.extend(idx)
     assert sorted(seen) == sorted(2 * list(range(len(compiled))))
 
