@@ -41,7 +41,9 @@ from .features import position_features  # noqa: F401, E402
 ENUMERATION_LIMIT = 10**6
 # Cells per step (n*K^2) above which the g + h cut beats sorting every tag's n*K.
 _DENSE_CELLS = 1024
-# Bound on B*K*max(n*K, T) for a stack: the cells of its tables and per-step temporaries.
+# Bound on B*K*n*max(K, T) for a stack: the cells of its tables (B*T*K), of its top-n
+# search step (B*n*K^2) and of that search's path history (B*T*n*K).  The diagnostic's
+# forward-backward splits a stack into parts of at most as many edge cells (B*T*K^2).
 _STACK_CELLS = 2**18
 
 
@@ -68,17 +70,19 @@ class Lattice:
     """Per-position emission scores and tag-transition scores.
 
     A stack's ``lengths`` are its lattices' own lengths, longest first: lattice b
-    holds ``emit[b, :lengths[b]]`` and zeros after it.  None means every lattice
-    has length T."""
+    holds ``emit[b, :lengths[b]]`` and zeros after it.  None, the default, stands
+    for every lattice having length T, and is stored as such: ``[T] * B``, or
+    ``[T]`` for a single lattice."""
 
     emit: np.ndarray  # (T, K), or (B, T, K) for a stack of lattices
     trans: np.ndarray  # (K, K)
     lengths: list | None = None
 
     def __post_init__(self):
-        if self.lengths is None:
-            return
         B = len(self.emit) if self.emit.ndim == 3 else None
+        if self.lengths is None:
+            self.lengths = [self.T] * (B or 1)
+            return
         self.lengths = [int(L) for L in self.lengths]
         if len(self.lengths) != B:
             raise ValueError("lengths: %d lengths for %s" % (
@@ -103,8 +107,6 @@ class Lattice:
     def runs(self):
         """(t0, t1, a) for each run of steps t0 <= t < t1 in which the same lattices
         are active: the first a, as the longest come first."""
-        if self.lengths is None:
-            return [(0, self.T, 1 if self.emit.ndim == 2 else len(self.emit))]
         runs, t0 = [], 0
         for b in range(len(self.lengths) - 1, -1, -1):  # shortest first
             if self.lengths[b] > t0:
@@ -152,10 +154,12 @@ def compiled_lattice(cs, views, scale=1.0) -> Lattice:
 def length_buckets(compiled, views, n=1):
     """(indices, stacked lattice) of each group of compiled sequences.  The
     sequences are sorted longest first (a stable sort) and split to keep within
-    ``_STACK_CELLS`` both a stack's tables (B*T*K cells, T its first and longest
-    length) and the up to B*n*K^2 cells of its top-n search step, with or without
-    the ``g + h`` cut: the cut keeps at most n survivors per tag.  Each stack's
-    emission rows are zero-padded to (B, T, K), with the sequences' own lengths."""
+    ``_STACK_CELLS`` a stack's tables (B*T*K cells, T its first and longest
+    length), the up to B*n*K^2 cells of its top-n search step and the up to
+    B*T*n*K keys of that search's path history, with or without the ``g + h``
+    cut: the cut keeps at most n survivors per tag.  Each stack's emission rows
+    are zero-padded to (B, T, K), with the sequences' own lengths, and built a
+    few sequences at a time (:func:`_feature_parts`)."""
     emit_w, trans_w = views
     K = emit_w.shape[1]
     lengths = [len(cs.counts) for cs in compiled]
@@ -163,13 +167,28 @@ def length_buckets(compiled, views, n=1):
     lo = 0
     while lo < len(order):
         T = lengths[order[lo]]
-        idx = order[lo : lo + max(1, _STACK_CELLS // (K * max(n * K, T)))]
+        idx = order[lo : lo + max(1, _STACK_CELLS // (K * n * max(K, T)))]
         lo += len(idx)
         own = [lengths[i] for i in idx]
         emit = np.zeros((len(idx), T, K))
-        emit[np.arange(T) < np.array(own)[:, None]] = emission_scores(
-            [compiled[i] for i in idx], emit_w)
+        parts = _feature_parts([compiled[i] for i in idx], K)
+        emit[np.arange(T) < np.array(own)[:, None]] = np.concatenate(
+            [emission_scores(part, emit_w) for part in parts])
         yield idx, Lattice(emit, trans_w, own)
+
+
+def _feature_parts(compiled, K):
+    """The compiled sequences in consecutive parts of at most ``_STACK_CELLS``
+    (feature, tag) cells each, or of one sequence: the bound on the (features, K)
+    temporaries of :func:`emission_scores`, which a stack's cells do not bound."""
+    part, cells = [], 0
+    for cs in compiled:
+        if part and cells + len(cs.rids) * K > _STACK_CELLS:
+            yield part
+            part, cells = [], 0
+        part.append(cs)
+        cells += len(cs.rids) * K
+    yield part
 
 
 def emission_scores(compiled, emission_weights) -> np.ndarray:
@@ -193,12 +212,9 @@ def path_score(l: Lattice, path):
     of lattices, ``path`` holds B taggings, each of its lattice's own length,
     and the result is a list of B scores."""
     emit = l.emit.reshape(-1, l.T, l.K)
-    if l.lengths is None:
-        paths = np.reshape(path, (len(emit), l.T))
-    else:
-        paths = np.zeros((len(emit), l.T), np.intp)
-        for row, p, T in zip(paths, path, l.lengths):
-            row[:T] = p
+    paths = np.zeros((len(emit), l.T), np.intp)
+    for row, p, T in zip(paths, [path] if l.emit.ndim == 2 else path, l.lengths):
+        row[:T] = p
     rows = np.arange(len(emit))
     s = emit[rows, 0, paths[:, 0]]
     for t0, t1, a in l.runs():
@@ -274,15 +290,13 @@ def _search(l: Lattice, n: int, width=None):
         eh = backward_viterbi(l).reshape(B, T, 1, K).transpose(1, 0, 2, 3)  # (T, B, 1, K)
         eh[1:] += emit[1:].reshape(T - 1, B, 1, K)  # from step 1 on, cand lacks the emission
         # g + h and the float score of the completion it bounds each lie within
-        # T*eps*span of the exact sum; the cut needs 4*T*eps*span, taken 4x over.
-        span = np.abs(l.emit.reshape(B, T, K)).max(axis=2)
-        if l.lengths is None:
-            lengths, span = T, span.sum(axis=1)
-        else:  # each lattice's own sum: zeros after its end would change the pairwise sum
-            lengths = np.array(l.lengths)
-            span = np.array([row[:L].sum() for row, L in zip(span, l.lengths)])
-        span += (lengths - 1) * np.abs(trans).max()
-        margin = (16 * (lengths + 1) * np.finfo(float).eps * span)[:, None]
+        # T*eps*span of the exact sum, span a lattice's largest |emission| summed over
+        # its own steps (zeros after its end would change the pairwise sum) plus T - 1
+        # times the largest |transition|; the cut needs 4*T*eps*span, taken 4x over.
+        peak, eps = np.abs(trans).max(), np.finfo(float).eps
+        tops = np.abs(l.emit.reshape(B, T, K)).max(axis=2)
+        margin = np.array([[16 * (L + 1) * eps * (row[:L].sum() + (L - 1) * peak)]
+                           for row, L in zip(tops, l.lengths)])
         real = None  # each lattice's survivor count, while the counts differ
     cand = emit[:1]
     history, ended = [], []
@@ -423,18 +437,16 @@ def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
 
 def searched(compiled, views, search, n=1):
     """(lattice, result) of each compiled sequence, in order, ``result`` its entry in
-    ``search(stack, n)`` over its stack of :func:`length_buckets`: an NBestList, a
-    :func:`viterbi` (path, score) pair, or a pair whose first item is an NBestList.
-    A sequence fails when its emission rows or its searched scores are not all
-    finite, or when NaN bounds cut its list below min(n, K^T) scores.  Every stack
-    is checked before NonFiniteError is raised, naming the lowest-numbered failing
-    sequence."""
+    ``search(stack, n)`` over its stack of :func:`length_buckets`: an NBestList or a
+    :func:`viterbi` (path, score) pair.  A sequence fails when its emission rows or
+    its searched scores are not all finite, or when NaN bounds cut its list below
+    min(n, K^T) scores.  Every stack is checked before NonFiniteError is raised,
+    naming the lowest-numbered failing sequence."""
     found, failed = [None] * len(compiled), []
     for idx, lat in length_buckets(compiled, views, n):
         rows_ok = np.isfinite(lat.emit.reshape(len(idx), -1)).all(axis=1).tolist()
         for b, (i, r, ok, T) in enumerate(zip(idx, search(lat, n), rows_ok, lat.lengths)):
-            head = r[0] if isinstance(r, tuple) else r
-            scores = head.scores if isinstance(head, NBestList) else r[1:]
+            scores = r.scores if isinstance(r, NBestList) else r[1:]
             m = min(n, _count_at_most(lat.K, T, n))
             if ok and len(scores) == m and all(map(math.isfinite, scores)):
                 found[i] = Lattice(lat.emit[b, :T], lat.trans), r
@@ -458,7 +470,7 @@ def _count_at_most(K, T, cap):
 def _nbest_lists(l: Lattice, n, paths, scores, sizes):
     """The search's output as the NBestList of a lattice, or a stack's list of them."""
     lists, lo = [], 0
-    for m, T in zip(sizes, l.lengths or [l.T] * len(sizes)):
+    for m, T in zip(sizes, l.lengths):
         exhausted = _count_at_most(l.K, T, m) == m
         lists.append(NBestList(paths[lo : lo + m], scores[lo : lo + m], None, n, exhausted))
         lo += m

@@ -20,7 +20,8 @@ from sapo import (
     viterbi,
 )
 from sapo.features import compile_corpus, weight_views
-from sapo.lattice import _STACK_CELLS, NBestList, _search, length_buckets, searched
+from sapo.lattice import (_STACK_CELLS, NBestList, _search, emission_scores, length_buckets,
+                          searched)
 
 from conftest import random_lattice, random_word_model, word_corpus
 
@@ -63,6 +64,32 @@ class TestBuildLattice:
             assert path_score(lat, path) == pytest.approx(
                 score_sequence(model, seq, list(path)), abs=1e-9
             )
+
+    def test_stack_rows_are_built_a_few_sequences_at_a_time(self, rng, monkeypatch):
+        # Each emission_scores call of a stack's build holds at most _STACK_CELLS
+        # (feature, tag) cells, or one sequence's, and the rows are the lattices'.
+        model, seqs = random_word_model(rng, n_seqs=40, max_len=12)
+        compiled = compile_corpus(model, seqs)
+        views = weight_views(model.weights, model.index)
+        rows = [build_lattice(model, seq).emit for seq in seqs]
+        calls = []
+
+        def spy(part, emit_w):
+            calls.append([len(cs.rids) * emit_w.shape[1] for cs in part])
+            return emission_scores(part, emit_w)
+
+        monkeypatch.setattr("sapo.lattice.emission_scores", spy)
+        monkeypatch.setattr("sapo.lattice._STACK_CELLS", 200)
+        seen, done, split = [], 0, False
+        for idx, stack in length_buckets(compiled, views):
+            for b, i in enumerate(idx):
+                assert stack.emit[b, : len(rows[i])].tobytes() == rows[i].tobytes()
+                assert not stack.emit[b, len(rows[i]) :].any()
+            assert sum(len(cells) for cells in calls[done:]) == len(idx)
+            split |= len(calls) - done > 1
+            seen, done = seen + idx, len(calls)
+        assert sorted(seen) == list(range(len(seqs))) and split
+        assert all(sum(cells) <= 200 or len(cells) == 1 for cells in calls)
 
 
 class TestLengths:
@@ -239,8 +266,9 @@ class TestAstarNBest:
 
     def test_stack_of_a_large_n_stays_small(self, rng):
         # K=2, T=10: n=256 makes no cut (n*K^2 = 1,024) and n=257 makes it.
-        # Buckets are sized by K*max(n*K, T) either way: the cut keeps at most
-        # n survivors per tag, so its step too holds at most B*n*K^2 cells.
+        # Buckets are sized by K*n*max(K, T) either way: the cut keeps at most
+        # n survivors per tag, so its step too holds at most B*n*K^2 cells and
+        # its path history at most B*T*n*K keys.
         seqs = [Sequence(tokens=[(w,) for w in rng.choice(list("abcdef"), 10)],
                          gold=list(rng.choice(["X", "Y"], 10))) for _ in range(1024)]
         model = build_model(seqs, "U00:%x[0,0]\nU01:%x[-1,0]\nB\n", 1)
@@ -248,7 +276,7 @@ class TestAstarNBest:
         compiled = compile_corpus(model, seqs)
         views = weight_views(model.weights, model.index)
         for n in (256, 257):
-            size = _STACK_CELLS // (2 * n * 2)
+            size = _STACK_CELLS // (2 * n * 10)
             assert [len(idx) for idx, _ in length_buckets(compiled, views, n)] == (
                 [size] * (1024 // size) + [1024 % size] * (1024 % size > 0))
         buckets = length_buckets(compiled, views, 257)
@@ -259,7 +287,7 @@ class TestAstarNBest:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(idx) * 257 * 2 * 2 <= _STACK_CELLS
+        assert len(idx) * 2 * 257 * 10 <= _STACK_CELLS
         # Beyond the lists it returns, the search holds a few float tables of
         # _STACK_CELLS cells (2 MB) at a time.
         assert peak - kept <= 16 * 8 * _STACK_CELLS
@@ -269,7 +297,7 @@ class TestAstarNBest:
 
     def test_ragged_stacks_stay_small(self, rng):
         # Lengths 1-80 in one corpus: each stack holds the next sequences, longest
-        # first, as many as B*K*max(n*K, T) <= _STACK_CELLS allows, T its first length.
+        # first, as many as B*K*n*max(K, T) <= _STACK_CELLS allows, T its first length.
         lengths = rng.integers(1, 81, 300)
         seqs = [Sequence(tokens=[(w,) for w in rng.choice(list("abcdef"), T)],
                          gold=list(rng.choice(["X", "Y"], T))) for T in lengths]
@@ -283,21 +311,25 @@ class TestAstarNBest:
             assert [i for idx, _ in stacks for i in idx] == order
             for idx, stack in stacks:
                 assert stack.lengths == [lengths[i] for i in idx] and stack.T == lengths[idx[0]]
-                assert len(idx) * 2 * max(n * 2, stack.T) <= _STACK_CELLS
+                assert len(idx) * 2 * n * max(2, stack.T) <= _STACK_CELLS
                 if idx[-1] != order[-1]:  # a full stack: one more would break the rule
-                    assert (len(idx) + 1) * 2 * max(n * 2, stack.T) > _STACK_CELLS
-        _, stack = next(length_buckets(compiled, views, 5))
-        assert stack.lengths[0] == 80 and stack.lengths[-1] == 1
-        tracemalloc.start()
-        try:
-            found = astar_nbest(stack, 5)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - kept <= 16 * 8 * _STACK_CELLS
-        for b in (0, len(found) // 2, len(found) - 1):
-            own = astar_nbest(Lattice(stack.emit[b, : stack.lengths[b]], stack.trans), 5)
-            assert (found[b].paths, found[b].scores) == (own.paths, own.scores)
+                    assert (len(idx) + 1) * 2 * n * max(2, stack.T) > _STACK_CELLS
+            # The search of the stack of most lengths: n = 1 runs the n = 1 step,
+            # n = 5 the dense step and n = 257 the cut.
+            _, stack = max(stacks, key=lambda s: len(set(s[1].lengths)))
+            assert len(set(stack.lengths)) >= 8
+            if n < 257:  # one stack, lengths 80 down to 1
+                assert len(stacks) == 1 and stack.lengths[0] == 80 and stack.lengths[-1] == 1
+            tracemalloc.start()
+            try:
+                found = astar_nbest(stack, n)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - kept <= 16 * 8 * _STACK_CELLS
+            for b in (0, len(found) // 2, len(found) - 1):
+                own = astar_nbest(Lattice(stack.emit[b, : stack.lengths[b]], stack.trans), n)
+                assert (found[b].paths, found[b].scores) == (own.paths, own.scores)
 
     def test_near_ties_stay_small(self):
         # Many paths share the top score 3.5 (every transition 0.7), and
@@ -391,7 +423,7 @@ class TestEnumerateAll:
 
 def _scripted(*buckets):
     """A search whose n-best lists carry the given scores, a list per lattice for
-    each bucket in the order ``length_buckets`` yields them."""
+    each stack in the order ``length_buckets`` yields them."""
     calls = iter(buckets)
 
     def search(lat, n):
@@ -431,6 +463,30 @@ class TestCheckFinite:
                 (([[1.0], [1.0, 2.0], [1.0, 2.0]],), 1)):
             with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$" % named):
                 searched(compiled, views, _scripted(*buckets), 2)
+
+    def test_a_later_stack_can_hold_the_first_failing_sequence(self, corpus, monkeypatch):
+        # A budget of 16 cells splits the corpus into stacks [1] and [0, 2] at n = 2
+        # (K*n*max(K, T) is 12 for length 3 and 8 for length 2): each stack is
+        # checked, and the lowest-numbered failure is named wherever it lies.
+        model, seqs = corpus
+        monkeypatch.setattr("sapo.lattice._STACK_CELLS", 16)
+        compiled = compile_corpus(model, seqs)
+        views = weight_views(model.weights, model.index)
+        assert [idx for idx, _ in length_buckets(compiled, views, 2)] == [[1], [0, 2]]
+        for (lat, nb), seq in zip(searched(compiled, views, astar_nbest, 2), seqs):
+            alone = astar_nbest(build_lattice(model, seq), 2)
+            assert (nb.paths, nb.scores) == (alone.paths, alone.scores)
+        emit_w = views[0].copy()
+        emit_w[compiled[0].rids[0]] = np.inf  # the word a: sequences 0 and 1
+        with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence 0$"):
+            searched(compiled, (emit_w, views[1]), astar_nbest, 2)
+        for stacks, named in (
+                (([[-math.inf, 1.0]], [[1.0], [1.0, 2.0]]), 0),  # a list cut short
+                (([[-math.inf, 1.0]], [[1.0, 2.0], [1.0, math.nan]]), 1),
+                (([[1.0, 2.0]], [[1.0, 2.0], [1.0, math.nan]]), 2),
+                (([[1.0, 2.0]], [[math.inf, 2.0], [1.0, math.nan]]), 0)):
+            with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$" % named):
+                searched(compiled, views, _scripted(*stacks), 2)
 
     def test_a_short_list_is_fine_when_every_tagging_is_in_it(self, corpus):
         model, _ = corpus

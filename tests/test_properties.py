@@ -79,7 +79,8 @@ from sapo.inference import (
     subtract_oracle,
     topn_distribution,
 )
-from sapo.lattice import _DENSE_CELLS, NBestList, NonFiniteError, length_buckets, searched
+from sapo.lattice import (_DENSE_CELLS, _STACK_CELLS, NBestList, NonFiniteError, length_buckets,
+                          searched)
 from sapo.training import WeightState
 
 TAGS = ("X", "Y", "Z")
@@ -352,10 +353,13 @@ def test_ragged_stack_equals_single_lattices(case):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=2, max_size=8))
-def test_searched_names_the_first_failing_sequence_of_a_ragged_stack(rows):
+@given(st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=2, max_size=8),
+       st.sampled_from((None, 24, 60)))
+def test_searched_names_the_first_failing_sequence_of_a_ragged_stack(rows, cells):
     # Sequences with the word "z" score -inf.  All share one stack, longest first,
-    # yet the check names the lowest-numbered failing one.
+    # yet the check names the lowest-numbered failing one.  A budget of 24 or 60
+    # cells (K*n*max(K, T) a sequence, K = 2) splits them into several stacks, and
+    # every stack is checked before the lowest is named.
     seqs = [Sequence(tokens=[("a",)] * (T - 1) + [("z" if bad else "b",)], gold=["X"] * T)
             for T, bad in rows]
     model = build_model(seqs + [Sequence(tokens=[("a",), ("z",)], gold=["X", "Y"])],
@@ -366,16 +370,20 @@ def test_searched_names_the_first_failing_sequence_of_a_ragged_stack(rows):
     assert z is not None
     emit_w[z] = -np.inf
     compiled = compile_corpus(model, seqs)
-    stacks = list(length_buckets(compiled, (emit_w, trans_w)))
-    assert len(stacks) == 1 and stacks[0][1].lengths == sorted((T for T, _ in rows), reverse=True)
+    lengths = sorted((T for T, _ in rows), reverse=True)
     failing = [i for i, (_, bad) in enumerate(rows) if bad]
-    for n, search in ((1, lambda lat, n: viterbi(lat)), (3, astar_nbest)):
-        if failing:
-            with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$"
-                               % failing[0]):
-                searched(compiled, (emit_w, trans_w), search, n)
-        else:
-            assert len(searched(compiled, (emit_w, trans_w), search, n)) == len(rows)
+    with mock.patch("sapo.lattice._STACK_CELLS", cells or _STACK_CELLS):
+        for n, search in ((1, lambda lat, n: viterbi(lat)), (3, astar_nbest)):
+            stacks = [stack.lengths for _, stack in length_buckets(compiled, (emit_w, trans_w), n)]
+            assert sum(stacks, []) == lengths
+            if cells is None:
+                assert len(stacks) == 1
+            if failing:
+                with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence %d$"
+                                   % failing[0]):
+                    searched(compiled, (emit_w, trans_w), search, n)
+            else:
+                assert len(searched(compiled, (emit_w, trans_w), search, n)) == len(rows)
 
 
 FEATURELESS_TEMPLATES = (
