@@ -14,12 +14,13 @@ with y* as ``minus``; MIRA stacks its candidates with ``features.path_matrix``, 
 diagnostic takes the chain, one top-n set per n and y* from one ``mass_rows`` call.
 ``subtract_oracle``, the difference of two sparse vectors, is kept as a reference.
 
-The forward recursion, :func:`forward_logz` and :func:`forward_backward` also take
-a stack of lattices of mixed lengths (``emit`` (B, T, K) and ``lengths``), each
-step running only the lattices still active: the objective pass runs one forward
-per stack of ``lattice.length_buckets``.  The diagnostic searches and checks its
-probes with ``lattice.searched``, as decoding does, and takes their marginals from
-one forward-backward per stack.
+The forward recursion, :func:`forward_logz` and :func:`forward_backward` take a
+lattice as a stack of one, or a stack of lattices of mixed lengths (``emit``
+(B, T, K) and ``lengths``), and step through ``Lattice.walk`` over the lattices
+still active: the objective pass runs one forward per stack of
+``lattice.length_buckets``.  The diagnostic searches and checks its probes with
+``lattice.searched``, as decoding does, and takes their marginals from one
+forward-backward per part of a stack, split by the rule of ``length_buckets``.
 """
 
 from __future__ import annotations
@@ -32,18 +33,8 @@ import numpy as np
 # path_items is unused here: bench/layertrace.py looks it up in this module.
 from .features import (Model, Sequence, compile_corpus, compile_sequence, expected_features,
                        mass_rows, path_items, sparse_sum, weight_views)
-from .lattice import (
-    _STACK_CELLS,
-    Lattice,
-    NBestList,
-    NonFiniteError,
-    astar_nbest,
-    build_lattice,
-    compiled_lattice,
-    length_buckets,
-    path_score,
-    searched,
-)
+from .lattice import (Lattice, NBestList, NonFiniteError, _stack_parts, astar_nbest,
+                      build_lattice, compiled_lattice, length_buckets, path_score, searched)
 
 
 @dataclass
@@ -73,34 +64,24 @@ class DeltaReport:
 
 
 def logsumexp(a, axis):
-    """Max-shifted log-sum-exp; no intermediate overflow for finite scores."""
+    """Max-shifted log-sum-exp, in place in the scratch table ``a``; no overflow if finite."""
     m = a.max(axis=axis, keepdims=True)
-    return np.squeeze(np.log(np.exp(a - m).sum(axis=axis, keepdims=True)) + m, axis=axis)
+    a -= m
+    return np.log(np.exp(a, out=a).sum(axis=axis)) + m.squeeze(axis)
 
 
 def _forward(l: Lattice):
     """Log-space forward scores alpha[t, b, k] (the prefixes of lattice b ending in
     tag k) of a stack, a lattice being a stack of one, and each lattice's log Z,
-    finished as m + log(s).  Each step runs only the lattices still active.  A
-    lattice alone, CRF-SGD's per-sample call, takes the same steps on (T, K) rows:
-    about 6 us a call less than as a stack of one (T = 10, K = 5 or 45, on a
-    2-vCPU x86 host)."""
-    if l.emit.ndim == 2:
-        alpha = np.empty(l.emit.shape)
-        alpha[0] = l.emit[0]
-        for t in range(1, l.T):
-            alpha[t] = l.emit[t] + logsumexp(alpha[t - 1, :, None] + l.trans, -2)
-        alpha, last = alpha[:, None], alpha[-1:]
-    else:
-        emit = l.emit.transpose(1, 0, 2)  # (T, B, K)
-        alpha = np.empty(emit.shape)
-        alpha[0] = emit[0]
-        last = np.empty(emit.shape[1:])  # each lattice's row at its own last step
-        for t0, t1, a in l.runs():
-            alpha_a, emit_a = alpha[:, :a], emit[:, :a]
-            for t in range(max(t0, 1), t1):
-                alpha_a[t] = emit_a[t] + logsumexp(alpha_a[t - 1, :, :, None] + l.trans, -2)
-            last[:a] = alpha_a[t1 - 1]  # final for those of length t1; later runs the rest
+    finished from its row at its own last step as m + log(s)."""
+    emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
+    alpha = np.empty(emit.shape)
+    alpha[0] = emit[0]
+    for _, steps, (alpha_a, emit_a) in l.walk(alpha, emit):
+        for t in steps:
+            np.add(emit_a[t], logsumexp(alpha_a[t - 1, ..., None] + l.trans, -2), out=alpha_a[t])
+    B = len(l.lengths)  # each lattice's row at its own last step:
+    last = alpha.reshape(-1, l.K).take([(L - 1) * B + b for b, L in enumerate(l.lengths)], 0)
     m = last.max(axis=1)
     s = np.exp(last - m[:, None]).sum(axis=1)
     return alpha, [mi + math.log(si) for mi, si in zip(m.tolist(), s.tolist())]
@@ -120,23 +101,21 @@ def forward_backward(l: Lattice) -> Marginals:
     emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
     T, B, K = emit.shape
     alpha, logz = _forward(l)
-    z = np.array(logz)[:, None, None]
+    z = np.array(logz)[None, :, None]  # (1, B, 1)
     beta = np.zeros(emit.shape)
     node = np.empty(emit.shape)
     edge = np.empty((max(T - 1, 0), B, K, K))
-    for t0, t1, a in reversed(l.runs()):  # beta[t] and edge[t] take those active at t + 1
-        alpha_a, beta_a, emit_a, z_a = alpha[:, :a], beta[:, :a], emit[:, :a], z[:a]
-        edge_a = edge[:, :a]
-        for t in range(t1 - 2, max(t0 - 1, 0) - 1, -1):
-            ahead = (emit_a[t + 1] + beta_a[t + 1])[:, None]
-            beta_a[t] = logsumexp(l.trans + ahead, axis=2)
-            edge_a[t] = np.exp(alpha_a[t, :, :, None] + l.trans + ahead - z_a)
-        node[t0:t1, :a] = np.exp(alpha_a[t0:t1] + beta_a[t0:t1] - z_a[:, 0])
-    if l.emit.ndim == 2:
-        return Marginals(logz[0], node[:, 0], edge[:, 0])
+    for rows, steps, (alpha_a, beta_a, emit_a, edge_a, node_a, z_a) in l.walk(
+            alpha, beta, emit, edge, node, z, backward=True):
+        for t in steps:  # beta[t] and edge[t] take the lattices active at t + 1
+            ahead = (emit_a[t + 1] + beta_a[t + 1])[..., None, :]
+            beta_a[t] = logsumexp(l.trans + ahead, axis=-1)
+            edge_a[t] = np.exp(alpha_a[t, ..., None] + l.trans + ahead - z_a[0, ..., None])
+        node_a[rows] = np.exp(alpha_a[rows] + beta_a[rows] - z_a)
     own = np.ascontiguousarray
-    return [Marginals(logZ, own(node[:T, b]), own(edge[: T - 1, b]))
-            for b, (logZ, T) in enumerate(zip(logz, l.lengths))]
+    margs = [Marginals(logZ, own(node[:T, b]), own(edge[: T - 1, b]))
+             for b, (logZ, T) in enumerate(zip(logz, l.lengths))]
+    return margs[0] if l.emit.ndim == 2 else margs
 
 
 def sequence_log_prob(m: Model, x: Sequence, y) -> float:
@@ -152,13 +131,7 @@ def topn_distribution(nb: NBestList) -> NBestList:
     top = max(nb.scores)
     raw = [math.exp(s - top) for s in nb.scores]
     z = math.fsum(raw)
-    return NBestList(
-        paths=nb.paths,
-        scores=nb.scores,
-        probs=[p / z for p in raw],
-        n_requested=nb.n_requested,
-        exhausted=nb.exhausted,
-    )
+    return NBestList(nb.paths, nb.scores, [p / z for p in raw], nb.n_requested, nb.exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +240,12 @@ def delta_diagnostics(m: Model, probes, n_list):
 
 def _nbest_and_marginals(stack: Lattice, n):
     """Each lattice's n-best list with its Marginals: one search of the stack, and
-    one forward-backward per part of it that holds at most ``_STACK_CELLS`` edge
-    cells."""
-    size = max(1, _STACK_CELLS // (stack.T * stack.K**2))
+    one forward-backward per part of it, split by ``lattice._stack_parts`` by its
+    edge cells (T*K^2 a lattice)."""
     margs = []
-    for lo in range(0, len(stack.emit), size):
-        T, part = stack.lengths[lo], stack.lengths[lo : lo + size]
-        margs += forward_backward(Lattice(stack.emit[lo : lo + size, :T], stack.trans, part))
+    for part in _stack_parts(stack.lengths, lambda T: T * stack.K**2):
+        lengths = stack.lengths[part]
+        margs += forward_backward(Lattice(stack.emit[part, : lengths[0]], stack.trans, lengths))
     return [_Probe(nb.paths, nb.scores, nb.probs, nb.n_requested, nb.exhausted, marg)
             for nb, marg in zip(astar_nbest(stack, n), margs)]
 

@@ -12,17 +12,15 @@ Emission rows come from :func:`emission_scores`, one in-order ``np.bincount``
 over a sequence's (position, tag) cells, or a stack's.  An ``emit`` of shape
 (B, T, K) is a stack of B lattices sharing ``trans``, built by
 :func:`length_buckets`; its ``lengths`` are the lattices' own lengths, longest
-first, each zero-padded to T.  :func:`viterbi`, :func:`path_score`,
-:func:`backward_viterbi` and :func:`astar_nbest` take stacks and return one
-result per lattice, for :func:`astar_nbest` one NBestList each.  Each step of
-a stacked pass runs only the lattices still active, the stack's first ones, so
-no pad cell is computed and every result is bit for bit the lattice's own.
-Exact search runs a whole stack at once and finishes each lattice at its own
-last step.  Where n*K^2 exceeds ``_DENSE_CELLS`` the ``g + h`` cut leaves each
-lattice its own number of survivors, padded to the stack's largest count.
-:func:`beam_nbest` takes no stack.  The search's n = 1 step treats one lattice
-as a stack of one.  :func:`searched` is every read path's stacked search, and
-its one check that the scores are finite.
+first, each zero-padded to T.  A (T, K) lattice is a stack of one: every pass but
+:func:`beam_nbest` and :func:`enumerate_all` takes either, and returns one result
+per lattice of a stack.  The recursions step through :meth:`Lattice.walk`, which
+gives each step only the lattices still active, so no pad cell is computed and
+every result is bit for bit the lattice's own.  Exact search runs a whole stack at
+once and finishes each lattice at its own last step.  Where n*K^2 exceeds
+``_DENSE_CELLS`` the ``g + h`` cut leaves each lattice its own number of
+survivors, padded to the stack's largest count.  :func:`searched` is every read
+path's stacked search, and its one check that the scores are finite.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ ENUMERATION_LIMIT = 10**6
 _DENSE_CELLS = 1024
 # Bound on B*K*n*max(K, T) for a stack: the cells of its tables (B*T*K), of its top-n
 # search step (B*n*K^2) and of that search's path history (B*T*n*K).  The diagnostic's
-# forward-backward splits a stack into parts of at most as many edge cells (B*T*K^2).
+# forward-backward splits a stack by the same rule, its edge cells (B*T*K^2).
 _STACK_CELLS = 2**18
 
 
@@ -79,9 +77,15 @@ class Lattice:
     lengths: list | None = None
 
     def __post_init__(self):
-        B = len(self.emit) if self.emit.ndim == 3 else None
+        shape = self.emit.shape
+        if len(shape) not in (2, 3) or 0 in shape:
+            raise ValueError("emit: shape %s, not (T, K) for a lattice or (B, T, K) for a"
+                             " stack, each size at least 1" % (shape,))
+        if self.trans.shape != shape[-1:] * 2:
+            raise ValueError("trans: shape %s, not %s" % (self.trans.shape, shape[-1:] * 2))
+        B = shape[0] if len(shape) == 3 else None
         if self.lengths is None:
-            self.lengths = [self.T] * (B or 1)
+            self.lengths = [shape[-2]] * (B or 1)
             return
         self.lengths = [int(L) for L in self.lengths]
         if len(self.lengths) != B:
@@ -114,6 +118,16 @@ class Lattice:
                 t0 = self.lengths[b]
         return runs
 
+    def walk(self, *tables, backward=False):
+        """Each run's rows t0:t1, its steps of a forward pass (1 to T-1) or, with
+        ``backward``, of a backward one (T-2 down to 0, step t taking the lattices
+        active at t + 1), and the (T, B, ...) ``tables`` cut to its active lattices;
+        a lone one gets its column alone, so ``...`` step bodies serve both shapes."""
+        runs = self.runs()
+        for t0, t1, a in reversed(runs) if backward else runs:
+            steps = range(t1 - 2, max(t0 - 1, 0) - 1, -1) if backward else range(max(t0, 1), t1)
+            yield slice(t0, t1), steps, [x[:, 0] if a == 1 else x[:, :a] for x in tables]
+
 
 @dataclass
 class NBestList:
@@ -145,10 +159,7 @@ def build_lattice(m: Model, x: Sequence) -> Lattice:
 def compiled_lattice(cs, views, scale=1.0) -> Lattice:
     """Lattice of a compiled sequence under (emission, transition) weight
     views, with every score multiplied by ``scale``."""
-    emit_w, trans_w = views
-    emit = emission_scores([cs], emit_w)
-    emit *= scale
-    return Lattice(emit=emit, trans=trans_w * scale)
+    return Lattice(emission_scores([cs], views[0]) * scale, views[1] * scale)
 
 
 def length_buckets(compiled, views, n=1):
@@ -164,17 +175,25 @@ def length_buckets(compiled, views, n=1):
     K = emit_w.shape[1]
     lengths = [len(cs.counts) for cs in compiled]
     order = sorted(range(len(compiled)), key=lengths.__getitem__, reverse=True)
-    lo = 0
-    while lo < len(order):
-        T = lengths[order[lo]]
-        idx = order[lo : lo + max(1, _STACK_CELLS // (K * n * max(K, T)))]
-        lo += len(idx)
+    for span in _stack_parts([lengths[i] for i in order], lambda T: K * n * max(K, T)):
+        idx = order[span]
         own = [lengths[i] for i in idx]
+        T = own[0]
         emit = np.zeros((len(idx), T, K))
         parts = _feature_parts([compiled[i] for i in idx], K)
         emit[np.arange(T) < np.array(own)[:, None]] = np.concatenate(
             [emission_scores(part, emit_w) for part in parts])
         yield idx, Lattice(emit, trans_w, own)
+
+
+def _stack_parts(lengths, cells):
+    """Slices of lattices of the given lengths, longest first, into consecutive parts
+    of as many as count x cells(its first length) <= ``_STACK_CELLS`` allows, or one."""
+    lo = 0
+    while lo < len(lengths):
+        hi = lo + max(1, _STACK_CELLS // cells(lengths[lo]))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _feature_parts(compiled, K):
@@ -210,18 +229,26 @@ def emission_scores(compiled, emission_weights) -> np.ndarray:
 def path_score(l: Lattice, path):
     """Score of one tagging, accumulated in the canonical order.  For a stack
     of lattices, ``path`` holds B taggings, each of its lattice's own length,
-    and the result is a list of B scores."""
-    emit = l.emit.reshape(-1, l.T, l.K)
-    paths = np.zeros((len(emit), l.T), np.intp)
-    for row, p, T in zip(paths, [path] if l.emit.ndim == 2 else path, l.lengths):
-        row[:T] = p
-    rows = np.arange(len(emit))
-    s = emit[rows, 0, paths[:, 0]]
-    for t0, t1, a in l.runs():
-        own, at, sum_a = paths[:a], rows[:a], s[:a]
-        for t in range(max(t0, 1), t1):
-            sum_a += l.trans[own[:, t - 1], own[:, t]]
-            sum_a += emit[at, t, own[:, t]]
+    and the result is a list of B scores.  A tag outside 0..K-1 or a tagging of
+    another length raises ValueError."""
+    paths = [path] if l.emit.ndim == 2 else list(path)
+    B, T, K = len(l.lengths), l.T, l.K
+    if [len(p) for p in paths] != l.lengths:
+        raise ValueError("path: taggings of lengths %s for lattices of lengths %s"
+                         % ([len(p) for p in paths], l.lengths))
+    y = np.zeros((B, T), np.intp)
+    for row, p, L in zip(y, paths, l.lengths):
+        row[:L] = p
+    bad = y[(y < 0) | (y >= K)]
+    if len(bad):
+        raise ValueError("tag id %r outside tagset of size %d" % (int(bad[0]), K))
+    # emit[0], then each step's transition and emission: a running sum, zeros past the end.
+    ends = np.multiply(l.lengths, 2) - 2
+    terms = np.empty((B, 2 * T - 1))
+    terms[:, ::2] = l.emit.reshape(B, T, K)[np.arange(B)[:, None], np.arange(T), y]
+    terms[:, 1::2] = l.trans[y[:, :-1], y[:, 1:]]
+    terms[np.arange(2 * T - 1) > ends[:, None]] = 0.0
+    s = np.cumsum(terms, axis=1)[np.arange(B), ends]
     return float(s[0]) if l.emit.ndim == 2 else s.tolist()
 
 
@@ -236,18 +263,10 @@ def backward_viterbi(l: Lattice) -> np.ndarray:
     emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
     trans = np.ascontiguousarray(l.trans.T)
     h = np.zeros(emit.shape)
-    for t0, t1, a in reversed(l.runs()):  # step t takes the lattices active at t + 1
-        h_a, emit_a = h[:, :a], emit[:, :a]
-        for t in range(t1 - 2, max(t0 - 1, 0) - 1, -1):
-            h_a[t] = (trans + (emit_a[t + 1] + h_a[t + 1])[:, :, None]).max(axis=1)
+    for _, steps, (h_a, emit_a) in l.walk(h, emit, backward=True):
+        for t in steps:
+            h_a[t] = (trans + (emit_a[t + 1] + h_a[t + 1])[..., None]).max(axis=-2)
     return h.transpose(1, 0, 2).reshape(l.emit.shape)
-
-
-def _cuts(n, K):
-    """Whether exact top-n search prunes by ``g + h``: its n*K^2 step cells
-    exceed ``_DENSE_CELLS``.  The lattices of a stack then keep their own
-    survivor counts."""
-    return n > 1 and n * K * K > _DENSE_CELLS
 
 
 def _search(l: Lattice, n: int, width=None):
@@ -273,15 +292,14 @@ def _search(l: Lattice, n: int, width=None):
     Returns (paths, scores, sizes): the lattices' top-n lists one after
     another, and each list's length.
     """
-    T, K, trans = l.T, l.K, l.trans
-    B = l.emit.size // (T * K)
-    cut = width is None and _cuts(n, K)
+    T, K, trans, B = l.T, l.K, l.trans, len(l.lengths)
+    cut = width is None and n > 1 and n * K * K > _DENSE_CELLS  # the g + h cut
     if l.emit.ndim == 3 and width is not None:
         raise ValueError("beam search takes one lattice, not a stack")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     emit = l.emit.reshape(B, T, K).transpose(1, 0, 2).reshape(T, B * K)
-    runs = l.runs()
-    ends = {t0: a for t0, _, a in runs[1:]}  # step: the lattices still active, where some end
-    ends[runs[-1][1]] = 0
+    ends = dict(zip(l.lengths[::-1], range(B - 1, -1, -1)))  # end step: how many are longer
     offset = np.arange(K)  # key of (row 0, tag); at n = 1, plus each lattice's first key
     if B > 1 and n == 1:
         start = np.repeat(np.arange(0, B * K, K), K)  # first column of a survivor's lattice
@@ -304,7 +322,7 @@ def _search(l: Lattice, n: int, width=None):
         if t in ends:  # lattices a .. B-1 end here: keep their top n
             a, R = ends[t], g.size // B
             rest = g[a * R :] if a else g
-            if n == 1:  # argmax per lattice of a stack
+            if n == 1:  # argmax per lattice
                 top = rest.reshape(B - a, R).argmax(1) + np.arange(B - a) * R
                 sizes = [1] * (B - a)
             elif cut and real is not None:  # each lattice's n best among its real survivors
@@ -447,7 +465,7 @@ def searched(compiled, views, search, n=1):
         rows_ok = np.isfinite(lat.emit.reshape(len(idx), -1)).all(axis=1).tolist()
         for b, (i, r, ok, T) in enumerate(zip(idx, search(lat, n), rows_ok, lat.lengths)):
             scores = r.scores if isinstance(r, NBestList) else r[1:]
-            m = min(n, _count_at_most(lat.K, T, n))
+            m = _count_at_most(lat.K, T, n - 1)  # min(n, K^T)
             if ok and len(scores) == m and all(map(math.isfinite, scores)):
                 found[i] = Lattice(lat.emit[b, :T], lat.trans), r
             else:
@@ -482,8 +500,6 @@ def astar_nbest(l: Lattice, n: int) -> NBestList:
     unfilled.  Scores equal :func:`enumerate_all`'s first n; at n >= K^T so
     do the paths.  For a stack of lattices, the list of their NBestLists from
     one search of the whole stack, with or without the ``g + h`` cut."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _nbest_lists(l, n, *_search(l, n))
 
 
@@ -491,8 +507,6 @@ def beam_nbest(l: Lattice, n: int, beam: int) -> NBestList:
     """Approximate top-n: the search keeping the ``beam`` best prefixes per
     step.  With ``beam`` >= K^T it prunes nothing and its list equals the
     first n of :func:`enumerate_all`, paths and scores."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if beam < 1:
         raise ValueError("beam must be >= 1")
     return _nbest_lists(l, n, *_search(l, n, beam))
@@ -503,12 +517,12 @@ def enumerate_all(l: Lattice) -> NBestList:
 
     Test oracle for the search routines; guarded against large instances.
     """
+    if l.emit.ndim == 3:
+        raise ValueError("enumeration takes one lattice, not a stack")
     T, K = l.T, l.K
     total = _count_at_most(K, T, ENUMERATION_LIMIT)
     if total > ENUMERATION_LIMIT:
-        raise ValueError(
-            "K^T exceeds the enumeration guard of %d paths" % ENUMERATION_LIMIT
-        )
+        raise ValueError("K^T exceeds the enumeration guard of %d paths" % ENUMERATION_LIMIT)
     idx = np.arange(total, dtype=np.int64)
     cols = [(idx // K ** (T - 1 - t)) % K for t in range(T)]
     scores = l.emit[0][cols[0]].astype(np.float64)
@@ -518,11 +532,5 @@ def enumerate_all(l: Lattice) -> NBestList:
     # cols enumerate paths in lexicographic order, so a stable sort on
     # descending score realizes the global tie-break.
     order = np.argsort(-scores, kind="stable")
-    paths_mat = np.stack(cols, axis=1)[order]
-    return NBestList(
-        paths=[tuple(int(v) for v in row) for row in paths_mat],
-        scores=[float(s) for s in scores[order]],
-        probs=None,
-        n_requested=total,
-        exhausted=True,
-    )
+    paths = [tuple(row) for row in np.stack(cols, axis=1)[order].tolist()]
+    return NBestList(paths, scores[order].tolist(), None, total, True)

@@ -21,6 +21,7 @@ from sapo import (
     sequence_log_prob,
     topn_distribution,
 )
+from sapo import inference
 from sapo.inference import delta_csv_lines, forward_logz
 
 from conftest import random_lattice, random_word_model
@@ -66,6 +67,33 @@ class TestForwardBackward:
                 assert np.allclose(marg.edge[t].sum(axis=0), marg.node[t + 1], atol=1e-9)
 
 
+    def test_the_diagnostic_splits_a_stack_by_the_padded_rule(self, rng, monkeypatch):
+        # Each part holds as many lattices as count x its first one's T*K^2 edge
+        # cells <= _STACK_CELLS allows (40 here, K = 2), and every lattice's list
+        # and marginals are those it gets alone.
+        lengths = [6, 5, 3, 2, 2, 1]
+        emit = rng.normal(size=(len(lengths), 6, 2))
+        emit[np.arange(6) >= np.array(lengths)[:, None]] = 0.0
+        stack = Lattice(emit, rng.normal(size=(2, 2)), lengths)
+        parts = []
+
+        def spy(part):
+            parts.append(part.lengths)
+            return forward_backward(part)
+
+        monkeypatch.setattr("sapo.lattice._STACK_CELLS", 40)
+        monkeypatch.setattr("sapo.inference.forward_backward", spy)
+        probes = inference._nbest_and_marginals(stack, 3)
+        assert parts == [[6], [5, 3], [2, 2, 1]]
+        for probe, row, T in zip(probes, emit, lengths):
+            alone = Lattice(row[:T], stack.trans)
+            nb, own = astar_nbest(alone, 3), forward_backward(alone)
+            assert (probe.paths, probe.scores) == (nb.paths, nb.scores)
+            assert probe.marg.logZ == own.logZ
+            assert probe.marg.node.tobytes() == own.node.tobytes()
+            assert probe.marg.edge.tobytes() == own.edge.tobytes()
+
+
 class TestSequenceLogProb:
     def test_uniform_model(self):
         seqs = [Sequence(tokens=[("a",), ("b",)], gold=["X", "Y"])]
@@ -74,6 +102,12 @@ class TestSequenceLogProb:
             assert sequence_log_prob(model, seqs[0], list(y)) == pytest.approx(
                 math.log(0.25), abs=1e-12
             )
+
+    def test_rejects_a_tag_outside_the_tagset(self):
+        seqs = [Sequence(tokens=[("a",), ("b",)], gold=["X", "Y"])]
+        model = build_model(seqs, "U00:%x[0,0]\nB\n", 1)
+        with pytest.raises(ValueError, match=r"^tag id -1 outside tagset of size 2$"):
+            sequence_log_prob(model, seqs[0], [0, -1])
 
     def test_viterbi_path_is_argmax(self, rng):
         model, seqs = random_word_model(rng)

@@ -113,6 +113,45 @@ class TestLengths:
         with pytest.raises(ValueError, match=r"^lengths: %s$" % message):
             Lattice(np.zeros(shape), np.zeros((2, 2)), lengths)
 
+    @pytest.mark.parametrize("emit, trans, message", [
+        ((0, 3), (3, 3), r"emit: shape \(0, 3\), not"),  # T = 0
+        ((3, 0), (0, 0), r"emit: shape \(3, 0\), not"),  # K = 0
+        ((0, 4, 2), (2, 2), r"emit: shape \(0, 4, 2\), not"),  # an empty stack
+        ((3,), (3, 3), r"emit: shape \(3,\), not \(T, K\) for a lattice or \(B, T, K\)"),
+        ((4, 3), (2, 2), r"trans: shape \(2, 2\), not \(3, 3\)$"),
+        ((2, 4, 3), (3, 2), r"trans: shape \(3, 2\), not \(3, 3\)$"),
+    ], ids=["T=0", "K=0", "empty-stack", "1-D", "trans-2x2", "stack-trans-3x2"])
+    def test_invalid_shapes(self, emit, trans, message):
+        # Unchecked, each would fail only inside a pass: a ZeroDivisionError, an
+        # IndexError or a broadcast error.
+        with pytest.raises(ValueError, match="^" + message):
+            Lattice(np.zeros(emit), np.zeros(trans))
+
+
+class TestPathScore:
+    @pytest.mark.parametrize("path, tag", [([0, 1, -1, 0], -1), ([0, 5, 1, 0], 5)],
+                             ids=["negative", "too-large"])
+    def test_rejects_a_tag_outside_the_tagset(self, rng, path, tag):
+        lat = random_lattice(rng, T=4, K=3)
+        with pytest.raises(ValueError, match=r"^tag id %d outside tagset of size 3$" % tag):
+            path_score(lat, path)
+        stack = Lattice(np.stack([lat.emit, lat.emit]), lat.trans, [4, 3])
+        with pytest.raises(ValueError, match=r"^tag id %d outside tagset of size 3$" % tag):
+            path_score(stack, [[0, 0, 0, 0], path[:3]])
+
+    @pytest.mark.parametrize("lengths, path, message", [
+        (None, [0, 1, 2], r"\[3\] for lattices of lengths \[4\]"),
+        (None, [0, 1, 2, 0, 1], r"\[5\] for lattices of lengths \[4\]"),
+        ([4, 2], [[0, 1, 2, 0], [0, 1, 2, 0]], r"\[4, 4\] for lattices of lengths \[4, 2\]"),
+        ([4, 2], [[0, 1, 2, 0]], r"\[4\] for lattices of lengths \[4, 2\]"),
+    ], ids=["short", "long", "stack-long", "stack-one-too-few"])
+    def test_rejects_a_tagging_of_the_wrong_length(self, rng, lengths, path, message):
+        lat = random_lattice(rng, T=4, K=3)
+        if lengths:
+            lat = Lattice(np.stack([lat.emit, lat.emit]), lat.trans, lengths)
+        with pytest.raises(ValueError, match=r"^path: taggings of lengths %s$" % message):
+            path_score(lat, path)
+
 
 class TestViterbi:
     def test_all_zero_lattice_tie_break(self):
@@ -419,6 +458,11 @@ class TestEnumerateAll:
         lat = Lattice(emit=np.zeros((11, 4)), trans=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="enumeration guard"):
             enumerate_all(lat)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (3, 3, 3)])
+    def test_rejects_a_stack(self, shape):
+        with pytest.raises(ValueError, match="^enumeration takes one lattice, not a stack$"):
+            enumerate_all(Lattice(np.zeros(shape), np.zeros((3, 3))))
 
 
 def _scripted(*buckets):

@@ -35,3 +35,44 @@ def test_unused_imports_found():
 def test_no_unused_module_imports(path):
     unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert [name for name in unused if (path.stem, name) not in TRACER_SHIMS] == []
+
+
+def unreferenced_private_names(trees):
+    """(module, name) of each private name that a module-level statement of one of
+    ``trees`` (module name: tree) defines and no module reads, imports or takes as
+    an attribute."""
+    defined, read = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [name.id for target in assigned
+                           for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                targets = []
+            defined += [(module, name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_unreferenced_private_names_found():
+    trees = {"a": ast.parse("_LIMIT = 3\n_dead, _x = 1, 2\ndef _helper(): return _LIMIT\n"
+                            "class _Orphan: pass\ndef public(): return _x\n"),
+             "b": ast.parse("from .a import _helper\n")}
+    assert unreferenced_private_names(trees) == [("a", "_dead"), ("a", "_Orphan")]
+
+
+def test_no_unreferenced_private_names():
+    # Every private helper, constant or fork of the package is used by some module.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in pathlib.Path(sapo.__file__).parent.glob("*.py")}
+    assert unreferenced_private_names(trees) == []
