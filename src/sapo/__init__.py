@@ -25,7 +25,6 @@ from .features import (
     build_model,
     compile_templates,
     extract_features,
-    score_sequence,
 )
 from .inference import (
     DeltaReport,
@@ -34,6 +33,7 @@ from .inference import (
     forward_backward,
     forward_logz,
     objective_value,
+    score_sequence,
     sequence_log_prob,
     topn_distribution,
 )

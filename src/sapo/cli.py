@@ -15,12 +15,10 @@ from dataclasses import fields
 import numpy as np
 
 from .dataio import (
-    Corpus,
     FormatError,
     ModelFileError,
     check_writable,
     generate_synthetic_hmm,
-    gold_split,
     load_model,
     read_conll,
     save_model,
@@ -167,17 +165,13 @@ def cmd_train(args) -> int:
 
 
 def _read_for_model(path, model):
-    """Read a decode input, tolerating an extra trailing gold column."""
+    """Read a decode input as is, with the model's observation columns and perhaps a
+    trailing gold column, which the compile does not read and the output writes back."""
     corpus = read_conll(path, labeled=False)
-    if corpus.n_columns == model.n_columns:
+    if corpus.n_columns - model.n_columns in (0, 1):
         return corpus
-    if corpus.n_columns == model.n_columns + 1:
-        seqs = [gold_split(s.tokens) for s in corpus.sequences]
-        return Corpus(sequences=seqs, n_columns=model.n_columns, note=corpus.note)
-    raise UsageError(
-        "input has %d columns but the model expects %d observation columns"
-        % (corpus.n_columns, model.n_columns)
-    )
+    raise UsageError("input has %d columns but the model expects %d observation columns"
+                     % (corpus.n_columns, model.n_columns))
 
 
 def _write_nbest(corpus, compiled, model, n, path):
@@ -186,13 +180,11 @@ def _write_nbest(corpus, compiled, model, n, path):
     try:  # O(K): the candidates are scanned only when some tag would not read back
         check_writable(tags, 0)
     except ValueError:  # name the first such tag written, and its sequence
-        for si, (_, nb) in enumerate(found):
+        for si, nb in enumerate(found):
             check_writable((tags[k] for cand in nb.paths for k in cand), si)
-    for si, (seq, (_, nb)) in enumerate(zip(corpus.sequences, found)):
+    for si, (seq, nb) in enumerate(zip(corpus.sequences, found)):
         # Each token's columns, built once per sequence rather than per candidate.
         prefixes = ["".join(col + "\t" for col in token) for token in seq.tokens]
-        if seq.gold is not None:
-            prefixes = [p + gold + "\t" for p, gold in zip(prefixes, seq.gold)]
         for rank, (cand, score, prob) in enumerate(topn_distribution(nb).entries, start=1):
             out.append("# seq=%d rank=%d score=%r prob=%r\n" % (si, rank, score, prob))
             out.extend(p + tags[k] + "\n" for p, k in zip(prefixes, cand))

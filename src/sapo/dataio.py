@@ -88,13 +88,10 @@ def read_conll(source, labeled: bool = True) -> Corpus:
         rows: list[list[str]] = []
 
         def flush():
-            if not rows:
-                return
-            if labeled:
-                sequences.append(gold_split(rows))
-            else:
-                sequences.append(Sequence(tokens=[tuple(r) for r in rows]))
-            rows.clear()
+            if rows:
+                tokens = [tuple(r[:-1] if labeled else r) for r in rows]  # labeled: last is gold
+                sequences.append(Sequence(tokens, [r[-1] for r in rows] if labeled else None))
+                rows.clear()
 
         for lineno, line in enumerate(chain.from_iterable(_line_blocks(stream)), start=1):
             if not line.strip():
@@ -118,12 +115,6 @@ def read_conll(source, labeled: bool = True) -> Corpus:
         raise FormatError("empty input: no sequences found")
     n_columns = file_columns - 1 if labeled else file_columns
     return Corpus(sequences=sequences, n_columns=n_columns)
-
-
-def gold_split(rows) -> Sequence:
-    """A labeled sequence of token rows (sequences of column strings): the last column
-    of each row is its gold tag, the others its observation columns."""
-    return Sequence(tokens=[tuple(r[:-1]) for r in rows], gold=[r[-1] for r in rows])
 
 
 # What str.split, and so read_conll, splits a line at; ASCII text holds no others.

@@ -21,9 +21,9 @@ Extraction works a template at a time over a whole corpus: every atom's cells
 come from the corpus's token columns at once, each observation template's raw
 strings and ``%v`` values are built for every position (``_observations``), and
 their ids are looked up in one pass.  ``build_feature_index`` numbers raw strings
-in first-seen (sequence, position, template) order.  ``compile_corpus`` splits one
-id array into each sequence's compiled form; ``compile_sequence`` and
-``position_features`` are its one-sequence cases.
+in first-seen (sequence, position, template) order.  ``compile_corpus`` reads no
+column past the model's own and splits one id array into each sequence's compiled
+form; ``compile_sequence`` and ``position_features`` are its one-sequence cases.
 
 A compiled sequence holds its position features as arrays and, when labeled, the update
 kernel's cells.  A sparse vector, an E[F] or an update E[F] - F(x, y*) (one
@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -447,14 +446,14 @@ def compile_corpus(m: Model, sequences, labeled: bool = False) -> list[CompiledS
         except ExtractionError:
             compile_corpus(m, sequences[:i])  # an earlier sequence's failure comes first
             raise
-    return _compile([seq.tokens for seq in sequences], golds, m.templates, m.index)
+    return _compile([s.tokens for s in sequences], golds, m.templates, m.index, m.n_columns)
 
 
-def _compile(token_lists, golds, templates, index):
-    """Compiled sequences of token lists under templates and a frozen index."""
+def _compile(token_lists, golds, templates, index, n_columns):
+    """Compiled sequences of token lists, reading no column past the first ``n_columns``."""
     if not token_lists:
         return []
-    obs = _observations(token_lists, templates, len(token_lists[0][0]))
+    obs = _observations(token_lists, templates, min(len(token_lists[0][0]), n_columns))
     return _split(token_lists, golds, obs, index)
 
 
@@ -561,10 +560,23 @@ def extract_features(x: Sequence, y, templates, index: FeatureIndex):
             "tagging length %d does not match sequence length %d" % (len(y), len(x))
         )
     K = index.num_tags
-    for tag_id in y:
-        if not (0 <= tag_id < K):
-            raise ExtractionError("tag id %r outside tagset of size %d" % (tag_id, K))
-    return path_items(_compile([x.tokens], [list(y)], templates, index)[0], y, K).tolist()
+    y = tag_table([y], len(y), K)[0]
+    cs = _compile([x.tokens], [y.tolist()], templates, index, len(x.tokens[0]))[0]
+    return path_items(cs, y, K).tolist()
+
+
+def tag_table(paths, T, K):
+    """The taggings ``paths`` (each at most T long) as the zero-padded rows of an integer
+    array; the first tag id that is not a whole number in 0..K-1 raises ExtractionError."""
+    y = np.zeros((len(paths), T))
+    for row, p in zip(y, paths):
+        row[: len(p)] = p
+    bad = np.flatnonzero((np.floor(y) != y) | (y < 0) | (y >= K))  # NaN is never whole
+    if len(bad):
+        tag = float(y.flat[bad[0]])
+        raise ExtractionError("tag id %r outside tagset of size %d" % (int(tag), K)
+                              if tag.is_integer() else "tag id %r is not a whole number" % tag)
+    return y.astype(np.intp)
 
 
 def weight_views(weights: np.ndarray, index: FeatureIndex):
@@ -577,12 +589,6 @@ def weight_views(weights: np.ndarray, index: FeatureIndex):
     if not index.transitions:
         return emit, np.zeros((K, K))
     return emit, weights[index.transition_base :].reshape(K, K)
-
-
-def dot_sparse(weights: np.ndarray, items) -> float:
-    """Dot product of dense weights with a sparse vector or (id, value) list, in id order."""
-    items = np.asarray(items, SPARSE)
-    return reduce(add, (weights[items["id"]] * items["value"]).tolist(), 0.0)
 
 
 @dataclass
@@ -629,8 +635,3 @@ def build_model(sequences, template_text: str, n_columns: int, compiled=None) ->
         n_columns=n_columns,
         template_text=template_text,
     )
-
-
-def score_sequence(m: Model, x: Sequence, y) -> float:
-    """Linear score w·F(x, y) of a tagging under the model."""
-    return dot_sparse(m.weights, extract_features(x, y, m.templates, m.index))

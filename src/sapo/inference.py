@@ -1,9 +1,10 @@
 """Probabilistic inference and update-term assembly for linear chains.
 
 Covers exact log-space forward-backward (partition function and node/edge
-marginals), the log-linear distribution over an n-best candidate set, the
-training objective, and the deviation diagnostic between the exact
-gradient and its top-n approximation.
+marginals), a tagging's score w·F(x, y) and log probability (``score_sequence`` is
+``lattice.path_score``, the searches' own sum, bit for bit), the log-linear
+distribution over an n-best candidate set, the training objective, and the
+deviation diagnostic between the exact gradient and its top-n approximation.
 
 Every learner's update term is an expected feature vector E[F] under a
 distribution over taggings, minus the oracle features F(x, y*).  Every such mass goes
@@ -118,6 +119,12 @@ def forward_backward(l: Lattice) -> Marginals:
     return margs[0] if l.emit.ndim == 2 else margs
 
 
+def score_sequence(m: Model, x: Sequence, y) -> float:
+    """Linear score w·F(x, y) of a tagging under the model: its :func:`path_score`,
+    so bit for bit the score that a search or ``enumerate_all`` gives it."""
+    return path_score(build_lattice(m, x), y)
+
+
 def sequence_log_prob(m: Model, x: Sequence, y) -> float:
     """log P(y | x, w) under the exact chain distribution."""
     l = build_lattice(m, x)
@@ -203,10 +210,14 @@ def objective_terms(compiled, weights, index) -> list[float]:
 
 
 def compiled_objective(compiled, weights, index, l2: float) -> float:
-    """:func:`objective_value` over compiled labeled sequences under ``weights``:
-    the regularizer, then the :func:`objective_terms` added in corpus order."""
+    """:func:`objective_value` over compiled labeled sequences under ``weights``."""
+    return objective_sum(objective_terms(compiled, weights, index), weights, l2)
+
+
+def objective_sum(terms, weights, l2: float) -> float:
+    """The regularizer, then the :func:`objective_terms` ``terms`` added in corpus order."""
     total = l2 * regularizer_value(weights)
-    for term in objective_terms(compiled, weights, index):
+    for term in terms:
         total += term
     return total
 
@@ -235,7 +246,7 @@ def delta_diagnostics(m: Model, probes, n_list):
     found = searched(compiled, weight_views(m.weights, m.index), _nbest_and_marginals,
                      n_list[-1])
     return [_probe_reports(i, cs, probe, probe.marg, n_list, m.num_tags)
-            for i, (cs, (_, probe)) in enumerate(zip(compiled, found))]
+            for i, (cs, probe) in enumerate(zip(compiled, found))]
 
 
 def _nbest_and_marginals(stack: Lattice, n):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import Model, Sequence, compile_sequence, weight_views
+from .features import Model, Sequence, compile_sequence, tag_table, weight_views
 
 # Re-exported: the benchmark tracer's tests (bench/test_layertrace.py) check
 # that rebinding ``position_features`` reaches this namespace too.
@@ -229,19 +229,14 @@ def emission_scores(compiled, emission_weights) -> np.ndarray:
 def path_score(l: Lattice, path):
     """Score of one tagging, accumulated in the canonical order.  For a stack
     of lattices, ``path`` holds B taggings, each of its lattice's own length,
-    and the result is a list of B scores.  A tag outside 0..K-1 or a tagging of
-    another length raises ValueError."""
+    and the result is a list of B scores.  A tagging of another length, or a tag id
+    not a whole number in 0..K-1 (``features.tag_table``), raises ValueError."""
     paths = [path] if l.emit.ndim == 2 else list(path)
     B, T, K = len(l.lengths), l.T, l.K
     if [len(p) for p in paths] != l.lengths:
         raise ValueError("path: taggings of lengths %s for lattices of lengths %s"
                          % ([len(p) for p in paths], l.lengths))
-    y = np.zeros((B, T), np.intp)
-    for row, p, L in zip(y, paths, l.lengths):
-        row[:L] = p
-    bad = y[(y < 0) | (y >= K)]
-    if len(bad):
-        raise ValueError("tag id %r outside tagset of size %d" % (int(bad[0]), K))
+    y = tag_table(paths, T, K)
     # emit[0], then each step's transition and emission: a running sum, zeros past the end.
     ends = np.multiply(l.lengths, 2) - 2
     terms = np.empty((B, 2 * T - 1))
@@ -450,12 +445,12 @@ def viterbi_tags(m: Model, compiled, weights) -> list[list[str]]:
     """Best tagging of each compiled sequence under ``weights``, as tag strings."""
     tags = m.tagset.tags
     found = searched(compiled, weight_views(weights, m.index), lambda lat, n: viterbi(lat))
-    return [[tags[t] for t in path] for _, (path, _) in found]
+    return [[tags[t] for t in path] for path, _ in found]
 
 
 def searched(compiled, views, search, n=1):
-    """(lattice, result) of each compiled sequence, in order, ``result`` its entry in
-    ``search(stack, n)`` over its stack of :func:`length_buckets`: an NBestList or a
+    """The search result of each compiled sequence, in order: its entry in
+    ``search(stack, n)`` over its stack of :func:`length_buckets`, an NBestList or a
     :func:`viterbi` (path, score) pair.  A sequence fails when its emission rows or
     its searched scores are not all finite, or when NaN bounds cut its list below
     min(n, K^T) scores.  Every stack is checked before NonFiniteError is raised,
@@ -463,11 +458,11 @@ def searched(compiled, views, search, n=1):
     found, failed = [None] * len(compiled), []
     for idx, lat in length_buckets(compiled, views, n):
         rows_ok = np.isfinite(lat.emit.reshape(len(idx), -1)).all(axis=1).tolist()
-        for b, (i, r, ok, T) in enumerate(zip(idx, search(lat, n), rows_ok, lat.lengths)):
+        for i, r, ok, T in zip(idx, search(lat, n), rows_ok, lat.lengths):
             scores = r.scores if isinstance(r, NBestList) else r[1:]
             m = _count_at_most(lat.K, T, n - 1)  # min(n, K^T)
             if ok and len(scores) == m and all(map(math.isfinite, scores)):
-                found[i] = Lattice(lat.emit[b, :T], lat.trans), r
+                found[i] = r
             else:
                 failed.append(i)
     if failed:

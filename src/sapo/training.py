@@ -46,10 +46,10 @@ from .features import (
 )
 from .inference import (
     candidate_mixture,
-    compiled_objective,
     expected_items,
     forward_backward,
     labeled_sample,
+    objective_sum,
     objective_terms,
     topn_distribution,
 )
@@ -304,9 +304,9 @@ def train(data, heldout, cfg: TrainConfig, template_text, on_epoch_end=None):
     for epoch in range(1, cfg.epochs + 1):
         _, seconds = run_epoch(lambda i: checked_step(i, epoch), compiled, rng)
         weights = model.weights = state.averaged_weights() if averaged else state.current_weights()
-        objective = compiled_objective(compiled, weights, model.index, cfg.l2)
+        terms = objective_terms(compiled, weights, model.index)
+        objective = objective_sum(terms, weights, cfg.l2)
         if not math.isfinite(objective):  # name its first non-finite term
-            terms = objective_terms(compiled, weights, model.index)
             i = next((i for i, term in enumerate(terms) if not math.isfinite(term)), None)
             raise NonFiniteError(i, epoch, what="objective (its L2 term)" if i is None
                                  else "objective term of sequence %d" % i)

@@ -570,6 +570,49 @@ class TestDecode:
                      "--output", str(out)]) == 0
         assert out.read_bytes() == b"a\tY\tX\nb\tX\tY\n\nb\tY\tY\n"
 
+    def test_trailing_gold_column_kept_in_every_nbest_candidate(self, tmp_path):
+        data, tpl, model = tmp_path / "train.conll", tmp_path / "t", tmp_path / "m.txt"
+        data.write_text("a X\nb Y\n\nb Y\na X\n")
+        tpl.write_text("U00:%x[0,0]\nB\n")
+        assert main(["train", "--algo", "perc", "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "2", "--model-out", str(model)]) == 0
+        probe, plain, nbest = tmp_path / "probe.conll", tmp_path / "1.conll", tmp_path / "n.conll"
+        probe.write_text("a Y\nb X\n\nb Y\n")
+        assert main(["decode", "--model", str(model), "--input", str(probe),
+                     "--output", str(plain)]) == 0
+        assert main(["decode", "--model", str(model), "--input", str(probe),
+                     "--output", str(nbest), "--nbest", "3"]) == 0
+        blocks = [block.splitlines() for block in nbest.read_text().strip("\n").split("\n\n")]
+        # Sequence 0 has 4 taggings and sequence 1 has 2: three candidates, then two.
+        assert [block[0].split(" ")[:2] for block in blocks] == [
+            ["#", "seq=%d" % s] for s in (0, 0, 0, 1, 1)]
+        for block in blocks:
+            rows = [row.split("\t") for row in block[1:]]
+            assert [row[:2] for row in rows] in ([["a", "Y"], ["b", "X"]], [["b", "Y"]])
+            assert all(len(row) == 3 and row[2] in ("X", "Y") for row in rows)
+        # Each sequence's first candidate is its plain decode, gold column and all.
+        firsts = ["\n".join(block[1:]) for block in blocks if " rank=1 " in block[0]]
+        assert "\n\n".join(firsts) + "\n" == plain.read_text()
+
+    def test_template_reading_past_the_model_columns_rejected(self, tmp_path, capsys):
+        # A hand-edited template that reads column 1 of a 1-column model fails on an
+        # input that carries a gold column there: that column is no observation.
+        data, tpl, model = tmp_path / "train.conll", tmp_path / "t", tmp_path / "m.txt"
+        data.write_text("a X\nb Y\n\nb Y\na X\n")
+        tpl.write_text("U00:%x[0,0]\n")
+        assert main(["train", "--algo", "perc", "--train", str(data), "--templates", str(tpl),
+                     "--epochs", "2", "--model-out", str(model)]) == 0
+        model.write_text(model.read_text().replace("U00:%x[0,0]", "U00:%x[0,1]", 1))
+        probe, out = tmp_path / "probe.conll", tmp_path / "out.conll"
+        probe.write_text("a Y\nb X\n\nb Y\n")
+        capsys.readouterr()
+        for extra in ((), ("--nbest", "2")):
+            assert main(["decode", "--model", str(model), "--input", str(probe),
+                         "--output", str(out), *extra]) == 1
+            assert capsys.readouterr().err == (
+                "error: unknown column reference 1 (data has 1 columns)\n")
+            assert not out.exists()
+
 
 class TestEval:
     def test_identical_files(self, workdir, capsys):

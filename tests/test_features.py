@@ -1,4 +1,5 @@
 import re
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -96,6 +97,22 @@ class TestCompileTemplates:
 def _single_template_model(words_tags, template_text="U00:%x[0,0]\nB\n"):
     seqs = word_corpus(words_tags)
     return build_model(seqs, template_text, 1), seqs
+
+
+class TestExtraColumn:
+    def test_column_past_the_model_compiles_as_absent(self, rng):
+        # A trailing column, as a decode input's gold tags, is no column of the data.
+        templates = "U00:%x[0,0]\nU01:%x[-1,0]/%x[1,0]\nB\n"
+        model, seqs = random_word_model(rng, template_text=templates)
+        wide = [Sequence([token + ("1.5",) for token in s.tokens], s.gold) for s in seqs]
+        for labeled in (False, True):
+            for a, b in zip(compile_corpus(model, seqs, labeled),
+                            compile_corpus(model, wide, labeled), strict=True):
+                for f, x, y in zip(fields(a), astuple(a), astuple(b)):
+                    if isinstance(x, np.ndarray):
+                        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+                    else:
+                        assert x == y, f.name
 
 
 class TestExtractFeatures:

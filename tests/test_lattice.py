@@ -1,11 +1,13 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sapo import (
+    ExtractionError,
     Lattice,
     NonFiniteError,
     Sequence,
@@ -15,8 +17,10 @@ from sapo import (
     build_lattice,
     build_model,
     enumerate_all,
+    extract_features,
     path_score,
     score_sequence,
+    sequence_log_prob,
     viterbi,
 )
 from sapo.features import compile_corpus, weight_views
@@ -151,6 +155,26 @@ class TestPathScore:
             lat = Lattice(np.stack([lat.emit, lat.emit]), lat.trans, lengths)
         with pytest.raises(ValueError, match=r"^path: taggings of lengths %s$" % message):
             path_score(lat, path)
+
+    @pytest.mark.parametrize("tag", [1.7, -0.5, math.nan, math.inf],
+                             ids=["fraction", "negative-fraction", "nan", "inf"])
+    def test_rejects_a_tag_that_is_not_a_whole_number(self, rng, tag):
+        # Not truncated to a tag id: [0, 1.7, 0, 0] is no tagging, not [0, 1, 0, 0].
+        message = r"^tag id %s is not a whole number$" % re.escape(repr(tag))
+        lat = random_lattice(rng, T=4, K=3)
+        with pytest.raises(ValueError, match=message):
+            path_score(lat, [0, tag, 0, 0])
+        stack = Lattice(np.stack([lat.emit, lat.emit]), lat.trans, [4, 3])
+        with pytest.raises(ValueError, match=message):
+            path_score(stack, [[0, 0, 0, 0], [0, tag, 0]])
+        assert path_score(lat, [0, 1.0, 0, 0]) == path_score(lat, [0, 1, 0, 0])
+        model, _ = random_word_model(rng)
+        seq = Sequence(tokens=[("a",), ("b",), ("c",)])
+        for score in (score_sequence, sequence_log_prob):
+            with pytest.raises(ValueError, match=message):
+                score(model, seq, [0, tag, 0])
+        with pytest.raises(ExtractionError, match=message):
+            extract_features(seq, [0, tag, 0], model.templates, model.index)
 
 
 class TestViterbi:
@@ -492,10 +516,8 @@ class TestCheckFinite:
         model, seqs = corpus
         compiled = compile_corpus(model, seqs)
         views = weight_views(model.weights, model.index)
-        for (lat, nb), seq in zip(searched(compiled, views, astar_nbest, 2), seqs):
-            own = build_lattice(model, seq)
-            alone = astar_nbest(own, 2)
-            assert np.array_equal(lat.emit, own.emit)
+        for nb, seq in zip(searched(compiled, views, astar_nbest, 2), seqs):
+            alone = astar_nbest(build_lattice(model, seq), 2)
             assert (nb.paths, nb.scores) == (alone.paths, alone.scores)
         emit_w = views[0].copy()
         emit_w[compiled[2].rids[1]] = np.inf  # the word c: sequences 1 and 2
@@ -517,7 +539,7 @@ class TestCheckFinite:
         compiled = compile_corpus(model, seqs)
         views = weight_views(model.weights, model.index)
         assert [idx for idx, _ in length_buckets(compiled, views, 2)] == [[1], [0, 2]]
-        for (lat, nb), seq in zip(searched(compiled, views, astar_nbest, 2), seqs):
+        for nb, seq in zip(searched(compiled, views, astar_nbest, 2), seqs):
             alone = astar_nbest(build_lattice(model, seq), 2)
             assert (nb.paths, nb.scores) == (alone.paths, alone.scores)
         emit_w = views[0].copy()
@@ -536,6 +558,6 @@ class TestCheckFinite:
         model, _ = corpus
         compiled = compile_corpus(model, word_corpus([("a", "X")]))  # K^T = 2 taggings
         views = weight_views(model.weights, model.index)
-        assert [len(nb) for _, nb in searched(compiled, views, astar_nbest, 9)] == [2]
+        assert [len(nb) for nb in searched(compiled, views, astar_nbest, 9)] == [2]
         with pytest.raises(NonFiniteError, match=r"^non-finite scores of sequence 0$"):
             searched(compiled, views, _scripted([[1.0]]), 9)

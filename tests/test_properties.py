@@ -128,6 +128,18 @@ def test_score_sequence_equals_lattice_path_score(inst):
     assert _close(score_sequence(model, probe, path), path_score(build_lattice(model, probe), path))
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_score_sequence_path_score_and_enumeration_agree_bit_for_bit(inst):
+    # One tagging score: every tagging's score_sequence is its path_score and its
+    # enumerated score (the searches' scores, rank by rank), to the last bit.
+    model, probe, _ = inst
+    lat = build_lattice(model, probe)
+    every = enumerate_all(lat)
+    for path, score in zip(every.paths, every.scores):
+        assert score_sequence(model, probe, path) == path_score(lat, path) == score
+
+
 @SETTINGS
 @given(instances())
 def test_forward_logz_equals_enumeration(inst):

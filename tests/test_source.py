@@ -2,13 +2,15 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 import sapo
 
-SOURCES = sorted(p for p in pathlib.Path(sapo.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = pathlib.Path(sapo.__file__).parent
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).parent
 # Bound only so that bench/layertrace.py finds them in these modules.
 TRACER_SHIMS = {("inference", "path_items"), ("lattice", "position_features")}
 
@@ -74,5 +76,46 @@ def test_unreferenced_private_names_found():
 def test_no_unreferenced_private_names():
     # Every private helper, constant or fork of the package is used by some module.
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in pathlib.Path(sapo.__file__).parent.glob("*.py")}
+             for p in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(trees) == []
+
+
+def named(node):
+    """Each name that ``node`` reads, imports or takes as an attribute, and each part of
+    a string constant that is a dotted name (as ``bench/layertrace.py`` names layers)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            parts = sub.value.split(".")
+            if all(map(str.isidentifier, parts)):
+                yield from parts
+
+
+def orphaned_public_names(package, readers):
+    """(module, name) of each public top-level function or class that a tree of
+    ``package`` (module name: tree) defines and no tree of ``readers`` names outside
+    that definition."""
+    names = Counter(name for tree in readers for name in named(tree))
+    return [(module, node.name) for module, tree in package.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_"
+            and names[node.name] == Counter(named(node))[node.name]]
+
+
+def test_orphaned_public_names_found():
+    package = {"a": ast.parse("def used(): pass\ndef orphan(n): return orphan(n - 1)\n"
+                              "class Traced: pass\ndef _private(): pass\n")}
+    readers = [*package.values(), ast.parse("used()\nLAYERS = ('a.Traced',)\n")]
+    assert orphaned_public_names(package, readers) == [("a", "orphan")]
+
+
+def test_no_orphaned_public_names():
+    # Every public function or class of the package is used, exported, tested or traced.
+    package = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    files = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *(TESTS.parent / "bench").glob("*.py")]
+    readers = [ast.parse(p.read_text(encoding="utf-8")) for p in files]
+    assert orphaned_public_names(package, readers) == []
