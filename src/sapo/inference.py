@@ -34,7 +34,7 @@ import numpy as np
 # path_items is unused here: bench/layertrace.py looks it up in this module.
 from .features import (Model, Sequence, compile_corpus, compile_sequence, expected_features,
                        mass_rows, path_items, sparse_sum, weight_views)
-from .lattice import (Lattice, NBestList, NonFiniteError, _stack_parts, astar_nbest,
+from .lattice import (Lattice, NBestList, NonFiniteError, _plane_tables, _stack_parts, astar_nbest,
                       build_lattice, compiled_lattice, length_buckets, path_score, searched)
 
 
@@ -65,22 +65,25 @@ class DeltaReport:
 
 
 def logsumexp(a, axis):
-    """Max-shifted log-sum-exp, in place in the scratch table ``a``; no overflow if finite."""
-    m = a.max(axis=axis, keepdims=True)
+    """Max-shifted log-sum-exp, in place in the scratch table ``a``; no overflow if
+    finite.  Over axis 0 it adds whole planes in order; over the last axis, pairwise."""
+    m = np.maximum.reduce(a, axis, keepdims=True)
     a -= m
-    return np.log(np.exp(a, out=a).sum(axis=axis)) + m.squeeze(axis)
+    return np.log(np.add.reduce(np.exp(a, out=a), axis)) + m.squeeze(axis)
 
 
 def _forward(l: Lattice):
-    """Log-space forward scores alpha[t, b, k] (the prefixes of lattice b ending in
-    tag k) of a stack, a lattice being a stack of one, and each lattice's log Z,
-    finished from its row at its own last step as m + log(s)."""
+    """Log-space forward scores alpha[t, b, k] (prefixes of lattice b ending in tag k) of a
+    stack, a lattice being a stack of one, a step taking the :func:`logsumexp` over j of
+    alpha[t-1, b, j] + trans[j, k]; and each lattice's log Z, m + log(s) of its last row."""
     emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
     alpha = np.empty(emit.shape)
     alpha[0] = emit[0]
-    for _, steps, (alpha_a, emit_a) in l.walk(alpha, emit):
+    for _, steps, (alpha_a, alpha_t, emit_a, trans, table) in l.walk(
+            alpha, alpha.T, emit, *_plane_tables(l, l.trans)):
         for t in steps:
-            np.add(emit_a[t], logsumexp(alpha_a[t - 1, ..., None] + l.trans, -2), out=alpha_a[t])
+            np.add(trans, alpha_t[..., t - 1, None], out=table)
+            np.add(emit_a[t], logsumexp(table, 0), out=alpha_a[t])
     B = len(l.lengths)  # each lattice's row at its own last step:
     last = alpha.reshape(-1, l.K).take([(L - 1) * B + b for b, L in enumerate(l.lengths)], 0)
     m = last.max(axis=1)
@@ -103,9 +106,7 @@ def forward_backward(l: Lattice) -> Marginals:
     T, B, K = emit.shape
     alpha, logz = _forward(l)
     z = np.array(logz)[None, :, None]  # (1, B, 1)
-    beta = np.zeros(emit.shape)
-    node = np.empty(emit.shape)
-    edge = np.empty((max(T - 1, 0), B, K, K))
+    beta, node, edge = np.zeros(emit.shape), np.empty(emit.shape), np.empty((T - 1, B, K, K))
     for rows, steps, (alpha_a, beta_a, emit_a, edge_a, node_a, z_a) in l.walk(
             alpha, beta, emit, edge, node, z, backward=True):
         for t in steps:  # beta[t] and edge[t] take the lattices active at t + 1

@@ -16,9 +16,10 @@ first, each zero-padded to T.  A (T, K) lattice is a stack of one: every pass bu
 :func:`beam_nbest` and :func:`enumerate_all` takes either, and returns one result
 per lattice of a stack.  The recursions step through :meth:`Lattice.walk`, which
 gives each step only the lattices still active, so no pad cell is computed and
-every result is bit for bit the lattice's own.  Exact search runs a whole stack at
-once and finishes each lattice at its own last step.  Where n*K^2 exceeds
-``_DENSE_CELLS`` the ``g + h`` cut leaves each lattice its own number of
+every result is bit for bit the lattice's own; the forward and the ``g + h`` bound
+reduce whole (lattice, tag) planes (:func:`_plane_tables`).  Exact search runs a
+whole stack at once and finishes each lattice at its own last step.  Where n*K^2
+exceeds ``_DENSE_CELLS`` the ``g + h`` cut leaves each lattice its own number of
 survivors, padded to the stack's largest count.  :func:`searched` is every read
 path's stacked search, and its one check that the scores are finite.
 """
@@ -40,7 +41,8 @@ ENUMERATION_LIMIT = 10**6
 # Cells per step (n*K^2) above which the g + h cut beats sorting every tag's n*K.
 _DENSE_CELLS = 1024
 # Bound on B*K*n*max(K, T) for a stack: the cells of its tables (B*T*K), of its top-n
-# search step (B*n*K^2) and of that search's path history (B*T*n*K).  The diagnostic's
+# search step (B*n*K^2), of that search's path history (B*T*n*K) and of the tiled
+# transitions and step table of its forward and bound (B*K^2 each).  The diagnostic's
 # forward-backward splits a stack by the same rule, its edge cells (B*T*K^2).
 _STACK_CELLS = 2**18
 
@@ -121,10 +123,9 @@ class Lattice:
     def walk(self, *tables, backward=False):
         """Each run's rows t0:t1, its steps of a forward pass (1 to T-1) or, with
         ``backward``, of a backward one (T-2 down to 0, step t taking the lattices
-        active at t + 1), and the (T, B, ...) ``tables`` cut to its active lattices;
-        a lone one gets its column alone, so ``...`` step bodies serve both shapes."""
-        runs = self.runs()
-        for t0, t1, a in reversed(runs) if backward else runs:
+        active at t + 1), and the ``tables`` (lattice axis second) cut to its active
+        lattices; a lone one gets its column alone, so ``...`` step bodies serve both."""
+        for t0, t1, a in self.runs()[::-1] if backward else self.runs():
             steps = range(t1 - 2, max(t0 - 1, 0) - 1, -1) if backward else range(max(t0, 1), t1)
             yield slice(t0, t1), steps, [x[:, 0] if a == 1 else x[:, :a] for x in tables]
 
@@ -252,16 +253,24 @@ def backward_viterbi(l: Lattice) -> np.ndarray:
     shape of ``l.emit`` (a lattice or a stack), 0 from each lattice's last step on.
 
     h[T-1][k] = 0 and h[t][k] = max_j (trans[k][j] + emit[t+1][j] + h[t+1][j]):
-    the exact bound of the search's ``g + h`` cut, up to rounding.  The max runs
-    over the rows of a (j, k) table, which NumPy takes faster than over its columns.
+    the exact bound of the search's ``g + h`` cut, up to rounding.  A step takes the
+    max over j of a (j, b, k) table from :func:`_plane_tables`, plane by plane.
     """
     emit = l.emit.reshape(-1, l.T, l.K).transpose(1, 0, 2)  # (T, B, K)
-    trans = np.ascontiguousarray(l.trans.T)
     h = np.zeros(emit.shape)
-    for _, steps, (h_a, emit_a) in l.walk(h, emit, backward=True):
+    for _, steps, (h_a, h_t, emit_t, trans, table) in l.walk(
+            h, h.T, emit.T, *_plane_tables(l, l.trans.T), backward=True):
         for t in steps:
-            h_a[t] = (trans + (emit_a[t + 1] + h_a[t + 1])[..., None]).max(axis=-2)
+            np.add(trans, emit_t[..., t + 1, None] + h_t[..., t + 1, None], out=table)
+            np.maximum.reduce(table, 0, out=h_a[t])
     return h.transpose(1, 0, 2).reshape(l.emit.shape)
+
+
+def _plane_tables(l: Lattice, trans):
+    """``trans`` (j, k) tiled to (j, b, k) for each lattice b of ``l``, and a step table."""
+    tiled = np.empty((l.K, len(l.lengths), l.K))
+    tiled[...] = trans[:, None]
+    return tiled, np.empty_like(tiled)
 
 
 def _search(l: Lattice, n: int, width=None):

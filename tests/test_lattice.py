@@ -18,6 +18,7 @@ from sapo import (
     build_model,
     enumerate_all,
     extract_features,
+    forward_logz,
     path_score,
     score_sequence,
     sequence_log_prob,
@@ -226,6 +227,31 @@ class TestBackwardViterbi:
                     for j in range(lat.K)
                 )
                 assert h[t, k] == pytest.approx(expected, abs=1e-12)
+
+    def test_bound_and_forward_of_the_largest_stacks_stay_small(self, rng):
+        # K = 16, so n = 5 cuts by g + h (n*K^2 > 1,024), and lengths 1-16, so the
+        # largest stack of each rule B*K*n*max(K, T) <= _STACK_CELLS has T = K: its
+        # (K, B, K) tiled transitions and step table reach the bound too.
+        K = 16
+        tags = ["t%d" % k for k in range(K)]
+        seqs = [Sequence(tokens=[(w,) for w in rng.choice(list("abcdef"), T)],
+                         gold=list(rng.choice(tags, T))) for T in rng.integers(1, K + 1, 1100)]
+        model = build_model(seqs, "U00:%x[0,0]\nU01:%x[-1,0]\nB\n", 1)
+        model.weights[:] = rng.normal(size=model.weights.shape)
+        compiled = compile_corpus(model, seqs)
+        views = weight_views(model.weights, model.index)
+        for n, run in ((5, backward_viterbi), (1, forward_logz)):
+            cells = lambda stack: len(stack.lengths) * K * n * max(K, stack.T)
+            stack = max((s for _, s in length_buckets(compiled, views, n)), key=cells)
+            assert stack.T == K and cells(stack) > 0.99 * _STACK_CELLS
+            tracemalloc.start()
+            try:
+                found = run(stack)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # Beyond its result: the forward's alpha, tiled transitions and step table.
+            assert peak - kept <= 4 * 8 * _STACK_CELLS and len(found) == len(stack.lengths)
 
 
 class TestAstarNBest:

@@ -5,8 +5,9 @@ template sets and bounded weights (|w| <= 10), with K^T <= 500 so that
 every tagging can be enumerated.  Also: the exact and beam n-best searches
 and Viterbi against enumeration on tie-heavy lattices, stacks of lattices
 (with and without the g + h cut) against the same lattices one at a time,
-and CoNLL and model-file round trips with arbitrary non-whitespace token and
-tag strings.  The feature
+the forward, forward-backward and g + h bound of ragged stacks against one
+lattice's reference steps, bit for bit, and CoNLL and model-file round trips
+with arbitrary non-whitespace token and tag strings.  The feature
 expectation kernel and the sparse weight update against the per-item loops
 they replace, bit for bit, and the block-streaming model writer against the
 per-cell writer it replaces, byte for byte.  MIRA's box-constrained dual solve
@@ -31,6 +32,7 @@ from sapo import (
     Corpus,
     FeatureIndex,
     Lattice,
+    backward_viterbi,
     Model,
     Sequence,
     Tagset,
@@ -362,6 +364,92 @@ def test_ragged_stack_equals_single_lattices(case):
         assert _same(marg.logZ, own.logZ)
         assert marg.node.shape == own.node.shape and _same(marg.node, own.node)
         assert marg.edge.shape == own.edge.shape and _same(marg.edge, own.edge)
+
+
+def _step_cells(rng, kind, shape):
+    """``_cells``, or integer cells with one row (a position's tags, or a tag's
+    successors) all -inf, or with one NaN cell."""
+    cells = _cells(rng, "integer" if kind in ("-inf", "nan") else kind, shape)
+    if kind == "-inf":
+        cells[rng.integers(0, shape[0])] = -np.inf
+    elif kind == "nan":
+        cells[tuple(rng.integers(0, d) for d in shape)] = np.nan
+    return cells
+
+
+@st.composite
+def recursion_stacks(draw):
+    """A stack of 1-6 lattices of lengths 1-9, longest first, K 1-9, each lattice and
+    the transitions of their own cell kind: float, integer, tied or zero cells, or
+    integer ones with a -inf row or a NaN cell."""
+    K = draw(st.integers(1, 9))
+    lengths = sorted(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6)), reverse=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(RAGGED_KINDS)
+    emit = np.zeros((len(lengths), lengths[0], K))
+    for row, T in zip(emit, lengths):
+        row[:T] = _step_cells(rng, draw(kinds), (T, K))
+    return Lattice(emit, _step_cells(rng, draw(kinds), (K, K)), lengths)
+
+
+def _k45_stack():
+    rng = np.random.default_rng(45)
+    lengths = [7, 5, 5, 2, 1]
+    emit = np.zeros((len(lengths), lengths[0], 45))
+    for row, T, kind in zip(emit, lengths, ("integer", "ties", "-inf", "float", "nan")):
+        row[:T] = _step_cells(rng, kind, (T, 45))
+    return Lattice(emit, _step_cells(rng, "ties", (45, 45)), lengths)
+
+
+def _bits(a):
+    """The bytes of ``a``, every NaN made one NaN: its sign depends on which NumPy
+    loop (a lattice's or a stack's shape) made it."""
+    a = np.array(a, float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def _reference_lse(a, axis):
+    m = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - m).sum(axis=axis)) + m.squeeze(axis)
+
+
+def _reference_recursions(emit, trans):
+    """One lattice's log Z, node and edge marginals and g + h bound, a step at a time."""
+    T, K = emit.shape
+    alpha, beta, h = np.empty((T, K)), np.zeros((T, K)), np.zeros((T, K))
+    alpha[0] = emit[0]
+    for t in range(1, T):
+        alpha[t] = emit[t] + _reference_lse(alpha[t - 1][:, None] + trans, 0)
+    m = alpha[-1].max()
+    logz = float(m) + math.log(float(np.exp(alpha[-1] - m).sum()))
+    edge = np.empty((T - 1, K, K))
+    for t in range(T - 2, -1, -1):
+        ahead = emit[t + 1] + beta[t + 1]
+        beta[t] = _reference_lse(trans + ahead[None, :], 1)
+        edge[t] = np.exp(alpha[t][:, None] + trans + ahead[None, :] - logz)
+        h[t] = (trans.T + (emit[t + 1] + h[t + 1])[:, None]).max(0)
+    return logz, np.exp(alpha + beta - logz), edge, h
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(recursion_stacks())
+@example(_k45_stack())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_recursions_round_as_one_lattice_steps(stack):
+    # The forward, forward-backward and g + h bound of a ragged stack equal, bit for
+    # bit, each lattice's own steps: logsumexp(alpha[:, None] + trans, 0) and
+    # (trans.T + v[:, None]).max(0), reduced over the previous tag in order.
+    logz, margs, bound = forward_logz(stack), forward_backward(stack), backward_viterbi(stack)
+    for b, T in enumerate(stack.lengths):
+        e = stack.emit[b, :T]
+        own_logz, node, edge, h = _reference_recursions(e, stack.trans)
+        assert _bits(logz[b]) == _bits(margs[b].logZ) == _bits(own_logz)
+        assert _bits(margs[b].node) == _bits(node) and _bits(margs[b].edge) == _bits(edge)
+        assert _bits(bound[b, :T]) == _bits(h) and not bound[b, T:].any()
+        single = Lattice(e, stack.trans)
+        assert _bits(forward_logz(single)) == _bits(own_logz)
+        assert _bits(backward_viterbi(single)) == _bits(h)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)

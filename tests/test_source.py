@@ -119,3 +119,34 @@ def test_no_orphaned_public_names():
     files = [*PACKAGE.glob("*.py"), *TESTS.glob("*.py"), *(TESTS.parent / "bench").glob("*.py")]
     readers = [ast.parse(p.read_text(encoding="utf-8")) for p in files]
     assert orphaned_public_names(package, readers) == []
+
+
+def runs_readers(trees):
+    """(module, function) of each top-level function or method (``Class.method``) of
+    ``trees`` (module name: tree) that reads an attribute named ``runs``."""
+    readers = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            functions = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+            if isinstance(node, ast.ClassDef):
+                functions = [("%s.%s" % (node.name, f.name), f) for f in node.body
+                             if isinstance(f, ast.FunctionDef)]
+            readers += [(module, name) for name, f in functions
+                        if any(isinstance(sub, ast.Attribute) and sub.attr == "runs"
+                               for sub in ast.walk(f))]
+    return readers
+
+
+def test_runs_readers_found():
+    trees = {"a": ast.parse("class L:\n    def runs(self): return []\n"
+                            "    def walk(self): return self.runs()\n"
+                            "def forward(l):\n    for t0, t1, a in l.runs(): pass\n"
+                            "def backward(l):\n    return l.walk()\n")}
+    assert runs_readers(trees) == [("a", "L.walk"), ("a", "forward")]
+
+
+def test_only_walk_reads_runs():
+    # One run walk: every recursion steps through Lattice.walk, none through its own
+    # loop over Lattice.runs.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert runs_readers(trees) == [("lattice", "Lattice.walk")]
