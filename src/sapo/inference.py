@@ -18,10 +18,11 @@ diagnostic takes the chain, one top-n set per n and y* from one ``mass_rows`` ca
 The forward recursion, :func:`forward_logz` and :func:`forward_backward` take a
 lattice as a stack of one, or a stack of lattices of mixed lengths (``emit``
 (B, T, K) and ``lengths``), and step through ``Lattice.walk`` over the lattices
-still active: the objective pass runs one forward per stack of
-``lattice.length_buckets``.  The diagnostic searches and checks its probes with
-``lattice.searched``, as decoding does, and takes their marginals from one
-forward-backward per part of a stack, split by the rule of ``length_buckets``.
+still active, so each result is bit for bit the lattice's own, up to a NaN's sign
+bit: the objective pass runs one forward per stack of ``lattice.length_buckets``.
+The diagnostic searches and checks its probes with ``lattice.searched``, as
+decoding does, and takes their marginals from one forward-backward per part of a
+stack, split by the rule of ``length_buckets``.
 """
 
 from __future__ import annotations

@@ -16,12 +16,12 @@ first, each zero-padded to T.  A (T, K) lattice is a stack of one: every pass bu
 :func:`beam_nbest` and :func:`enumerate_all` takes either, and returns one result
 per lattice of a stack.  The recursions step through :meth:`Lattice.walk`, which
 gives each step only the lattices still active, so no pad cell is computed and
-every result is bit for bit the lattice's own; the forward and the ``g + h`` bound
-reduce whole (lattice, tag) planes (:func:`_plane_tables`).  Exact search runs a
-whole stack at once and finishes each lattice at its own last step.  Where n*K^2
-exceeds ``_DENSE_CELLS`` the ``g + h`` cut leaves each lattice its own number of
-survivors, padded to the stack's largest count.  :func:`searched` is every read
-path's stacked search, and its one check that the scores are finite.
+every result is bit for bit the lattice's own, up to a NaN's sign bit; the forward
+and the ``g + h`` bound reduce whole (lattice, tag) planes (:func:`_plane_tables`).
+Exact search runs a whole stack at once and finishes each lattice at its own last
+step.  Where n*K^2 exceeds ``_DENSE_CELLS`` the ``g + h`` cut leaves each lattice its
+own number of survivors, padded to the stack's largest count.  :func:`searched` is
+every read path's stacked search, and its one check that the scores are finite.
 """
 
 from __future__ import annotations
@@ -43,8 +43,14 @@ _DENSE_CELLS = 1024
 # Bound on B*K*n*max(K, T) for a stack: the cells of its tables (B*T*K), of its top-n
 # search step (B*n*K^2), of that search's path history (B*T*n*K) and of the tiled
 # transitions and step table of its forward and bound (B*K^2 each).  The diagnostic's
-# forward-backward splits a stack by the same rule, its edge cells (B*T*K^2).
+# forward-backward splits a stack by the same rule, its edge cells (B*T*K^2).  At 2^16
+# the K=45 n = 5 search of the benchmark's tag corpus ran 1.34x as long.
 _STACK_CELLS = 2**18
+# Bound on B*K*max(K, T) for a stack, and on a part of its emission build: one step's
+# (B, K, K) table in 512 KB of float64, a quarter of a 2 MB L2 cache.  It is _STACK_CELLS
+# / 4, so the tighter bound only where n < 4; there it made the K=45 Viterbi and forward
+# passes over the benchmark's corpora about 0.85x as long.
+_CACHE_CELLS = 2**16
 
 
 class NonFiniteError(RuntimeError):
@@ -169,14 +175,17 @@ def length_buckets(compiled, views, n=1):
     ``_STACK_CELLS`` a stack's tables (B*T*K cells, T its first and longest
     length), the up to B*n*K^2 cells of its top-n search step and the up to
     B*T*n*K keys of that search's path history, with or without the ``g + h``
-    cut: the cut keeps at most n survivors per tag.  Each stack's emission rows
-    are zero-padded to (B, T, K), with the sequences' own lengths, and built a
-    few sequences at a time (:func:`_feature_parts`)."""
+    cut: the cut keeps at most n survivors per tag.  B*K*max(K, T), its tables and
+    one step's, also stays within ``_CACHE_CELLS``; that binds only below n = 4.
+    Each stack's emission rows are zero-padded to (B, T, K), with the sequences'
+    own lengths, and built a few sequences at a time (:func:`_feature_parts`).
+    Which stack holds a sequence changes none of its results."""
     emit_w, trans_w = views
     K = emit_w.shape[1]
     lengths = [len(cs.counts) for cs in compiled]
     order = sorted(range(len(compiled)), key=lengths.__getitem__, reverse=True)
-    for span in _stack_parts([lengths[i] for i in order], lambda T: K * n * max(K, T)):
+    for span in _stack_parts([lengths[i] for i in order], lambda T: K * n * max(K, T),
+                             lambda T: K * max(K, T)):
         idx = order[span]
         own = [lengths[i] for i in idx]
         T = own[0]
@@ -187,23 +196,28 @@ def length_buckets(compiled, views, n=1):
         yield idx, Lattice(emit, trans_w, own)
 
 
-def _stack_parts(lengths, cells):
+def _stack_parts(lengths, cells, step=None):
     """Slices of lattices of the given lengths, longest first, into consecutive parts
-    of as many as count x cells(its first length) <= ``_STACK_CELLS`` allows, or one."""
+    of as many as count x cells(its first length) <= ``_STACK_CELLS`` and, given
+    ``step``, count x step(its first length) <= ``_CACHE_CELLS`` allow, or one."""
     lo = 0
     while lo < len(lengths):
-        hi = lo + max(1, _STACK_CELLS // cells(lengths[lo]))
+        most = _STACK_CELLS // cells(lengths[lo])
+        if step:
+            most = min(most, _CACHE_CELLS // step(lengths[lo]))
+        hi = lo + max(1, most)
         yield slice(lo, hi)
         lo = hi
 
 
 def _feature_parts(compiled, K):
-    """The compiled sequences in consecutive parts of at most ``_STACK_CELLS``
-    (feature, tag) cells each, or of one sequence: the bound on the (features, K)
-    temporaries of :func:`emission_scores`, which a stack's cells do not bound."""
-    part, cells = [], 0
+    """The compiled sequences in consecutive parts of at most min(``_STACK_CELLS``,
+    ``_CACHE_CELLS``) (feature, tag) cells each, or of one sequence: the bound on the
+    (features, K) temporaries of :func:`emission_scores`, which a stack's cells do
+    not bound."""
+    part, cells, most = [], 0, min(_STACK_CELLS, _CACHE_CELLS)
     for cs in compiled:
-        if part and cells + len(cs.rids) * K > _STACK_CELLS:
+        if part and cells + len(cs.rids) * K > most:
             yield part
             part, cells = [], 0
         part.append(cs)

@@ -25,8 +25,9 @@ from sapo import (
     viterbi,
 )
 from sapo.features import compile_corpus, weight_views
-from sapo.lattice import (_STACK_CELLS, NBestList, _search, emission_scores, length_buckets,
-                          searched)
+from sapo import lattice
+from sapo.lattice import (_CACHE_CELLS, _STACK_CELLS, NBestList, _search, emission_scores,
+                          length_buckets, searched)
 
 from conftest import random_lattice, random_word_model, word_corpus
 
@@ -71,8 +72,9 @@ class TestBuildLattice:
             )
 
     def test_stack_rows_are_built_a_few_sequences_at_a_time(self, rng, monkeypatch):
-        # Each emission_scores call of a stack's build holds at most _STACK_CELLS
-        # (feature, tag) cells, or one sequence's, and the rows are the lattices'.
+        # Each emission_scores call of a stack's build holds at most min(_STACK_CELLS,
+        # _CACHE_CELLS) (feature, tag) cells, or one sequence's, with either bound set
+        # to 200, and the rows are the lattices'.
         model, seqs = random_word_model(rng, n_seqs=40, max_len=12)
         compiled = compile_corpus(model, seqs)
         views = weight_views(model.weights, model.index)
@@ -84,17 +86,22 @@ class TestBuildLattice:
             return emission_scores(part, emit_w)
 
         monkeypatch.setattr("sapo.lattice.emission_scores", spy)
-        monkeypatch.setattr("sapo.lattice._STACK_CELLS", 200)
-        seen, done, split = [], 0, False
-        for idx, stack in length_buckets(compiled, views):
-            for b, i in enumerate(idx):
-                assert stack.emit[b, : len(rows[i])].tobytes() == rows[i].tobytes()
-                assert not stack.emit[b, len(rows[i]) :].any()
-            assert sum(len(cells) for cells in calls[done:]) == len(idx)
-            split |= len(calls) - done > 1
-            seen, done = seen + idx, len(calls)
-        assert sorted(seen) == list(range(len(seqs))) and split
-        assert all(sum(cells) <= 200 or len(cells) == 1 for cells in calls)
+        for bound in ("_STACK_CELLS", "_CACHE_CELLS"):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr("sapo.lattice." + bound, 200)
+                seen, done, split = [], 0, False
+                for idx, stack in length_buckets(compiled, views):
+                    for b, i in enumerate(idx):
+                        assert stack.emit[b, : len(rows[i])].tobytes() == rows[i].tobytes()
+                        assert not stack.emit[b, len(rows[i]) :].any()
+                    assert sum(len(cells) for cells in calls[done:]) == len(idx)
+                    split |= len(calls) - done > 1
+                    seen, done = seen + idx, len(calls)
+                assert sorted(seen) == list(range(len(seqs))) and split
+                assert all(sum(cells) <= 200 or len(cells) == 1 for cells in calls)
+                most = min(lattice._STACK_CELLS, lattice._CACHE_CELLS)
+                assert all(sum(cells) <= most or len(cells) == 1 for cells in calls)
 
 
 class TestLengths:
@@ -230,8 +237,9 @@ class TestBackwardViterbi:
 
     def test_bound_and_forward_of_the_largest_stacks_stay_small(self, rng):
         # K = 16, so n = 5 cuts by g + h (n*K^2 > 1,024), and lengths 1-16, so the
-        # largest stack of each rule B*K*n*max(K, T) <= _STACK_CELLS has T = K: its
-        # (K, B, K) tiled transitions and step table reach the bound too.
+        # largest stack of the n = 5 rule B*K*n*max(K, T) <= _STACK_CELLS, and of the
+        # n = 1 rule B*K*max(K, T) <= _CACHE_CELLS, has T = K: its (K, B, K) tiled
+        # transitions and step table reach the bound too.
         K = 16
         tags = ["t%d" % k for k in range(K)]
         seqs = [Sequence(tokens=[(w,) for w in rng.choice(list("abcdef"), T)],
@@ -240,10 +248,11 @@ class TestBackwardViterbi:
         model.weights[:] = rng.normal(size=model.weights.shape)
         compiled = compile_corpus(model, seqs)
         views = weight_views(model.weights, model.index)
-        for n, run in ((5, backward_viterbi), (1, forward_logz)):
+        for n, run, bound in ((5, backward_viterbi, _STACK_CELLS),
+                              (1, forward_logz, _CACHE_CELLS)):
             cells = lambda stack: len(stack.lengths) * K * n * max(K, stack.T)
             stack = max((s for _, s in length_buckets(compiled, views, n)), key=cells)
-            assert stack.T == K and cells(stack) > 0.99 * _STACK_CELLS
+            assert stack.T == K and cells(stack) > 0.99 * bound
             tracemalloc.start()
             try:
                 found = run(stack)
@@ -251,7 +260,7 @@ class TestBackwardViterbi:
             finally:
                 tracemalloc.stop()
             # Beyond its result: the forward's alpha, tiled transitions and step table.
-            assert peak - kept <= 4 * 8 * _STACK_CELLS and len(found) == len(stack.lengths)
+            assert peak - kept <= 4 * 8 * bound and len(found) == len(stack.lengths)
 
 
 class TestAstarNBest:
@@ -443,6 +452,57 @@ class TestAstarNBest:
 
         assert nb.scores == [3.5] * 5
         assert nb.paths == list(itertools.islice(lex_tied([]), 5))
+
+
+class TestCacheSizedStacks:
+    """The split of a K = 45 corpus of lengths 1-80: B*K*max(K, T) <= _CACHE_CELLS on
+    top of B*K*n*max(K, T) <= _STACK_CELLS, which is the tighter rule from n = 4 on."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(45)
+        tags = ["t%d" % k for k in range(45)]
+        lengths = rng.integers(1, 81, 300).tolist()
+        seqs = [Sequence(tokens=[(w,) for w in rng.choice(list("abcdef"), T)],
+                         gold=list(rng.choice(tags, T))) for T in lengths]
+        model = build_model(seqs, "U00:%x[0,0]\nU01:%x[-1,0]\nB\n", 1)
+        model.weights[:] = rng.normal(size=model.weights.shape)
+        return lengths, compile_corpus(model, seqs), weight_views(model.weights, model.index)
+
+    @staticmethod
+    def check_split(stacks, lengths, fits):
+        # The sequences longest first, each stack as many as fits(B, T) allows, T its
+        # first length: every stack but the last would break the rule with one more.
+        order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+        assert [i for idx, _ in stacks for i in idx] == order
+        for idx, stack in stacks:
+            assert stack.lengths == [lengths[i] for i in idx] and fits(len(idx), stack.T)
+            if idx[-1] != order[-1]:
+                assert not fits(len(idx) + 1, stack.T)
+
+    def test_one_best_stacks_stay_within_the_cache_bound(self, corpus, monkeypatch):
+        lengths, compiled, views = corpus
+        calls = []
+
+        def spy(part, emit_w):
+            calls.append([len(cs.rids) * emit_w.shape[1] for cs in part])
+            return emission_scores(part, emit_w)
+
+        monkeypatch.setattr("sapo.lattice.emission_scores", spy)
+        stacks = list(length_buckets(compiled, views, 1))
+        assert len(stacks) > 1
+        self.check_split(stacks, lengths, lambda B, T: B * 45 * max(45, T) <= _CACHE_CELLS)
+        # The emission build's parts keep within min(_STACK_CELLS, _CACHE_CELLS) cells.
+        most = min(_STACK_CELLS, _CACHE_CELLS)
+        assert len(calls) > len(stacks)
+        assert all(sum(cells) <= most or len(cells) == 1 for cells in calls)
+
+    @pytest.mark.parametrize("n", [4, 5, 50])
+    def test_top_n_stacks_keep_the_stack_rule(self, corpus, n):
+        lengths, compiled, views = corpus
+        stacks = list(length_buckets(compiled, views, n))
+        self.check_split(stacks, lengths,
+                         lambda B, T: B * 45 * n * max(45, T) <= _STACK_CELLS)
 
 
 class TestBeamNBest:

@@ -77,12 +77,13 @@ from sapo.inference import (
     expected_items,
     forward_backward,
     labeled_sample,
+    objective_terms,
     regularizer_value,
     subtract_oracle,
     topn_distribution,
 )
 from sapo.lattice import (_DENSE_CELLS, _STACK_CELLS, NBestList, NonFiniteError, length_buckets,
-                          searched)
+                          searched, viterbi_tags)
 from sapo.training import WeightState
 
 TAGS = ("X", "Y", "Z")
@@ -452,6 +453,25 @@ def test_stacked_recursions_round_as_one_lattice_steps(stack):
         assert _bits(backward_viterbi(single)) == _bits(h)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_minus_inf_row_gives_the_lone_lattice_results_up_to_a_nans_sign():
+    # Lattice 2 of the K = 45 example has a whole -inf emission row, so its log Z and
+    # marginals are NaN.  The sign bit of such a NaN depends on which NumPy loop made
+    # it, the stack's or the lone lattice's; every other value is the lone lattice's.
+    stack = _k45_stack()
+    T = stack.lengths[2]
+    assert np.isneginf(stack.emit[2, :T]).all(axis=1).any()
+    single = Lattice(stack.emit[2, :T], stack.trans)
+    logz = forward_logz(stack)[2]
+    assert math.isnan(logz) and _bits(logz) == _bits(forward_logz(single))
+    marg, own = forward_backward(stack)[2], forward_backward(single)
+    assert _bits(marg.logZ) == _bits(own.logZ)
+    assert _bits(marg.node) == _bits(own.node) and _bits(marg.edge) == _bits(own.edge)
+    assert _bits(backward_viterbi(stack)[2, :T]) == _bits(backward_viterbi(single))
+    (path, score), (own_path, own_score) = viterbi(stack)[2], viterbi(single)
+    assert list(path) == own_path and _bits(score) == _bits(own_score)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=2, max_size=8),
        st.sampled_from((None, 24, 60)))
@@ -563,6 +583,28 @@ def test_stacked_objective_and_emission_rows(case):
             assert stack.lengths == [lattices[i].T for i in idx]
             seen.extend(idx)
     assert sorted(seen) == sorted(2 * list(range(len(compiled))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(compiled_corpora(), st.sampled_from((1, 2, 7, 60)), st.integers(2, 400))
+def test_the_stack_split_changes_no_output(case, n, cells):
+    # One lattice a stack (a cache bound of 1), the default split, the split without
+    # the cache bound (2^40) and a drawn bound in between give the same bytes.
+    model, compiled, _ = case
+    views = weight_views(model.weights, model.index)
+
+    def outputs():
+        found = searched(compiled, views, astar_nbest, n)
+        return (viterbi_tags(model, compiled, model.weights),
+                np.array(objective_terms(compiled, model.weights, model.index)).tobytes(),
+                [(nb.paths, nb.exhausted, np.array(nb.scores).tobytes()) for nb in found])
+
+    want = outputs()
+    for bound in (1, cells, 2**40):
+        with mock.patch("sapo.lattice._CACHE_CELLS", bound):
+            if bound == 1:
+                assert all(len(idx) == 1 for idx, _ in length_buckets(compiled, views, n))
+            assert outputs() == want
 
 
 # A bare %v template fires the same raw feature at every position, so ids
