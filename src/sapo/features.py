@@ -214,8 +214,6 @@ def compile_templates(spec_text: str) -> list[FeatureTemplate]:
             raise TemplateError(
                 "line %d: at most one %%v value atom per template" % lineno
             )
-        if not atoms:
-            raise TemplateError("line %d: template %r has no atoms" % (lineno, name))
         templates.append(FeatureTemplate(name=name, atoms=tuple(atoms)))
     return templates
 
@@ -553,22 +551,22 @@ def extract_features(x: Sequence, y, templates, index: FeatureIndex):
 
     Equals the position-wise sum of emission features plus the tag-bigram
     transition counts.  Raw strings missing from the frozen index are
-    silently omitted; exact zero values are not stored.
+    silently omitted; exact zero values are not stored.  :func:`tag_table` checks ``y``.
     """
-    if len(y) != len(x):
-        raise ExtractionError(
-            "tagging length %d does not match sequence length %d" % (len(y), len(x))
-        )
     K = index.num_tags
-    y = tag_table([y], len(y), K)[0]
+    y = tag_table([y], [len(x)], K)[0]
     cs = _compile([x.tokens], [y.tolist()], templates, index, len(x.tokens[0]))[0]
     return path_items(cs, y, K).tolist()
 
 
-def tag_table(paths, T, K):
-    """The taggings ``paths`` (each at most T long) as the zero-padded rows of an integer
-    array; the first tag id that is not a whole number in 0..K-1 raises ExtractionError."""
-    y = np.zeros((len(paths), T))
+def tag_table(paths, lengths, K):
+    """The taggings ``paths``, one per sequence of ``lengths`` (longest first), as the
+    zero-padded rows of an integer array.  A tagging of another length than its sequence's,
+    or else the first tag id not a whole number in 0..K-1, raises ExtractionError."""
+    if [len(p) for p in paths] != list(lengths):
+        raise ExtractionError("taggings of lengths %s for sequences of lengths %s"
+                              % ([len(p) for p in paths], list(lengths)))
+    y = np.zeros((len(paths), lengths[0]))
     for row, p in zip(y, paths):
         row[: len(p)] = p
     bad = np.flatnonzero((np.floor(y) != y) | (y < 0) | (y >= K))  # NaN is never whole

@@ -3,7 +3,8 @@
 Covers exact log-space forward-backward (partition function and node/edge
 marginals), a tagging's score w·F(x, y) and log probability (``score_sequence`` is
 ``lattice.path_score``, the searches' own sum, bit for bit), the log-linear
-distribution over an n-best candidate set, the training objective, and the
+distribution over an n-best candidate set, the training objective (the regularizer
+and each sequence's ``objective_terms``, added by ``objective_sum``), and the
 deviation diagnostic between the exact gradient and its top-n approximation.
 
 Every learner's update term is an expected feature vector E[F] under a
@@ -189,15 +190,10 @@ def labeled_sample(m: Model, z: Sequence):
     return compiled_lattice(cs, weight_views(m.weights, m.index)), cs
 
 
-def regularizer_value(weights: np.ndarray) -> float:
-    """R(w) = 0.5 ||w||^2, so that its gradient is w."""
-    return 0.5 * float(np.dot(weights, weights))
-
-
 def objective_value(m: Model, data, l2: float) -> float:
     """Negative regularized log-likelihood over a labeled dataset."""
     compiled = compile_corpus(m, list(data), labeled=True)
-    return compiled_objective(compiled, m.weights, m.index, l2)
+    return objective_sum(objective_terms(compiled, m.weights, m.index), m.weights, l2)
 
 
 def objective_terms(compiled, weights, index) -> list[float]:
@@ -211,14 +207,10 @@ def objective_terms(compiled, weights, index) -> list[float]:
     return terms
 
 
-def compiled_objective(compiled, weights, index, l2: float) -> float:
-    """:func:`objective_value` over compiled labeled sequences under ``weights``."""
-    return objective_sum(objective_terms(compiled, weights, index), weights, l2)
-
-
 def objective_sum(terms, weights, l2: float) -> float:
-    """The regularizer, then the :func:`objective_terms` ``terms`` added in corpus order."""
-    total = l2 * regularizer_value(weights)
+    """The regularizer l2 * R(w), R(w) = 0.5 ||w||^2 so that its gradient is w, then the
+    :func:`objective_terms` ``terms`` added in corpus order."""
+    total = l2 * (0.5 * float(np.dot(weights, weights)))
     for term in terms:
         total += term
     return total

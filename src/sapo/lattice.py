@@ -245,17 +245,14 @@ def path_score(l: Lattice, path):
     """Score of one tagging, accumulated in the canonical order.  For a stack
     of lattices, ``path`` holds B taggings, each of its lattice's own length,
     and the result is a list of B scores.  A tagging of another length, or a tag id
-    not a whole number in 0..K-1 (``features.tag_table``), raises ValueError."""
+    not a whole number in 0..K-1, raises ``features.ExtractionError`` (``tag_table``)."""
     paths = [path] if l.emit.ndim == 2 else list(path)
-    B, T, K = len(l.lengths), l.T, l.K
-    if [len(p) for p in paths] != l.lengths:
-        raise ValueError("path: taggings of lengths %s for lattices of lengths %s"
-                         % ([len(p) for p in paths], l.lengths))
-    y = tag_table(paths, T, K)
+    y = tag_table(paths, l.lengths, l.K)
+    (B, T), K = y.shape, l.K
     # emit[0], then each step's transition and emission: a running sum, zeros past the end.
     ends = np.multiply(l.lengths, 2) - 2
     terms = np.empty((B, 2 * T - 1))
-    terms[:, ::2] = l.emit.reshape(B, T, K)[np.arange(B)[:, None], np.arange(T), y]
+    terms[:, ::2] = l.emit.reshape(B, l.T, K)[np.arange(B)[:, None], np.arange(T), y]
     terms[:, 1::2] = l.trans[y[:, :-1], y[:, 1:]]
     terms[np.arange(2 * T - 1) > ends[:, None]] = 0.0
     s = np.cumsum(terms, axis=1)[np.arange(B), ends]

@@ -368,13 +368,23 @@ def _crf_items(lat, cs):
     return expected_items(cs, forward_backward(lat), lat.K, cs.gold)
 
 
+def _sample_decay(cfg: TrainConfig, size) -> float:
+    """l2/|S| of a per-sample term, once ``cfg`` is valid and |S| an integer >= 1."""
+    cfg.validate()
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+        raise ConfigError("dataset_size must be an integer >= 1, got %r" % (size,))
+    return cfg.l2 / size
+
+
 def crf_stochastic_gradient(m: Model, z: Sequence, l2: float, dataset_size: int) -> UpdateTerm:
     """Exact per-sample gradient of the regularized negative log-likelihood.
 
     Sparse part is E_P[F] - F(x, y*), assembled from node/edge marginals;
-    the dense part is (l2 / dataset_size) * w, reported via ``decay``.
+    the dense part is (l2 / dataset_size) * w, reported via ``decay``; ``l2`` is
+    checked as the ``crf-sgd`` trainer checks it.
     """
-    return UpdateTerm(_crf_items(*labeled_sample(m, z)).tolist(), l2 / dataset_size)
+    decay = _sample_decay(TrainConfig("crf-sgd", l2=l2), dataset_size)
+    return UpdateTerm(_crf_items(*labeled_sample(m, z)).tolist(), decay)
 
 
 def sapo_update_term(
@@ -389,12 +399,12 @@ def sapo_update_term(
     """Top-n approximation of the stochastic gradient.
 
     The candidate set is exactly the n-best search output; the gold
-    tagging is neither forced in nor excluded.
+    tagging is neither forced in nor excluded.  Checked as the ``sapo`` trainer is.
     """
-    if search not in _SEARCHES:
-        raise ValueError("search must be %s" % " or ".join(map(repr, _SEARCHES)))
-    items = _sapo_items(*labeled_sample(m, z), n, search, beam)
-    return UpdateTerm(items.tolist(), l2 / dataset_size)
+    cfg = TrainConfig("sapo", n=n, l2=l2, search=search, beam_width=beam)
+    decay = _sample_decay(cfg, dataset_size)
+    items = _sapo_items(*labeled_sample(m, z), cfg.n, cfg.search, cfg.beam_width)
+    return UpdateTerm(items.tolist(), decay)
 
 
 # ---------------------------------------------------------------------------

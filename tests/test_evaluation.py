@@ -5,6 +5,7 @@ import pytest
 
 from sapo import (
     Corpus,
+    Sequence,
     build_model,
     chunk_f1,
     extract_chunks,
@@ -12,6 +13,7 @@ from sapo import (
     w_complexity,
     write_conll,
 )
+from sapo.features import FeatureIndex, Model
 
 from conftest import word_corpus
 
@@ -49,6 +51,9 @@ class TestTokenAccuracy:
             token_accuracy(c, [["X"]])
         with pytest.raises(ValueError):
             token_accuracy(c, [])
+        unlabeled = _Corpus([Sequence([("a",)])])
+        with pytest.raises(ValueError, match=r"^sequence 0 has no gold tags$"):
+            token_accuracy(unlabeled, [["X"]])
 
     def test_summary_line(self):
         c = corpus_of([("a", "X")])
@@ -151,3 +156,9 @@ class TestWComplexity:
     def test_zeros_included_in_mean(self):
         model = self._model_with_weights(["A", "B", "C"], [0.0, 0.0, 3.0])
         assert w_complexity(model) == 1.0
+
+    def test_model_without_features_rejected(self):
+        model = self._model_with_weights(["A"], [0.0])
+        empty = Model(model.tagset, FeatureIndex(1, False), model.templates, np.zeros(0), 1)
+        with pytest.raises(ValueError, match=r"^model has no features$"):
+            w_complexity(empty)

@@ -14,7 +14,8 @@ from sapo import (
     extract_features,
     score_sequence,
 )
-from sapo.features import build_feature_index, compile_corpus, position_features
+from sapo.features import (Model, Tagset, build_feature_index, compile_corpus,
+                           position_features)
 
 from conftest import random_word_model, word_corpus
 
@@ -92,6 +93,33 @@ class TestCompileTemplates:
     def test_deterministic(self):
         text = "U00:%x[0,0]\nU01:%x[-2,0]/%x[2,0]\nB\n"
         assert compile_templates(text) == compile_templates(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1x:%x[0,0]", r"line 1, column 1: invalid template id '1x'"),
+        ("U00:\n", r"line 1, column 5: malformed atom ''"),  # a template with no atoms
+    ])
+    def test_malformed_template_rejected(self, text, message):
+        with pytest.raises(TemplateError, match="^%s$" % message):
+            compile_templates(text)
+
+
+class TestDataTypes:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda m: Sequence([]), ValueError, r"sequence must contain at least one token"),
+        (lambda m: Sequence([("a",)], ["A", "B"]), ValueError,
+         r"gold length 2 does not match token count 1"),
+        (lambda m: Tagset(["a", "a"]), ValueError, r"duplicate tags in tagset"),
+        (lambda m: Tagset.from_corpus([Sequence([("a",)])]), ValueError,
+         r"cannot build a tagset from unlabeled data"),
+        (lambda m: m.index.add_raw("U00=zzz"), RuntimeError, r"feature index is frozen"),
+        (lambda m: Model(m.tagset, m.index, m.templates, np.zeros(5), 1), ValueError,
+         r"weight vector length 5 does not match feature count 4"),
+    ], ids=["empty-sequence", "gold-length", "duplicate-tag", "unlabeled-tagset",
+            "frozen-index", "weight-length"])
+    def test_rejects_an_inconsistent_value(self, make, error, message):
+        model = build_model(word_corpus([("a b", "A B")]), "U00:%x[0,0]\n", 1)
+        with pytest.raises(error, match="^%s$" % message):
+            make(model)
 
 
 def _single_template_model(words_tags, template_text="U00:%x[0,0]\nB\n"):
@@ -196,6 +224,14 @@ class TestExtractFeatures:
             extract_features(seqs[0], [0], model.templates, model.index)
         with pytest.raises(ExtractionError):
             extract_features(seqs[0], [0, 9], model.templates, model.index)
+
+    def test_tagging_of_another_length_rejected_as_path_score_rejects_it(self):
+        model, seqs = _single_template_model([("a b", "A B")])
+        message = r"^taggings of lengths \[1\] for sequences of lengths \[2\]$"
+        with pytest.raises(ExtractionError, match=message):
+            extract_features(seqs[0], [0], model.templates, model.index)
+        with pytest.raises(ExtractionError, match=message):
+            score_sequence(model, seqs[0], [0])
 
     def test_token_of_another_width_rejected(self):
         model, _ = _single_template_model([("a", "A")])

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sapo import (
+    ConfigError,
     Lattice,
+    NBestList,
     Sequence,
     astar_nbest,
     build_lattice,
@@ -150,6 +152,10 @@ class TestTopnDistribution:
             )
         assert math.fsum(nb.probs) == pytest.approx(1.0, abs=1e-12)
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match=r"^cannot normalize an empty candidate list$"):
+            topn_distribution(NBestList([], [], None, 1, False))
+
     def test_order_unchanged(self, rng):
         raw = astar_nbest(random_lattice(rng, T=5, K=3), 7)
         nb = topn_distribution(raw)
@@ -279,8 +285,26 @@ class TestSapoUpdateTerm:
 
     def test_unknown_search_mode_rejected(self, rng):
         model, seqs = random_word_model(rng)
-        with pytest.raises(ValueError, match=r"^search must be 'astar' or 'beam'$"):
+        with pytest.raises(ConfigError, match=r"^search must be one of \('astar', 'beam'\)$"):
             sapo_update_term(model, seqs[0], 4, 1.0, 3, search="bogus")
+
+
+@pytest.mark.parametrize("term", [
+    crf_stochastic_gradient,
+    lambda model, z, l2, size: sapo_update_term(model, z, 4, l2, size),
+], ids=["crf", "sapo"])
+@pytest.mark.parametrize("l2, size, message", [
+    (1.0, 0, r"dataset_size must be an integer >= 1, got 0"),
+    (1.0, -2, r"dataset_size must be an integer >= 1, got -2"),
+    (1.0, 2.5, r"dataset_size must be an integer >= 1, got 2\.5"),
+    (1.0, True, r"dataset_size must be an integer >= 1, got True"),
+    (-1.0, 3, r"l2 strength must be finite and >= 0, got -1\.0"),
+    (math.nan, 3, r"l2 strength must be finite and >= 0, got nan"),
+])
+def test_per_sample_terms_check_their_config_as_the_trainers_do(rng, term, l2, size, message):
+    model, seqs = random_word_model(rng)
+    with pytest.raises(ConfigError, match="^%s$" % message):
+        term(model, seqs[0], l2, size)
 
 
 class TestObjectiveValue:
@@ -329,6 +353,11 @@ class TestDeltaDiagnostic:
             tails = [r.tail_mass for r in reports]
             assert all(a >= b for a, b in zip(tails, tails[1:]))
             assert all(0.0 <= t <= 1.0 for t in tails)
+
+    def test_n_below_one_rejected(self, rng):
+        model, seqs = random_word_model(rng)
+        with pytest.raises(ValueError, match=r"^n values must be >= 1$"):
+            delta_diagnostic(model, seqs[0], [0])
 
     def test_csv_shape(self, rng):
         model, seqs = random_word_model(rng)

@@ -152,16 +152,16 @@ class TestPathScore:
             path_score(stack, [[0, 0, 0, 0], path[:3]])
 
     @pytest.mark.parametrize("lengths, path, message", [
-        (None, [0, 1, 2], r"\[3\] for lattices of lengths \[4\]"),
-        (None, [0, 1, 2, 0, 1], r"\[5\] for lattices of lengths \[4\]"),
-        ([4, 2], [[0, 1, 2, 0], [0, 1, 2, 0]], r"\[4, 4\] for lattices of lengths \[4, 2\]"),
-        ([4, 2], [[0, 1, 2, 0]], r"\[4\] for lattices of lengths \[4, 2\]"),
+        (None, [0, 1, 2], r"\[3\] for sequences of lengths \[4\]"),
+        (None, [0, 1, 2, 0, 1], r"\[5\] for sequences of lengths \[4\]"),
+        ([4, 2], [[0, 1, 2, 0], [0, 1, 2, 0]], r"\[4, 4\] for sequences of lengths \[4, 2\]"),
+        ([4, 2], [[0, 1, 2, 0]], r"\[4\] for sequences of lengths \[4, 2\]"),
     ], ids=["short", "long", "stack-long", "stack-one-too-few"])
     def test_rejects_a_tagging_of_the_wrong_length(self, rng, lengths, path, message):
         lat = random_lattice(rng, T=4, K=3)
         if lengths:
             lat = Lattice(np.stack([lat.emit, lat.emit]), lat.trans, lengths)
-        with pytest.raises(ValueError, match=r"^path: taggings of lengths %s$" % message):
+        with pytest.raises(ExtractionError, match=r"^taggings of lengths %s$" % message):
             path_score(lat, path)
 
     @pytest.mark.parametrize("tag", [1.7, -0.5, math.nan, math.inf],
@@ -522,6 +522,10 @@ class TestBeamNBest:
             # kept hypothesis is a real path with its exact score
             assert b.scores[0] == pytest.approx(path_score(lat, b.paths[0]), abs=1e-9)
             assert b.scores[0] <= viterbi(lat)[1] + 1e-12
+
+    def test_beam_below_one_rejected(self, rng):
+        with pytest.raises(ValueError, match=r"^beam must be >= 1$"):
+            beam_nbest(random_lattice(rng), 1, 0)
 
     def test_exhausted_counts_returned_paths(self):
         lat = Lattice(emit=np.zeros((3, 2)), trans=np.zeros((2, 2)))

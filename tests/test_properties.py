@@ -71,14 +71,13 @@ from sapo.features import (
 from sapo.inference import (
     DeltaReport,
     candidate_mixture,
-    compiled_objective,
     delta_csv_lines,
     delta_diagnostics,
     expected_items,
     forward_backward,
     labeled_sample,
+    objective_sum,
     objective_terms,
-    regularizer_value,
     subtract_oracle,
     topn_distribution,
 )
@@ -340,10 +339,22 @@ def _same(a, b):
     return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
 
 
+def _infinite_cells_stack():
+    """Two lattices of length 6 with +inf and -inf emission cells, and n = 208: NaN
+    bounds leave lattice 0 no survivor, so the cut pads, and then lattice 1 has at most
+    n extensions a step, which the cut keeps, pads left out, without ranking them."""
+    emit = np.zeros((2, 6, 3))
+    emit[0, 5, 2] = np.inf
+    emit[1, [0, 1, 1, 2, 3], [2, 0, 2, 1, 1]] = np.inf
+    emit[1, [2, 3, 3, 4], [2, 1, 2, 2]] = -np.inf
+    return Lattice(emit, np.zeros((3, 3))), 208
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(ragged_stacks())
 # NaN bounds cut every survivor: two lattices end together with none left.
 @example((Lattice(np.full((3, 5, 5), np.nan), np.zeros((5, 5)), [5, 3, 3]), 60))
+@example(_infinite_cells_stack())
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ragged_stack_equals_single_lattices(case):
     # One pass over a stack of mixed lengths gives each lattice what it gives alone.
@@ -549,10 +560,11 @@ def compiled_corpora(draw):
 def test_stacked_objective_and_emission_rows(case):
     model, compiled, data = case
     lattices = [build_lattice(model, z) for z in data]
-    total = 0.7 * regularizer_value(model.weights)
+    total = 0.7 * (0.5 * float(np.dot(model.weights, model.weights)))
     for lat, cs in zip(lattices, compiled):
         total += forward_logz(lat) - path_score(lat, cs.gold)
-    assert compiled_objective(compiled, model.weights, model.index, 0.7) == total
+    terms = objective_terms(compiled, model.weights, model.index)
+    assert objective_sum(terms, model.weights, 0.7) == total
     # Every emission row is bit for bit the sequential sum of its features' terms,
     # taken from the templates and the index rather than the compiled arrays.
     emit_w = weight_views(model.weights, model.index)[0]

@@ -483,6 +483,10 @@ class TestWeightState:
             snaps.append(mirror * state.scale)
         assert np.abs(state.averaged_weights() - np.mean(snaps, axis=0)).max() < 1e-12
 
+    def test_average_needs_averaging(self):
+        with pytest.raises(RuntimeError, match=r"^averaging is not enabled$"):
+            WeightState(3).averaged_weights()
+
 
 class TestOrchestration:
     def test_same_seed_same_permutation(self):
