@@ -21,6 +21,7 @@ from .dataio import (
     generate_synthetic_hmm,
     load_model,
     read_conll,
+    read_text,
     save_model,
     write_conll,
     write_text,
@@ -146,8 +147,7 @@ def cmd_train(args) -> int:
             raise UsageError("%s is not applicable to --algo %s" % (args.flags[f], args.algo))
     cfg = TrainConfig(algorithm=args.algo, **given)
     cfg.validate()
-    with open(args.templates, "r", encoding="utf-8") as f:
-        template_text = f.read()
+    template_text = read_text(args.templates)
     train_corpus = read_conll(args.train, labeled=True)
     heldout = read_conll(args.heldout, labeled=True) if args.heldout else None
     model, curve = train(train_corpus, heldout, cfg, template_text)

@@ -4,14 +4,18 @@ CoNLL-style input: whitespace-separated columns, blank lines delimiting
 sequences, the last column holding the gold tag for labeled data.  Output
 always uses tabs and LF line endings.  Model files are line-oriented text
 with weights printed in shortest exact decimal form, so a save/load round
-trip reproduces identical scores.
+trip reproduces identical scores.  Every path is opened by ``_opened``: an
+existing output file is rewritten in place and cut to the new length, keeping
+its inode, mode and links; nothing is fsynced.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -61,12 +65,32 @@ class Corpus:
 
 @contextmanager
 def _opened(target, mode="r"):
-    """A file object as is, or a path opened as UTF-8 (written with LF line endings)."""
+    """A file object as is, or a path opened as UTF-8 (written with LF line endings).
+
+    A path opened to write is rewritten in place: it is opened without truncation and,
+    when it is a regular file, cut at the end of what was written, also if the body
+    raises.  A truncating open of a file whose last rewrite was also one can wait on
+    that rewrite's writeback (ext4 starts it when such a file is closed); this open
+    does not, and keeps the file's inode, mode and links."""
     if hasattr(target, "read" if mode == "r" else "write"):
         yield target
-    else:
-        with open(target, mode, encoding="utf-8", newline="\n" if mode == "w" else None) as f:
+    elif mode == "r":
+        with open(target, encoding="utf-8") as f:
             yield f
+    else:
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as f:
+            try:
+                yield f
+            finally:  # /dev/null is seekable, but cannot be truncated
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    f.truncate()
+
+
+def read_text(path) -> str:
+    """The text of a file object, or of a path read as UTF-8."""
+    with _opened(path) as f:
+        return f.read()
 
 
 def write_text(path, text: str):

@@ -21,6 +21,7 @@ from sapo import (
     write_conll,
 )
 from sapo import dataio
+from sapo.cli import main
 
 
 class TestReadConll:
@@ -554,3 +555,95 @@ class TestModelFileLayout:
         assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
         assert load_peak <= 2 * size
         assert save_peak <= size
+
+
+class TestRewriteInPlace:
+    """An existing output path is rewritten in place and cut to the new length."""
+
+    def test_shorter_text_leaves_no_old_tail(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"0123456789" * 1000)
+        dataio.write_text(path, "short\n")
+        assert path.read_bytes() == b"short\n"
+
+    def test_shorter_corpus_leaves_no_old_tail(self, tmp_path):
+        long = generate_synthetic_hmm(K=3, V=8, T_mean=4, count=200, seed=5, separability=0.6)
+        short = Corpus([Sequence(tokens=[("a",), ("b",)], gold=["X", "Y"])], n_columns=1)
+        path = tmp_path / "out.conll"
+        write_conll(long, path)
+        write_conll(short, path, predictions=[["Y", "X"]])
+        assert path.read_bytes() == b"a\tX\tY\nb\tY\tX\n"
+
+    def test_smaller_model_leaves_no_old_tail(self, rng, tmp_path):
+        big, _ = _toy_model(rng)
+        seqs = [Sequence(tokens=[("b",), ("a",)], gold=["Y", "X"])]
+        small = build_model(seqs, "U00:%x[0,0]", n_columns=1)
+        small.weights = np.array([0.0, 0.75, -3.0, 0.0])
+        expected = io.StringIO()
+        save_model(small, expected)
+        path = tmp_path / "m.model"
+        save_model(big, path)
+        save_model(small, path)
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert load_model(path).weights.tolist() == small.weights.tolist()
+
+    def test_inode_and_mode_kept(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old text that is longer\n")
+        path.chmod(0o640)
+        inode = path.stat().st_ino
+        dataio.write_text(path, "new\n")
+        assert path.read_bytes() == b"new\n"
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old text that is longer\n")
+        link.symlink_to(target)
+        dataio.write_text(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
+
+    def test_hard_link_sees_the_new_text(self, tmp_path):
+        path, other = tmp_path / "out.txt", tmp_path / "other.txt"
+        path.write_text("old text that is longer\n")
+        other.hardlink_to(path)
+        dataio.write_text(path, "new\n")
+        assert other.read_bytes() == b"new\n"
+
+    def test_dev_null(self):
+        dataio.write_text("/dev/null", "discarded\n")
+
+    def test_decode_to_dev_null(self, tmp_path):
+        train = tmp_path / "train.conll"
+        write_conll(generate_synthetic_hmm(K=3, V=8, T_mean=4, count=20, seed=3,
+                                           separability=0.6), train)
+        model = tmp_path / "m.model"
+        save_model(build_model(read_conll(train).sequences, "U00:%x[0,0]\nB\n", 1), model)
+        assert main(["decode", "--model", str(model), "--input", str(train),
+                     "--output", "/dev/null"]) == 0
+
+    def test_fault_leaves_the_prefix_written(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"0123456789" * 1000)
+        with pytest.raises(RuntimeError):
+            with dataio._opened(path, "w") as f:
+                f.write("prefix\n")
+                raise RuntimeError("stop")
+        assert path.read_bytes() == b"prefix\n"
+
+    def test_open_does_not_truncate(self, tmp_path, monkeypatch):
+        flags = []
+        real = dataio.os.open
+
+        def spy(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(dataio.os, "open", spy)
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        dataio.write_text(path, "new\n")
+        assert flags and not any(flag & dataio.os.O_TRUNC for flag in flags)
+        assert path.read_bytes() == b"new\n"

@@ -150,3 +150,43 @@ def test_only_walk_reads_runs():
     # loop over Lattice.runs.
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
     assert runs_readers(trees) == [("lattice", "Lattice.walk")]
+
+
+def path_openers(directory):
+    """(module, function) of each top-level function or method (``Class.method``) of the
+    modules in ``directory`` that calls ``open`` or an attribute named ``open``
+    (``os.open``, ``io.open``); a call outside any function counts as ``<module>``."""
+    openers = set()
+    for path in sorted(pathlib.Path(directory).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [("%s.%s" % (node.name, f.name), f) for f in node.body
+                           if isinstance(f, ast.FunctionDef)]
+            else:
+                scopes.append((node.name if isinstance(node, ast.FunctionDef) else "<module>",
+                               node))
+        for name, scope in scopes:
+            if any(isinstance(sub, ast.Call) and (
+                    isinstance(sub.func, ast.Name) and sub.func.id == "open"
+                    or isinstance(sub.func, ast.Attribute) and sub.func.attr == "open")
+                   for sub in ast.walk(scope)):
+                openers.add((path.stem, name))
+    return sorted(openers)
+
+
+def test_path_openers_found(tmp_path):
+    # A scratch copy of the package with a stray open fails the check.
+    for source in PACKAGE.glob("*.py"):
+        (tmp_path / source.name).write_text(source.read_text(encoding="utf-8"))
+    with (tmp_path / "cli.py").open("a") as f:
+        f.write("\n\ndef stray(p):\n    with open(p, \"w\") as f:\n        f.write(\"\")\n")
+    (tmp_path / "extra.py").write_text("import os\nFD = os.open('x', os.O_RDONLY)\n")
+    found = set(path_openers(tmp_path)) - set(path_openers(PACKAGE))
+    assert found == {("cli", "stray"), ("extra", "<module>")}
+
+
+def test_one_place_opens_a_path():
+    # Every read or write of a path goes through dataio._opened.
+    assert path_openers(PACKAGE) == [("dataio", "_opened")]
